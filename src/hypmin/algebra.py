@@ -259,9 +259,6 @@ def build_named(name: str) -> MultiPoly:
     raise KeyError(f"unknown named polynomial: {name}")
 
 
-NAMED_IDS = ("q1", "q2", "q3", "eqg2", "eqg3", "final7", "b0branch")
-
-
 # -- proof reports -----------------------------------------------------
 
 EXACT = "exact-match"

@@ -43,6 +43,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "1" if x else "0"
@@ -241,9 +248,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="least-squares falsification run")
     p.add_argument("--kind", choices=tuple(_SEARCH_SETUPS), required=True)
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=positive_int, default=1)
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_search)
 

@@ -150,12 +150,3 @@ def pow_int(x: Jet3, n: int) -> Jet3:
         return coeff * u ** e if coeff != 0.0 else 0.0
 
     return compose(x, p(0), p(1), p(2), p(3))
-
-
-ELEMENTARY = {
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "log": log,
-    "abs_log_cos": abs_log_cos,
-}

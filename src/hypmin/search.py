@@ -8,6 +8,13 @@ the unregularized final stage.  For type II the optimizer collapses onto
 the geodesic-plane family; for type I a positive residual floor remains.
 A Euclidean control objective (which does have solutions) demonstrates
 that the harness finds them when they exist.
+
+`residual_and_jacobian` defines the least-squares problem as a dense
+residual vector r and Jacobian J.  The optimizer never forms J: a trial
+step evaluates the cost r @ r alone, and only an accepted point builds the
+normal equations J.T @ J and J.T @ r, straight from the residual partials
+and the cached B-spline bases.  R(i, j) depends only on f near x_i and g
+near v_j, so both are sums of products of small stacked matrices.
 """
 
 from __future__ import annotations
@@ -120,66 +127,69 @@ def random_ansatz(
 
 # -- basis design matrices (coefficient-independent, cached) -----------
 
-_DESIGN_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# (f_domain, g_domain, n_interior, degree, grid) -> (xs, vs, bf, bg), read-only
+_DESIGN_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
-def _design_matrices(domain, n_interior, degree, ts: np.ndarray):
-    key = (domain, n_interior, degree, len(ts), float(ts[0]), float(ts[-1]))
-    hit = _DESIGN_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _design_matrices(domain, n_interior, degree, ts: np.ndarray) -> np.ndarray:
+    """B-spline basis and its first two derivatives at ts, shape (3, len(ts), m)."""
     knots = clamped_knots(domain, n_interior, degree)
-    m = n_coeffs(n_interior, degree)
-    mats = []
-    for order in (0, 1, 2):
-        cols = []
-        for j in range(m):
-            unit = np.zeros(m)
-            unit[j] = 1.0
-            sp = BSpline(knots, unit, degree)
-            if order:
-                sp = sp.derivative(order)
-            cols.append(sp(ts))
-        mats.append(np.column_stack(cols))
-    mats = tuple(mats)
-    _DESIGN_CACHE[key] = mats
-    return mats
-
-
-def _grid(ansatz: SplineAnsatz, cfg: SearchConfig):
-    nx, nz = cfg.grid
-    xs = np.linspace(*ansatz.f_domain, nx)
-    vs = np.linspace(*ansatz.g_domain, nz)
-    return xs, vs
+    basis = BSpline(knots, np.eye(n_coeffs(n_interior, degree)), degree)
+    return np.stack([basis(ts), basis.derivative(1)(ts), basis.derivative(2)(ts)])
 
 
 def _bases(ansatz: SplineAnsatz, cfg: SearchConfig):
-    xs, vs = _grid(ansatz, cfg)
-    bf = _design_matrices(ansatz.f_domain, ansatz.n_interior, ansatz.degree, xs)
-    bg = _design_matrices(ansatz.g_domain, ansatz.n_interior, ansatz.degree, vs)
-    return xs, vs, bf, bg
+    """Grid (xs, vs) and stacked bases bf (3, nx, mf), bg (3, nz, mg).
+
+    Cached per ansatz shape and grid.  Every later evaluation shares the
+    arrays, so they are read-only.
+    """
+    key = (ansatz.f_domain, ansatz.g_domain, ansatz.n_interior, ansatz.degree, cfg.grid)
+    hit = _DESIGN_CACHE.get(key)
+    if hit is None:
+        nx, nz = cfg.grid
+        xs = np.linspace(*ansatz.f_domain, nx)
+        vs = np.linspace(*ansatz.g_domain, nz)
+        hit = (
+            xs,
+            vs,
+            _design_matrices(ansatz.f_domain, ansatz.n_interior, ansatz.degree, xs),
+            _design_matrices(ansatz.g_domain, ansatz.n_interior, ansatz.degree, vs),
+        )
+        for array in hit:
+            array.flags.writeable = False
+        _DESIGN_CACHE[key] = hit
+    return hit
 
 
-def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
+def _spline_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Rows: the spline, its first and its second derivative on the grid."""
+    _, n, m = basis.shape
+    return (basis.reshape(3 * n, m) @ coeffs).reshape(3, n)
+
+
+def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig, partials: bool = True):
     """Residual values and partials w.r.t. the six local quantities.
 
     Returns (R, dR) with R of shape (nx, nz) and dR a dict of same-shape
-    arrays keyed by f, fp, fpp, g, gp, gpp.
+    arrays keyed by f, fp, fpp, g, gp, gpp.  With `partials` false, dR is
+    None and only R is computed.
     """
-    xs, vs, (Bf, Bf1, Bf2), (Bg, Bg1, Bg2) = _bases(ansatz, cfg)
-    f0, f1, f2 = Bf @ ansatz.f_coeffs, Bf1 @ ansatz.f_coeffs, Bf2 @ ansatz.f_coeffs
-    g0, g1, g2 = Bg @ ansatz.g_coeffs, Bg1 @ ansatz.g_coeffs, Bg2 @ ansatz.g_coeffs
+    _, vs, bf, bg = _bases(ansatz, cfg)
+    f0, f1, f2 = _spline_values(bf, ansatz.f_coeffs)
+    g0, g1, g2 = _spline_values(bg, ansatz.g_coeffs)
     fp = f1[:, None]
     fpp = f2[:, None]
     gp = g1[None, :]
     gpp = g2[None, :]
     P = 1.0 + fp ** 2
     Q = 1.0 + gp ** 2
-    shape = (len(xs), len(vs))
-    zeros = np.zeros(shape)
+    S = Q * fpp + P * gpp
     if cfg.euclidean_control:
         # Euclidean type-I minimality: (1+g'^2) f'' + (1+f'^2) g''
-        R = Q * fpp + P * gpp + zeros
+        if not partials:
+            return S, None
+        zeros = np.zeros(S.shape)
         dR = {
             "f": zeros,
             "fp": 2.0 * fp * gpp + zeros,
@@ -188,43 +198,76 @@ def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
             "gp": 2.0 * gp * fpp + zeros,
             "gpp": P + zeros,
         }
-        return R, dR
+        return S, dR
 
     W2 = P + gp ** 2
     W = np.sqrt(W2)
-    S = Q * fpp + P * gpp
+    W3 = W2 * W
     if ansatz.kind is Kind.TYPE_I:
         zv = f0[:, None] + g0[None, :]
-        He = S / (2.0 * W ** 3)
-        N3 = 1.0 / W
-        R = zv * He + N3 + zeros
-        dHe_dfp = fp * gpp / W ** 3 - 1.5 * fp * S / W ** 5
-        dHe_dgp = gp * fpp / W ** 3 - 1.5 * gp * S / W ** 5
+        He = S / (2.0 * W3)
+        R = zv * He + 1.0 / W
+        if not partials:
+            return R, None
+        # dHe/df' = f' (g'' - T) / W^3 and dHe/dg' = g' (f'' - T) / W^3
+        T = 1.5 * S / W2
         dR = {
-            "f": He + zeros,
-            "fp": zv * dHe_dfp - fp / W ** 3 + zeros,
-            "fpp": zv * Q / (2.0 * W ** 3) + zeros,
-            "g": He + zeros,
-            "gp": zv * dHe_dgp - gp / W ** 3 + zeros,
-            "gpp": zv * P / (2.0 * W ** 3) + zeros,
+            "f": He,
+            "fp": fp * (zv * (gpp - T) - 1.0) / W3,
+            "fpp": zv * Q / (2.0 * W3),
+            "g": He,
+            "gp": gp * (zv * (fpp - T) - 1.0) / W3,
+            "gpp": zv * P / (2.0 * W3),
         }
         return R, dR
 
     z = vs[None, :]
-    He = -S / (2.0 * W ** 3)
-    N3 = gp / W
-    R = z * He + N3 + zeros
-    dHe_dfp = -fp * gpp / W ** 3 + 1.5 * fp * S / W ** 5
-    dHe_dgp = -gp * fpp / W ** 3 + 1.5 * gp * S / W ** 5
+    R = -z * S / (2.0 * W3) + gp / W
+    if not partials:
+        return R, None
+    T = 1.5 * S / W2
+    zeros = np.zeros(R.shape)
     dR = {
         "f": zeros,
-        "fp": z * dHe_dfp - gp * fp / W ** 3 + zeros,
-        "fpp": -z * Q / (2.0 * W ** 3) + zeros,
+        "fp": fp * (z * (T - gpp) - gp) / W3,
+        "fpp": -z * Q / (2.0 * W3),
         "g": zeros,
-        "gp": z * dHe_dgp + P / W ** 3 + zeros,
-        "gpp": -z * P / (2.0 * W ** 3) + zeros,
+        "gp": (gp * z * (T - fpp) + P) / W3,
+        "gpp": -z * P / (2.0 * W3),
     }
     return R, dR
+
+
+def _slab(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, f0, g0):
+    """The type-I barrier block (slack, sign), or None when it is off.
+
+    slack = sqrt(w) * (max(0, zFloor - (f+g)) - max(0, (f+g) - zCeil)) and
+    sign is its derivative w.r.t. f+g.
+    """
+    if ansatz.kind is not Kind.TYPE_I or cfg.euclidean_control or barrier_weight <= 0.0:
+        return None
+    # Slab constraint zFloor <= f+g <= zCeil: the floor keeps the graph in
+    # the half-space, the ceiling compactifies the search (otherwise the
+    # optimizer escapes toward the vertical-plane limit, where H -> 0
+    # degenerately).
+    zv = f0[:, None] + g0[None, :]
+    w = math.sqrt(barrier_weight)
+    deficit = np.maximum(0.0, cfg.z_floor - zv)
+    excess = np.maximum(0.0, zv - cfg.z_ceil)
+    slack = w * (deficit - excess)
+    sign = -w * ((deficit > 0.0) | (excess > 0.0)).astype(float)
+    return slack, sign
+
+
+def _residual_vector(R, slab, smoothing_weight: float, f, g) -> np.ndarray:
+    """r: R, then the slab slack, then the smoothing penalty, each if present."""
+    blocks = [R.reshape(-1)]
+    if slab is not None:
+        blocks.append(slab[0].reshape(-1))
+    if smoothing_weight > 0.0:
+        sw = math.sqrt(smoothing_weight)
+        blocks += [sw * f[2], sw * g[2]]
+    return np.concatenate(blocks)
 
 
 def residual_and_jacobian(
@@ -235,11 +278,15 @@ def residual_and_jacobian(
 ):
     """Flattened residual vector and its Jacobian w.r.t. packed coefficients.
 
-    Optional extra residual blocks: the type-I positivity barrier
-    sqrt(w) * max(0, zFloor - (f+g)) and the continuation smoothing penalty
-    sqrt(w) * f'' (resp. g'') on the grid lines.
+    Optional extra residual blocks: the type-I slab barrier (`_slab`) and
+    the continuation smoothing penalty
+    sqrt(w) * f'' (resp. g'') on the grid lines.  This dense form defines
+    the least-squares problem; the optimizer works from `_cost` and
+    `_normal_equations`, which give the same r @ r, J.T @ J and J.T @ r.
     """
-    xs, vs, (Bf, Bf1, Bf2), (Bg, Bg1, Bg2) = _bases(ansatz, cfg)
+    _, _, bf, bg = _bases(ansatz, cfg)
+    (Bf, Bf1, Bf2), (Bg, Bg1, Bg2) = bf, bg
+    f, g = _spline_values(bf, ansatz.f_coeffs), _spline_values(bg, ansatz.g_coeffs)
     R, dR = residual_grid(ansatz, cfg)
     nx, nz = R.shape
     mf = Bf.shape[1]
@@ -254,34 +301,93 @@ def residual_and_jacobian(
         + np.einsum("ij,jk->ijk", dR["gp"], Bg1)
         + np.einsum("ij,jk->ijk", dR["gpp"], Bg2)
     ).reshape(nx * nz, mg)
-    r_blocks = [R.reshape(-1)]
     J_blocks = [np.hstack([Jf, Jg])]
 
-    if ansatz.kind is Kind.TYPE_I and not cfg.euclidean_control and barrier_weight > 0.0:
-        # Slab constraint zFloor <= f+g <= zCeil: the floor keeps the graph in
-        # the half-space, the ceiling compactifies the search (otherwise the
-        # optimizer escapes toward the vertical-plane limit, where H -> 0
-        # degenerately).
-        zv = (Bf @ ansatz.f_coeffs)[:, None] + (Bg @ ansatz.g_coeffs)[None, :]
-        w = math.sqrt(barrier_weight)
-        deficit = np.maximum(0.0, cfg.z_floor - zv)
-        excess = np.maximum(0.0, zv - cfg.z_ceil)
-        slack = w * (deficit - excess)
-        sign = -w * ((deficit > 0.0) | (excess > 0.0)).astype(float)
+    slab = _slab(ansatz, cfg, barrier_weight, f[0], g[0])
+    if slab is not None:
+        sign = slab[1]
         Jbf = np.einsum("ij,ik->ijk", sign, Bf).reshape(nx * nz, mf)
         Jbg = np.einsum("ij,jk->ijk", sign, Bg).reshape(nx * nz, mg)
-        r_blocks.append(slack.reshape(-1))
         J_blocks.append(np.hstack([Jbf, Jbg]))
 
     if smoothing_weight > 0.0:
         sw = math.sqrt(smoothing_weight)
-        r_blocks.append(np.concatenate([sw * (Bf2 @ ansatz.f_coeffs), sw * (Bg2 @ ansatz.g_coeffs)]))
         Js = np.zeros((nx + nz, mf + mg))
         Js[:nx, :mf] = sw * Bf2
         Js[nx:, mf:] = sw * Bg2
         J_blocks.append(Js)
 
-    return np.concatenate(r_blocks), np.vstack(J_blocks)
+    return _residual_vector(R, slab, smoothing_weight, f, g), np.vstack(J_blocks)
+
+
+def _cost(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float) -> float:
+    """r @ r for the r of `residual_and_jacobian`, from the residual values alone."""
+    _, _, bf, bg = _bases(ansatz, cfg)
+    f, g = _spline_values(bf, ansatz.f_coeffs), _spline_values(bg, ansatz.g_coeffs)
+    R, _ = residual_grid(ansatz, cfg, partials=False)
+    r = _residual_vector(R, _slab(ansatz, cfg, barrier_weight, f[0], g[0]), smoothing_weight, f, g)
+    if not np.all(np.isfinite(r)):
+        raise NonFiniteResidualError("non-finite residual during optimization")
+    return float(r @ r)
+
+
+def _basis_gram(basis: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """sum_kl B_k^T diag(S[:, k, l]) B_l for stacked bases B (3, n, m) and S (n, 3, 3)."""
+    _, n, m = basis.shape
+    weighted = (S @ basis.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(3 * n, m)
+    return basis.reshape(3 * n, m).T @ weighted
+
+
+def _normal_equations(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float):
+    """A = J.T @ J and g = J.T @ r for the (r, J) of `residual_and_jacobian`,
+    without forming J.
+
+    R(i, j) depends only on f at x_i and g at v_j.  Write D_k = dR/df^(k) and
+    E_l = dR/dg^(l) for the value and first two derivatives (k, l = 0, 1, 2),
+    and B_k, C_l for the bases of f^(k), g^(l) on the grid.  Then
+
+        A_ff = sum_kl B_k^T diag(sum_j D_k*D_l) B_l
+        A_fg = sum_kl B_k^T (D_k*E_l) C_l
+        A_gg = sum_kl C_k^T diag(sum_i E_k*E_l) C_l
+
+    The slab barrier adds to the k = l = 0 terms and the smoothing penalty
+    to the k = l = 2 terms.  Each sum over (k, l) is one matmul over the
+    (3n, m) stacked bases.
+    """
+    _, _, bf, bg = _bases(ansatz, cfg)
+    _, nx, mf = bf.shape
+    _, nz, mg = bg.shape
+    f, g = _spline_values(bf, ansatz.f_coeffs), _spline_values(bg, ansatz.g_coeffs)
+    R, dR = residual_grid(ansatz, cfg)
+    D = np.stack([dR["f"], dR["fp"], dR["fpp"]])  # (3, nx, nz)
+    E = np.stack([dR["g"], dR["gp"], dR["gpp"]])
+    Sf = D.transpose(1, 0, 2) @ D.transpose(1, 2, 0)  # (nx, 3, 3): sum_j D_k*D_l
+    Sg = E.transpose(2, 0, 1) @ E.transpose(2, 1, 0)  # (nz, 3, 3): sum_i E_k*E_l
+    DE = (D[:, :, None, :] * E.transpose(1, 0, 2)[None]).reshape(3 * nx, 3 * nz)
+    rf = (D * R).sum(axis=2)  # (3, nx): sum_j D_k*R
+    rg = (E * R).sum(axis=1)  # (3, nz): sum_i E_l*R
+    slab = _slab(ansatz, cfg, barrier_weight, f[0], g[0])
+    if slab is not None:
+        slack, sign = slab
+        sign2 = sign * sign
+        Sf[:, 0, 0] += sign2.sum(axis=1)
+        Sg[:, 0, 0] += sign2.sum(axis=0)
+        DE[:nx, :nz] += sign2
+        rf[0] += (sign * slack).sum(axis=1)
+        rg[0] += (sign * slack).sum(axis=0)
+    if smoothing_weight > 0.0:
+        Sf[:, 2, 2] += smoothing_weight
+        Sg[:, 2, 2] += smoothing_weight
+        rf[2] += smoothing_weight * f[2]
+        rg[2] += smoothing_weight * g[2]
+    Bm = bf.reshape(3 * nx, mf)
+    Cm = bg.reshape(3 * nz, mg)
+    A = np.empty((mf + mg, mf + mg))
+    A[:mf, :mf] = _basis_gram(bf, Sf)
+    A[mf:, mf:] = _basis_gram(bg, Sg)
+    A[:mf, mf:] = Bm.T @ DE @ Cm
+    A[mf:, :mf] = A[:mf, mf:].T
+    return A, np.concatenate([Bm.T @ rf.reshape(-1), Cm.T @ rg.reshape(-1)])
 
 
 # -- damped least squares with continuation ---------------------------
@@ -292,50 +398,49 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
 
     Hand-rolled Levenberg-Marquardt (diagonal-scaled damping, multiplicative
     update) so every arithmetic step is plain numpy and runs are bit-for-bit
-    reproducible across processes.  Returns (ansatz, nfev, converged,
-    cost_trace); the trace records accepted costs only, so it is
+    reproducible across processes.  A trial step costs one residual
+    evaluation (`_cost`).  Only an accepted point builds the normal equations
+    A = J.T @ J, g = J.T @ r, straight from the residual partials and the
+    cached bases (`_normal_equations`); the dense Jacobian is never formed.
+    nfev counts every residual evaluation, trial steps included.
+
+    A singular damped system raises the damping like a rejected step.  The
+    stage ends when the damping reaches its cap without a descent, when
+    `budget` evaluations are spent, or when an accepted step lowers the cost
+    by no more than `cfg.rel_tol` relative.  Returns (ansatz, nfev,
+    converged, cost_trace); the trace records accepted costs only, so it is
     non-increasing by construction.
     """
 
-    def eval_at(x):
-        r, J = residual_and_jacobian(
-            ansatz.with_coeffs(x), cfg, barrier_weight, smoothing_weight
-        )
-        if not np.all(np.isfinite(r)):
-            raise NonFiniteResidualError("non-finite residual during optimization")
-        return r, J
+    def cost_at(x):
+        return _cost(ansatz.with_coeffs(x), cfg, barrier_weight, smoothing_weight)
 
     x = ansatz.packed()
-    r, J = eval_at(x)
-    cost = float(r @ r)
+    cost = cost_at(x)
     trace = [cost]
     nfev = 1
     mu = 1e-3
     converged = False
     while nfev < budget:
-        A = J.T @ J
-        g = J.T @ r
+        A, g = _normal_equations(ansatz.with_coeffs(x), cfg, barrier_weight, smoothing_weight)
         d = np.maximum(np.diag(A), 1e-12)
         step_taken = False
-        while nfev < budget:
+        while nfev < budget and mu < 1e15:
             try:
                 delta = np.linalg.solve(A + mu * np.diag(d), -g)
             except np.linalg.LinAlgError:
                 mu = min(mu * 10.0, 1e15)
                 continue
             x_new = x + delta
-            r_new, J_new = eval_at(x_new)
+            cost_new = cost_at(x_new)
             nfev += 1
-            cost_new = float(r_new @ r_new)
             if cost_new < cost:
-                x, r, J, cost = x_new, r_new, J_new, cost_new
+                x, cost = x_new, cost_new
                 trace.append(cost)
                 mu = max(mu / 3.0, 1e-15)
                 step_taken = True
                 break
             mu = min(mu * 4.0, 1e15)
-            if mu >= 1e15:
-                break
         if not step_taken:
             converged = True
             break
@@ -346,7 +451,7 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
 
 
 def _stats(ansatz: SplineAnsatz, cfg: SearchConfig) -> tuple[float, float]:
-    R, _ = residual_grid(ansatz, cfg)
+    R, _ = residual_grid(ansatz, cfg, partials=False)
     return float(np.max(np.abs(R))), float(np.mean(R ** 2))
 
 

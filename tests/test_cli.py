@@ -196,6 +196,14 @@ def test_usage_error_exits_1():
     assert main([]) == 1
 
 
+@pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-2"), ("--workers", "0")])
+def test_search_rejects_counts_below_one(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["search", "--kind", "type2", flag, value, "--out", str(out)]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/search_*.csv"))
+
+
 def test_report_subcommand(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / "report.json").read_text())

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,6 +133,52 @@ def test_barrier_jacobian_matches_finite_differences():
         fd = (rp - rm) / (2 * h)
         scale = np.maximum(np.abs(J[:, idx]), 1.0)
         assert np.max(np.abs(J[:, idx] - fd) / scale) < 1e-5
+
+
+@pytest.mark.parametrize("kind,g_domain,control,z_slab,barrier", [
+    (Kind.TYPE_II, (1, 2), False, None, 0.0),
+    (Kind.TYPE_I, (-1, 1), False, (1.6, 1.9), 4.0),  # both slab sides active
+    (Kind.TYPE_I, (-1, 1), True, None, 0.0),
+])
+def test_normal_equations_match_dense_jacobian(kind, g_domain, control, z_slab, barrier):
+    rng = np.random.default_rng(29)
+    cfg = SearchConfig(grid=(7, 9), euclidean_control=control)
+    lift = 0.0
+    if z_slab is not None:
+        cfg = replace(cfg, z_floor=z_slab[0], z_ceil=z_slab[1])
+        lift = 1.75
+    ansatz = search.random_ansatz(rng, kind, (-1, 1), g_domain, lift=lift)
+    r, J = residual_and_jacobian(ansatz, cfg, barrier, 0.5)
+    if z_slab is not None:
+        slack = r[63:126]
+        assert np.any(slack > 0.0) and np.any(slack < 0.0)
+    A, g = search._normal_equations(ansatz, cfg, barrier, 0.5)
+    A_ref, g_ref = J.T @ J, J.T @ r
+    assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+    assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+    assert search._cost(ansatz, cfg, barrier, 0.5) == float(r @ r)
+
+
+def test_lm_stops_when_every_solve_fails(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    (seed,) = generate_seeds(1, Kind.TYPE_I, 7, (-1, 1), (-1, 1), euclidean_control=True)
+    cfg = SearchConfig(grid=(9, 9), euclidean_control=True)
+    res = minimize_residual(seed, cfg)
+    assert res.iterations == len(cfg.smoothing_weights)  # one evaluation per stage, no trials
+    assert np.array_equal(res.ansatz.packed(), seed.packed())
+
+
+def test_cached_bases_are_read_only():
+    (seed,) = generate_seeds(1, Kind.TYPE_II, 3, (-1, 1), (1, 2))
+    xs, vs, bf, bg = search._bases(seed, FAST)
+    for array in (xs, vs, bf, bg):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(ValueError):
+        bf[0][1, 2] = 1.0  # a view keeps the flag
 
 
 # -- ODE experiments ---------------------------------------------------
