@@ -12,7 +12,7 @@ import argparse
 
 import numpy as np
 
-from hypmin.search import b0_branch_check, integrate_first_integral, trace_type2_branch
+from hypmin.experiments import b0_branch_check, integrate_first_integral, trace_type2_branch
 
 
 def main() -> int:

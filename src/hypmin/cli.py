@@ -59,14 +59,23 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, columns, rows) -> None:
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the header, then each row as it comes, without holding the text."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _grid_axes(domain, n: int):
+    """Axes of the uniform n-by-n grid over a (u-range, v-range) domain,
+    shaped (n, 1) and (1, n) so they broadcast to the grid."""
+    (u0, u1), (v0, v1) = domain
+    return np.linspace(u0, u1, n)[:, None], np.linspace(v0, v1, n)[None, :]
 
 
 def cmd_verify(args) -> int:
@@ -85,29 +94,18 @@ def cmd_curvature(args) -> int:
     except SurfaceFileError as exc:
         print(f"error: {args.surface}: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    (u0, u1), (v0, v1) = patch.domain
-    us = np.linspace(u0, u1, args.grid)
-    vs = np.linspace(v0, v1, args.grid)
-    rows = []
-    for u in us:
-        for v in vs:
-            jet = patch.jet(float(u), float(v))
-            rep = hyperbolic_curvature(jet)
-            x, y, z = (float(c) for c in jet.X)
-            rows.append((float(u), float(v), x, y, z, rep.He, rep.N3, rep.H))
+    us, vs = _grid_axes(patch.domain, args.grid)
+    jet = patch.jet(us, vs)
+    rep = hyperbolic_curvature(jet)
+    columns = (us, vs, jet.X[..., 0], jet.X[..., 1], jet.X[..., 2], rep.He, rep.N3, rep.H)
+    table = np.stack([c.ravel() for c in np.broadcast_arrays(*columns)], axis=1)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        _write_csv(out / "curvature.csv", CURVATURE_COLUMNS, rows)
+        _write_csv(out / "curvature.csv", CURVATURE_COLUMNS, (row.tolist() for row in table))
     else:
-        _write_json(
-            out / "curvature.json",
-            {"columns": list(CURVATURE_COLUMNS), "rows": [list(r) for r in rows]},
-        )
-    print(f"max |H| = {max(abs(r[7]) for r in rows):.3e} over {len(rows)} points")
+        _write_json(out / "curvature.json", {"columns": list(CURVATURE_COLUMNS), "rows": table.tolist()})
+    print(f"max |H| = {np.max(np.abs(rep.H)):.3e} over {len(table)} points")
     return 0
 
 
@@ -120,16 +118,15 @@ def cmd_scherk(args) -> int:
     half = math.pi / (2.0 * abs(a))
     margin = args.margin
     lo, hi = -half + margin, half - margin
-    grid = np.linspace(lo, hi, args.grid)
-    max_he = 0.0
+    us, vs = _grid_axes(((lo, hi), (lo, hi)), args.grid)
+    jet = surfaces.patch_jet(s, us, vs, check_halfspace=False)
+    max_he = float(np.max(np.abs(euclidean_mean_curvature(fundamental_forms(jet)))))
+    # H is defined only above the ideal boundary: take it at the points with z > 0
+    above = jet.X[jet.X[..., 2] > 0.0]
     max_h = 0.0
-    for x in grid:
-        for y in grid:
-            jet = surfaces.patch_jet(s, float(x), float(y), check_halfspace=False)
-            he = euclidean_mean_curvature(fundamental_forms(jet))
-            max_he = max(max_he, abs(he))
-            if jet.X[2] > 0.0:
-                max_h = max(max_h, abs(hyperbolic_curvature(jet).H))
+    if len(above):
+        jet_above = surfaces.patch_jet(s, above[:, 0], above[:, 1])
+        max_h = float(np.max(np.abs(hyperbolic_curvature(jet_above).H)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -201,13 +198,9 @@ def cmd_report(args) -> int:
         ("horosphere_c1", surfaces.horosphere(1.0)),
         ("vplane", surfaces.vertical_plane(5.0)),
     ):
-        (u0, u1), (v0, v1) = patch.domain
-        worst = 0.0
         target = 1.0 if name.startswith("horosphere") else 0.0
-        for u in np.linspace(u0, u1, 25):
-            for v in np.linspace(v0, v1, 25):
-                worst = max(worst, abs(hyperbolic_curvature(patch.jet(float(u), float(v))).H - target))
-        oracles[name] = worst
+        H = hyperbolic_curvature(patch.jet(*_grid_axes(patch.domain, 25))).H
+        oracles[name] = float(np.max(np.abs(H - target)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(
@@ -234,14 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="curvature grid over a surface file")
     p.add_argument("--surface", required=True)
-    p.add_argument("--grid", type=int, default=100)
+    p.add_argument("--grid", type=positive_int, default=100)
     p.add_argument("--out", default="out")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("scherk", help="Scherk-surface sanity report")
     p.add_argument("--a", type=float, required=True)
-    p.add_argument("--grid", type=int, default=50)
+    p.add_argument("--grid", type=positive_int, default=50)
     p.add_argument("--margin", type=float, default=0.1)
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_scherk)

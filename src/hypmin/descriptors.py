@@ -26,7 +26,6 @@ from __future__ import annotations
 from scipy.interpolate import BSpline
 
 from . import surfaces
-from .search import clamped_knots
 from .surfaces import FunctionCurve, Kind, TranslationSurface
 
 import numpy as np
@@ -78,7 +77,7 @@ def _parse_curve(value: str, line: int, col: int) -> FunctionCurve:
             )
         t0, t1, *coeffs = nums
         n_interior = len(coeffs) - 4
-        knots = clamped_knots((t0, t1), n_interior)
+        knots = surfaces.clamped_knots((t0, t1), n_interior)
         return surfaces.from_bspline(BSpline(knots, np.asarray(coeffs), 3), (t0, t1))
     raise SurfaceFileError(f"bad curve {value!r}", line, col)
 

@@ -8,8 +8,9 @@ resorts to symbolic differentiation or finite differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class JetDomainError(ValueError):
@@ -18,26 +19,29 @@ class JetDomainError(ValueError):
 
 @dataclass(frozen=True)
 class Jet3:
-    """Value and derivatives (v0, v1, v2, v3) of a scalar function at a point."""
+    """Value and derivatives (v0, v1, v2, v3) of a scalar function at a point.
 
-    v0: float
-    v1: float = 0.0
-    v2: float = 0.0
-    v3: float = 0.0
+    Slots are floats or ndarrays that broadcast elementwise, so one jet can
+    carry a whole grid of points; a float is the 0-d case."""
+
+    v0: float | np.ndarray
+    v1: float | np.ndarray = 0.0
+    v2: float | np.ndarray = 0.0
+    v3: float | np.ndarray = 0.0
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
-    def constant(c: float) -> "Jet3":
-        return Jet3(float(c), 0.0, 0.0, 0.0)
+    def constant(c) -> "Jet3":
+        return Jet3(np.asarray(c, dtype=float), 0.0, 0.0, 0.0)
 
     @staticmethod
-    def variable(t: float) -> "Jet3":
-        """Seed the identity variable at the point t: (t, 1, 0, 0)."""
-        return Jet3(float(t), 1.0, 0.0, 0.0)
+    def variable(t) -> "Jet3":
+        """Seed the identity variable at the point(s) t: (t, 1, 0, 0)."""
+        return Jet3(np.asarray(t, dtype=float), 1.0, 0.0, 0.0)
 
     def is_finite(self) -> bool:
-        return all(math.isfinite(v) for v in (self.v0, self.v1, self.v2, self.v3))
+        return all(bool(np.all(np.isfinite(v))) for v in (self.v0, self.v1, self.v2, self.v3))
 
     # -- ring operations (Leibniz through order 3) --------------------
 
@@ -69,7 +73,7 @@ class Jet3:
 
     def __truediv__(self, other) -> "Jet3":
         o = _coerce(other)
-        if o.v0 == 0.0:
+        if np.any(o.v0 == 0.0):
             raise JetDomainError(f"division by jet with zero value: {o}")
         # Solve f = w*g slot by slot (Leibniz), w = f/g.
         w0 = self.v0 / o.v0
@@ -88,7 +92,7 @@ def _coerce(x) -> Jet3:
     return Jet3.constant(x)
 
 
-def compose(x: Jet3, d0: float, d1: float, d2: float, d3: float) -> Jet3:
+def compose(x: Jet3, d0, d1, d2, d3) -> Jet3:
     """Faa di Bruno through order 3: jet of h(x) given h's derivatives at x.v0."""
     u1, u2, u3 = x.v1, x.v2, x.v3
     return Jet3(
@@ -100,53 +104,51 @@ def compose(x: Jet3, d0: float, d1: float, d2: float, d3: float) -> Jet3:
 
 
 def sin(x: Jet3) -> Jet3:
-    s, c = math.sin(x.v0), math.cos(x.v0)
+    s, c = np.sin(x.v0), np.cos(x.v0)
     return compose(x, s, c, -s, -c)
 
 
 def cos(x: Jet3) -> Jet3:
-    s, c = math.sin(x.v0), math.cos(x.v0)
+    s, c = np.sin(x.v0), np.cos(x.v0)
     return compose(x, c, -s, -c, s)
 
 
 def tan(x: Jet3) -> Jet3:
-    c = math.cos(x.v0)
-    if c == 0.0:
+    c = np.cos(x.v0)
+    if np.any(c == 0.0):
         raise JetDomainError(f"tan at a pole: x = {x.v0}")
-    t = math.tan(x.v0)
+    t = np.tan(x.v0)
     sec2 = 1.0 + t * t
     return compose(x, t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t))
 
 
 def log(x: Jet3) -> Jet3:
-    if x.v0 <= 0.0:
+    if np.any(x.v0 <= 0.0):
         raise JetDomainError(f"log of non-positive value: {x.v0}")
     u = x.v0
-    return compose(x, math.log(u), 1.0 / u, -1.0 / (u * u), 2.0 / (u ** 3))
+    return compose(x, np.log(u), 1.0 / u, -1.0 / (u * u), 2.0 / (u ** 3))
 
 
 def abs_log_cos(x: Jet3) -> Jet3:
     """Jet of log|cos t|, fused so the sign of cos never reaches log."""
-    c = math.cos(x.v0)
-    if c == 0.0:
+    c = np.cos(x.v0)
+    if np.any(c == 0.0):
         raise JetDomainError(f"log|cos t| at a zero of cos: t = {x.v0}")
-    t = math.tan(x.v0)
+    t = np.tan(x.v0)
     sec2 = 1.0 + t * t
-    return compose(x, math.log(abs(c)), -t, -sec2, -2.0 * sec2 * t)
+    return compose(x, np.log(np.abs(c)), -t, -sec2, -2.0 * sec2 * t)
 
 
 def pow_int(x: Jet3, n: int) -> Jet3:
-    if n < 0 and x.v0 == 0.0:
+    if n < 0 and np.any(x.v0 == 0.0):
         raise JetDomainError(f"negative power of zero: n = {n}")
     u = x.v0
 
-    def p(k: int) -> float:
-        e = n - k
-        if e < 0 and u == 0.0:
-            return 0.0  # unreachable for valid input; guard anyway
+    def p(k: int):
         coeff = 1.0
         for j in range(k):
             coeff *= n - j
-        return coeff * u ** e if coeff != 0.0 else 0.0
+        # coeff is 0 exactly when k > n >= 0; skipping it avoids 0 ** negative
+        return coeff * u ** (n - k) if coeff != 0.0 else 0.0
 
     return compose(x, p(0), p(1), p(2), p(3))

@@ -38,17 +38,33 @@ class Kind(enum.Enum):
     TYPE_II = "type2"
 
 
+def _first_where(mask: np.ndarray, *coords) -> tuple:
+    """The coordinates of the first point where `mask` holds."""
+    i = int(np.argmax(mask))
+    return tuple(np.broadcast_to(c, np.shape(mask)).flat[i] for c in coords)
+
+
+def _vectors(*components) -> np.ndarray:
+    """Broadcast three components together and stack them into a (..., 3) field."""
+    out = np.empty(np.broadcast(*components).shape + (3,))
+    out[..., 0], out[..., 1], out[..., 2] = components
+    return out
+
+
 @dataclass(frozen=True)
 class FunctionCurve:
-    """A smooth single-variable function exposed through its order-3 jet."""
+    """A smooth single-variable function exposed through its order-3 jet.
+    Calling it on a float or an array t returns a Jet3 whose slots broadcast to t."""
 
-    eval: Callable[[float], Jet3]
+    eval: Callable[[np.ndarray], Jet3]
     domain: tuple[float, float]
 
-    def __call__(self, t: float) -> Jet3:
+    def __call__(self, t) -> Jet3:
         lo, hi = self.domain
-        if not (lo <= t <= hi):
-            raise DomainError(f"t = {t} outside function domain [{lo}, {hi}]")
+        outside = np.logical_not((lo <= t) & (t <= hi))
+        if np.any(outside):
+            (bad,) = _first_where(outside, t)
+            raise DomainError(f"t = {bad} outside function domain [{lo}, {hi}]")
         return self.eval(t)
 
 
@@ -63,19 +79,8 @@ def linear(m: float, n: float, domain=(-math.inf, math.inf)) -> FunctionCurve:
 def polynomial(coeffs, domain=(-math.inf, math.inf)) -> FunctionCurve:
     """coeffs in descending powers, numpy.polyval convention."""
     c = np.asarray(coeffs, dtype=float)
-    d1 = np.polyder(c, 1)
-    d2 = np.polyder(c, 2)
-    d3 = np.polyder(c, 3)
-
-    def ev(t: float) -> Jet3:
-        return Jet3(
-            float(np.polyval(c, t)),
-            float(np.polyval(d1, t)),
-            float(np.polyval(d2, t)),
-            float(np.polyval(d3, t)),
-        )
-
-    return FunctionCurve(ev, domain)
+    derivs = [np.polyder(c, k) for k in (1, 2, 3)]
+    return FunctionCurve(lambda t: Jet3(np.polyval(c, t), *(np.polyval(d, t) for d in derivs)), domain)
 
 
 def quadratic(a2: float, a1: float, a0: float, domain=(-math.inf, math.inf)) -> FunctionCurve:
@@ -89,27 +94,23 @@ def log_cos(a: float, scale: float, domain=None) -> FunctionCurve:
     if domain is None:
         half = math.pi / (2.0 * abs(a))
         domain = (-half, half)
+    return FunctionCurve(lambda t: scale * jets.abs_log_cos(Jet3(a * t, a, 0.0, 0.0)), domain)
 
-    def ev(t: float) -> Jet3:
-        inner = Jet3(a * t, a, 0.0, 0.0)
-        return scale * jets.abs_log_cos(inner)
 
-    return FunctionCurve(ev, domain)
+def clamped_knots(domain: tuple[float, float], n_interior: int, degree: int = 3) -> np.ndarray:
+    lo, hi = domain
+    inner = np.linspace(lo, hi, n_interior + 2)
+    return np.concatenate([[lo] * degree, inner, [hi] * degree])
+
+
+def n_coeffs(n_interior: int, degree: int = 3) -> int:
+    return n_interior + degree + 1
 
 
 def from_bspline(spline, domain: tuple[float, float]) -> FunctionCurve:
     """Wrap a scipy BSpline (cubic) as a FunctionCurve with three derivatives."""
     derivs = [spline.derivative(k) for k in (1, 2, 3)]
-
-    def ev(t: float) -> Jet3:
-        return Jet3(
-            float(spline(t)),
-            float(derivs[0](t)),
-            float(derivs[1](t)),
-            float(derivs[2](t)),
-        )
-
-    return FunctionCurve(ev, domain)
+    return FunctionCurve(lambda t: Jet3(spline(t), *(d(t) for d in derivs)), domain)
 
 
 @dataclass(frozen=True)
@@ -119,50 +120,45 @@ class TranslationSurface:
     g: FunctionCurve
     domain: tuple[tuple[float, float], tuple[float, float]]  # (u-range, v-range)
 
-    def jet(self, u: float, v: float) -> ImmersionJet:
+    def jet(self, u, v) -> ImmersionJet:
         return patch_jet(self, u, v)
 
 
-def _check_domain(s: TranslationSurface, u: float, v: float) -> None:
-    (u0, u1), (v0, v1) = s.domain
-    if not (u0 <= u <= u1 and v0 <= v <= v1):
-        raise DomainError(f"({u}, {v}) outside surface domain {s.domain}")
+def _check_domain(domain, u, v, what: str = "surface") -> None:
+    (u0, u1), (v0, v1) = domain
+    outside = np.logical_not((u0 <= u) & (u <= u1) & (v0 <= v) & (v <= v1))
+    if np.any(outside):
+        bad = _first_where(outside, u, v)
+        raise DomainError(f"({bad[0]}, {bad[1]}) outside {what} domain {domain}")
 
 
-def patch_jet(
-    s: TranslationSurface, u: float, v: float, check_halfspace: bool = True
-) -> ImmersionJet:
+def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True) -> ImmersionJet:
     """Assemble the immersion jet of the patch at (u, v) from the jets of f and g.
 
-    Positivity of the type-I height f+g is validated here, eagerly, because
-    spline-backed curves may dip below zero away from any construction-time
-    check grid.
+    u and v are floats or arrays that broadcast together; the jet's fields have
+    shape broadcast(u, v) + (3,), and on a grid u[:, None], v[None, :] f and g
+    are evaluated once per grid line.  Positivity of the type-I height f+g is
+    validated here, eagerly, at every point, because spline-backed curves may
+    dip below zero away from any construction-time check grid.
     """
-    _check_domain(s, u, v)
-    fj = s.f(u)
-    gj = s.g(v)
+    _check_domain(s.domain, u, v)
+    fj, gj = s.f(u), s.g(v)
+    h = fj.v0 + gj.v0
     if s.kind is Kind.TYPE_I:
-        z = fj.v0 + gj.v0
-        if check_halfspace and z <= 0.0:
-            raise HalfSpaceError(f"type I graph height f+g = {z} <= 0 at ({u}, {v})")
-        return ImmersionJet(
-            X=np.array([u, v, z]),
-            Xu=np.array([1.0, 0.0, fj.v1]),
-            Xv=np.array([0.0, 1.0, gj.v1]),
-            Xuu=np.array([0.0, 0.0, fj.v2]),
-            Xuv=np.zeros(3),
-            Xvv=np.array([0.0, 0.0, gj.v2]),
-        )
-    if check_halfspace and v <= 0.0:
-        raise HalfSpaceError(f"type II parameter z = {v} <= 0")
-    return ImmersionJet(
-        X=np.array([u, fj.v0 + gj.v0, v]),
-        Xu=np.array([1.0, fj.v1, 0.0]),
-        Xv=np.array([0.0, gj.v1, 1.0]),
-        Xuu=np.array([0.0, fj.v2, 0.0]),
-        Xuv=np.zeros(3),
-        Xvv=np.array([0.0, gj.v2, 0.0]),
-    )
+        below = h <= 0.0
+        if check_halfspace and np.any(below):
+            x, y, height = _first_where(below, u, v, h)
+            raise HalfSpaceError(f"type I graph height f+g = {height} <= 0 at ({x}, {y})")
+    elif check_halfspace and np.any(v <= 0.0):
+        raise HalfSpaceError(f"type II parameter z = {np.min(v)} <= 0")
+
+    def field(a, b, c):  # components in the (x, y, z) order of type I
+        # type II is the graph y = h(x, z): the same fields with y and z swapped
+        return _vectors(a, b, c) if s.kind is Kind.TYPE_I else _vectors(a, c, b)
+
+    X, Xu, Xv = field(u, v, h), field(1.0, 0.0, fj.v1), field(0.0, 1.0, gj.v1)
+    Xuu, Xvv = field(0.0, 0.0, fj.v2), field(0.0, 0.0, gj.v2)
+    return ImmersionJet(*np.broadcast_arrays(X, Xu, Xv, Xuu, np.zeros(3), Xvv))
 
 
 # -- closed-form minimality residuals ---------------------------------
@@ -175,7 +171,7 @@ def type1_residual(s: TranslationSurface, x: float, y: float) -> float:
     """
     if s.kind is not Kind.TYPE_I:
         raise UsageError("type1_residual requires a type I surface")
-    _check_domain(s, x, y)
+    _check_domain(s.domain, x, y)
     fj, gj = s.f(x), s.g(y)
     z = fj.v0 + gj.v0
     if z <= 0.0:
@@ -194,7 +190,7 @@ def type2_residual(s: TranslationSurface, x: float, z: float) -> float:
     """
     if s.kind is not Kind.TYPE_II:
         raise UsageError("type2_residual requires a type II surface")
-    _check_domain(s, x, z)
+    _check_domain(s.domain, x, z)
     if z <= 0.0:
         raise HalfSpaceError(f"z = {z} <= 0")
     fj, gj = s.f(x), s.g(z)
@@ -216,7 +212,7 @@ def type1_reduction_residual(s: TranslationSurface, x: float, y: float) -> float
     """
     if s.kind is not Kind.TYPE_I:
         raise UsageError("type1_reduction_residual requires a type I surface")
-    _check_domain(s, x, y)
+    _check_domain(s.domain, x, y)
     fj, gj = s.f(x), s.g(y)
     if fj.v1 == 0.0 or gj.v1 == 0.0:
         raise SingularLocusError(
@@ -250,12 +246,13 @@ def geodesic_plane(m: float, n: float, p: float, domain) -> TranslationSurface:
     return TranslationSurface(Kind.TYPE_II, linear(m, n), constant(p), domain)
 
 
-def simpson(fn: Callable[[float], float], lo: float, hi: float, nodes: int = 129) -> float:
-    """Composite Simpson on an odd uniform grid; deterministic quadrature."""
+def simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, nodes: int = 129) -> float:
+    """Composite Simpson on an odd uniform grid; deterministic quadrature.
+    fn maps the array of nodes to the array of integrand values."""
     if nodes % 2 == 0:
         nodes += 1
     xs = np.linspace(lo, hi, nodes)
-    ys = np.array([fn(x) for x in xs])
+    ys = np.broadcast_to(fn(xs), xs.shape)
     h = (hi - lo) / (nodes - 1)
     w = np.ones(nodes)
     w[1:-1:2] = 4.0
@@ -279,18 +276,18 @@ def plane_family_distance(s: TranslationSurface) -> float:
 
 @dataclass(frozen=True)
 class ParametricPatch:
-    """A generic patch given by closed-form position and partials."""
+    """A generic patch given by closed-form position and partials: at
+    parameters u, v that broadcast, position returns (..., 3) points and
+    partials returns Xu, Xv, Xuu, Xuv, Xvv, broadcastable against them."""
 
-    position: Callable[[float, float], np.ndarray]
-    partials: Callable[[float, float], tuple]
+    position: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    partials: Callable[[np.ndarray, np.ndarray], tuple]
     domain: tuple[tuple[float, float], tuple[float, float]]
 
-    def jet(self, u: float, v: float) -> ImmersionJet:
-        (u0, u1), (v0, v1) = self.domain
-        if not (u0 <= u <= u1 and v0 <= v <= v1):
-            raise DomainError(f"({u}, {v}) outside patch domain {self.domain}")
-        Xu, Xv, Xuu, Xuv, Xvv = self.partials(u, v)
-        return ImmersionJet(self.position(u, v), Xu, Xv, Xuu, Xuv, Xvv)
+    def jet(self, u, v) -> ImmersionJet:
+        """The jet at the points (u, v), shaped as in `patch_jet`."""
+        _check_domain(self.domain, u, v, "patch")
+        return ImmersionJet(*np.broadcast_arrays(self.position(u, v), *self.partials(u, v)))
 
 
 def horosphere(c: float, extent: float = 2.0) -> ParametricPatch:
@@ -298,7 +295,7 @@ def horosphere(c: float, extent: float = 2.0) -> ParametricPatch:
     if c <= 0.0:
         raise HalfSpaceError(f"horosphere level c = {c} <= 0")
     return ParametricPatch(
-        position=lambda u, v: np.array([u, v, c]),
+        position=lambda u, v: _vectors(u, v, c),
         partials=lambda u, v: (
             np.array([1.0, 0.0, 0.0]),
             np.array([0.0, 1.0, 0.0]),
@@ -313,7 +310,7 @@ def horosphere(c: float, extent: float = 2.0) -> ParametricPatch:
 def vertical_plane(y0: float, extent: float = 2.0, z_range=(0.1, 4.0)) -> ParametricPatch:
     """The plane y = y0: a totally geodesic plane of the half-space model."""
     return ParametricPatch(
-        position=lambda u, v: np.array([u, y0, v]),
+        position=lambda u, v: _vectors(u, y0, v),
         partials=lambda u, v: (
             np.array([1.0, 0.0, 0.0]),
             np.array([0.0, 0.0, 1.0]),
@@ -337,18 +334,16 @@ def hemisphere(r: float, center=(0.0, 0.0), polar_cap: float = 0.999) -> Paramet
     cx, cy = center
 
     def pos(th, ph):
-        return np.array(
-            [cx + r * math.sin(ph) * math.cos(th), cy + r * math.sin(ph) * math.sin(th), r * math.cos(ph)]
-        )
+        return _vectors(cx + r * np.sin(ph) * np.cos(th), cy + r * np.sin(ph) * np.sin(th), r * np.cos(ph))
 
     def parts(th, ph):
-        st, ct = math.sin(th), math.cos(th)
-        sp, cp = math.sin(ph), math.cos(ph)
-        Xu = np.array([-r * sp * st, r * sp * ct, 0.0])
-        Xv = np.array([r * cp * ct, r * cp * st, -r * sp])
-        Xuu = np.array([-r * sp * ct, -r * sp * st, 0.0])
-        Xuv = np.array([-r * cp * st, r * cp * ct, 0.0])
-        Xvv = np.array([-r * sp * ct, -r * sp * st, -r * cp])
+        st, ct = np.sin(th), np.cos(th)
+        sp, cp = np.sin(ph), np.cos(ph)
+        Xu = _vectors(-r * sp * st, r * sp * ct, 0.0)
+        Xv = _vectors(r * cp * ct, r * cp * st, -r * sp)
+        Xuu = _vectors(-r * sp * ct, -r * sp * st, 0.0)
+        Xuv = _vectors(-r * cp * st, r * cp * ct, 0.0)
+        Xvv = _vectors(-r * sp * ct, -r * sp * st, -r * cp)
         return Xu, Xv, Xuu, Xuv, Xvv
 
     return ParametricPatch(

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypmin
 from hypmin import cli
 from hypmin.cli import main
 from hypmin.descriptors import SurfaceFileError, parse_surface_text
@@ -70,6 +75,15 @@ def test_error_carries_line_number():
     with pytest.raises(SurfaceFileError) as exc:
         parse_surface_text("kind = type1\ndomain = 0 1 0 1\nf = bad\ng = constant 1\n")
     assert exc.value.line == 3
+
+
+def test_descriptors_do_not_import_the_optimizer():
+    src = Path(hypmin.__file__).resolve().parents[1]
+    code = "import sys, hypmin.descriptors; print('hypmin.search' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # -- subcommands ------------------------------------------------------
@@ -141,6 +155,31 @@ def test_curvature_malformed_file_exits_1(tmp_path, capsys):
 
 def test_curvature_missing_file_exits_1(tmp_path):
     assert main(["curvature", "--surface", str(tmp_path / "nope.txt"), "--out", str(tmp_path)]) == 1
+
+
+def test_curvature_halfspace_failure_writes_nothing(tmp_path, capsys):
+    # f + g = x^2 + y^2 is zero at the centre node of the 5x5 grid
+    surf = tmp_path / "s.txt"
+    surf.write_text("kind = type1\ndomain = -1 1 -1 1\nf = quadratic 1 0 0\ng = quadratic 1 0 0\n")
+    out = tmp_path / "out"
+    assert main(["curvature", "--surface", str(surf), "--grid", "5", "--out", str(out)]) == 1
+    assert "f+g = 0.0 <= 0" in capsys.readouterr().err
+    assert not (out / "curvature.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["curvature", "--surface", "unused.surf", "--grid", "0"],
+        ["curvature", "--surface", "unused.surf", "--grid", "-3"],
+        ["scherk", "--a", "2", "--grid", "0"],
+    ],
+)
+def test_grid_below_one_rejected_at_parse_time(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scherk_report(tmp_path):

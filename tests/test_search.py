@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hypmin import search
+from hypmin import experiments, search
 from hypmin.search import (
     InfeasibleSeedError,
     SearchConfig,
@@ -185,21 +185,21 @@ def test_cached_bases_are_read_only():
 
 
 def test_ode_zero_curvature_parameter_is_linear():
-    rep = search.integrate_first_integral(0.0, 1.0, (0.0, 2.0))
+    rep = experiments.integrate_first_integral(0.0, 1.0, (0.0, 2.0))
     assert not rep.blew_up
     assert rep.max_defect == 0.0
     assert rep.f[-1] == pytest.approx(2.0, rel=1e-8)
 
 
 def test_ode_defect_small_before_singularity():
-    rep = search.integrate_first_integral(1.0, 0.0, (0.0, 0.2))
+    rep = experiments.integrate_first_integral(1.0, 0.0, (0.0, 0.2))
     assert not rep.blew_up
     assert rep.max_defect < 1e-8
 
 
 def test_ode_blow_up_detected_near_quarter_pi():
     # closed form: f'(x) satisfies dp/(1+p^2)^2 = dx, singular at x* = pi/4
-    rep = search.integrate_first_integral(1.0, 0.0, (0.0, 10.0))
+    rep = experiments.integrate_first_integral(1.0, 0.0, (0.0, 10.0))
     assert rep.blew_up
     assert rep.x_end == pytest.approx(math.pi / 4.0, abs=1e-6)
 
@@ -208,32 +208,32 @@ def test_ode_blow_up_detected_near_quarter_pi():
 
 
 def test_real_cubic_root_value():
-    roots = search.real_cubic_roots(1.0, 1.0)
+    roots = experiments.real_cubic_roots(1.0, 1.0)
     assert len(roots) == 1
     assert roots[0] == pytest.approx(1.465571231876768, abs=1e-12)
 
 
 def test_branch_infeasibility_positive_for_all_b():
-    rep = search.trace_type2_branch(1.0, (0.5, 2.0))
+    rep = experiments.trace_type2_branch(1.0, (0.5, 2.0))
     assert rep.min_infeasibility > 1e-2
     assert np.all(rep.infeasibility > 0)
     assert len(rep.b_values) == 41
 
 
 def test_branch_root_continuity():
-    rep = search.trace_type2_branch(1.0, (0.5, 2.0))
+    rep = experiments.trace_type2_branch(1.0, (0.5, 2.0))
     assert np.max(np.abs(np.diff(rep.roots))) < 0.1
 
 
 def test_b0_branch_matches_exact_polynomial():
     zs = np.linspace(0.5, 2.0, 50)
-    got = search.b0_branch_check(1.3, zs)
+    got = experiments.b0_branch_check(1.3, zs)
     want = -16.0 / 125.0 * 1.3 ** 3 * zs ** 3 - 1.3 * zs
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_branch_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        search.trace_type2_branch(0.0, (0.5, 2.0))
+        experiments.trace_type2_branch(0.0, (0.5, 2.0))
     with pytest.raises(ValueError):
-        search.trace_type2_branch(1.0, (-0.5, 2.0))
+        experiments.trace_type2_branch(1.0, (-0.5, 2.0))

@@ -1,8 +1,10 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.interpolate import BSpline
 
 from hypmin import surfaces
 from hypmin.kernel import (
@@ -296,3 +298,61 @@ def test_hemisphere_patch_curvature():
 def test_horosphere_rejects_nonpositive_level():
     with pytest.raises(HalfSpaceError):
         surfaces.horosphere(-1.0)
+
+
+# -- whole grids against the per-point reference -----------------------
+
+
+def _spline_curve(seed, dom, lift=0.0):
+    coeffs = np.random.default_rng(seed).uniform(-0.5, 0.5, 16) + lift
+    return surfaces.from_bspline(BSpline(surfaces.clamped_knots(dom, 12), coeffs, 3), dom)
+
+
+GRID_PATCHES = {
+    "type1-spline": lambda: _type1(_spline_curve(1, (-1, 1), lift=1.5), _spline_curve(2, (-1, 1))),
+    "type2-spline": lambda: _type2(_spline_curve(3, (-1, 1)), _spline_curve(4, (1, 2)), ((-1, 1), (1, 2))),
+    # a patch of Scherk's surface where z = log(cos x / cos y) > 0
+    "scherk": lambda: dataclasses.replace(scherk(1.0), domain=((-0.5, 0.5), (1.0, 1.4))),
+    "hemisphere": lambda: surfaces.hemisphere(2.0, (0.3, -0.2)),
+    "horosphere": lambda: surfaces.horosphere(1.5),
+    "vertical-plane": lambda: surfaces.vertical_plane(0.7),
+}
+
+
+def _axes(patch, nu=7, nv=9, overshoot=0):
+    """Grid axes over the patch domain; `overshoot` extra nodes run past u1."""
+    (u0, u1), (v0, v1) = patch.domain
+    h = (u1 - u0) / (nu - 1)
+    return np.linspace(u0, u1 + overshoot * h, nu + overshoot), np.linspace(v0, v1, nv)
+
+
+@pytest.mark.parametrize("name", GRID_PATCHES)
+def test_grid_matches_pointwise(name):
+    patch = GRID_PATCHES[name]()
+    us, vs = _axes(patch)
+    jet = patch.jet(us[:, None], vs[None, :])
+    assert jet.X.shape == (len(us), len(vs), 3)
+    rep = hyperbolic_curvature(jet)
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            want = hyperbolic_curvature(patch.jet(float(u), float(v)))
+            assert (rep.He[i, j], rep.N3[i, j], rep.H[i, j]) == (want.He, want.N3, want.H)
+
+
+@pytest.mark.parametrize("name", GRID_PATCHES)
+def test_grid_overshooting_domain_rejected(name):
+    patch = GRID_PATCHES[name]()
+    us, vs = _axes(patch, overshoot=1)
+    with pytest.raises(DomainError):
+        patch.jet(us[:, None], vs[None, :])
+
+
+def test_grid_with_one_node_below_halfspace_rejected():
+    # f + g = x^2 + y^2 vanishes only at the centre node of an odd grid
+    s = _type1(surfaces.quadratic(1, 0, 0), surfaces.quadratic(1, 0, 0))
+    us, vs = _axes(s, nu=5, nv=5)
+    off_centre = np.delete(vs, 2)
+    assert patch_jet(s, us[:, None], off_centre[None, :]).X.shape == (5, 4, 3)
+    with pytest.raises(HalfSpaceError, match=r"at \(0\.0, 0\.0\)"):
+        patch_jet(s, us[:, None], vs[None, :])
+
