@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -50,25 +52,52 @@ def positive_int(text: str) -> int:
     return value
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+# rows per formatted block: bounds the strings alive at once, and so peak RSS
+CSV_BLOCK_ROWS = 4096
 
 
-def _write_csv(path: Path, columns, rows) -> None:
-    """Write the header, then each row as it comes, without holding the text."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+@contextmanager
+def _atomic_open(path: Path):
+    """Text file handle on a temp file beside `path`, moved onto `path` when
+    the block completes and removed if it raises, so a failed write leaves
+    no partial output."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """repr of each entry of a 1-d int64 or float64 array, with one repr call
+    per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(values.dtype).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write a CSV of equal-length 1-d int64/float64 columns, atomically.
+
+    Each cell is the repr of its Python value: an int, or the shortest
+    string that round-trips the float.  Rows go out in blocks of
+    CSV_BLOCK_ROWS, each formatted column by column and written in one call.
+    """
+    with _atomic_open(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            # a generator, so no block's strings outlive its write
+            cells = (_format_column(c[start : start + CSV_BLOCK_ROWS]) for c in columns)
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _grid_axes(domain, n: int):
@@ -97,15 +126,16 @@ def cmd_curvature(args) -> int:
     us, vs = _grid_axes(patch.domain, args.grid)
     jet = patch.jet(us, vs)
     rep = hyperbolic_curvature(jet)
-    columns = (us, vs, jet.X[..., 0], jet.X[..., 1], jet.X[..., 2], rep.He, rep.N3, rep.H)
-    table = np.stack([c.ravel() for c in np.broadcast_arrays(*columns)], axis=1)
+    grid = (us, vs, jet.X[..., 0], jet.X[..., 1], jet.X[..., 2], rep.He, rep.N3, rep.H)
+    columns = [c.ravel() for c in np.broadcast_arrays(*grid)]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        _write_csv(out / "curvature.csv", CURVATURE_COLUMNS, (row.tolist() for row in table))
+        _write_csv(out / "curvature.csv", CURVATURE_COLUMNS, columns)
     else:
-        _write_json(out / "curvature.json", {"columns": list(CURVATURE_COLUMNS), "rows": table.tolist()})
-    print(f"max |H| = {np.max(np.abs(rep.H)):.3e} over {len(table)} points")
+        rows = np.stack(columns, axis=1).tolist()
+        _write_json(out / "curvature.json", {"columns": list(CURVATURE_COLUMNS), "rows": rows})
+    print(f"max |H| = {np.max(np.abs(rep.H)):.3e} over {len(columns[0])} points")
     return 0
 
 
@@ -156,21 +186,17 @@ def cmd_search(args) -> int:
     cfg = SearchConfig(euclidean_control=control)
     seeds = generate_seeds(args.seeds, kind, args.seed, f_dom, g_dom, euclidean_control=control)
     results = run_seeds(seeds, cfg, workers=args.workers)
-    rows = []
-    for i, res in enumerate(results):
-        rows.append(
-            (
-                i,
-                res.sup_residual,
-                res.mean_square_residual,
-                res.plane_distance if res.plane_distance is not None else float("nan"),
-                res.iterations,
-                res.converged,
-            )
-        )
+    columns = [
+        np.arange(len(results)),
+        np.array([r.sup_residual for r in results]),
+        np.array([r.mean_square_residual for r in results]),
+        np.array([np.nan if r.plane_distance is None else r.plane_distance for r in results]),
+        np.array([r.iterations for r in results], dtype=np.int64),
+        np.array([r.converged for r in results], dtype=np.int64),
+    ]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"search_{args.kind}.csv", SEARCH_COLUMNS, rows)
+    _write_csv(out / f"search_{args.kind}.csv", SEARCH_COLUMNS, columns)
     sups = [r.sup_residual for r in results]
     _write_json(
         out / f"search_{args.kind}_summary.json",

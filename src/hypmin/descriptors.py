@@ -19,9 +19,12 @@ with <curve> one of:
     spline t0 t1 c0 c1 ... cN            (clamped uniform cubic B-spline)
 
 Unknown keys are rejected (strict parsing); errors carry line and column.
+Every number must be finite, and a domain needs u0 < u1 and v0 < v1.
 """
 
 from __future__ import annotations
+
+import math
 
 from scipy.interpolate import BSpline
 
@@ -53,6 +56,8 @@ def _floats(tokens: list[str], line: int, col: int) -> list[float]:
             out.append(float(tok))
         except ValueError:
             raise SurfaceFileError(f"expected a number, got {tok!r}", line, col)
+        if not math.isfinite(out[-1]):
+            raise SurfaceFileError(f"expected a finite number, got {tok!r}", line, col)
     return out
 
 
@@ -114,6 +119,8 @@ def parse_surface_text(text: str):
         nums = _floats(dval.split(), dline, dcol)
         if len(nums) != 4:
             raise SurfaceFileError("domain needs u0 u1 v0 v1", dline, dcol)
+        if not (nums[0] < nums[1] and nums[2] < nums[3]):
+            raise SurfaceFileError("domain needs u0 < u1 and v0 < v1", dline, dcol)
         f = _parse_curve(*entries["f"])
         g = _parse_curve(*entries["g"])
         kind = Kind.TYPE_I if kind_value == "type1" else Kind.TYPE_II

@@ -69,7 +69,17 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def unit_normal(jet: ImmersionJet) -> np.ndarray:
     """(Xu x Xv)/|Xu x Xv|, shape (..., 3); raises if any point is degenerate."""
-    cross = np.cross(jet.Xu, jet.Xv)
+    # the products and differences of np.cross, bit for bit, without its
+    # per-call overhead; (3,) partials broadcast against grids
+    a, b = jet.Xu, jet.Xv
+    cross = np.stack(
+        (
+            a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
+            a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
+            a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0],
+        ),
+        axis=-1,
+    )
     norm = np.sqrt(_dot(cross, cross))
     if np.any(norm <= DEGENERACY_THRESHOLD):
         raise DegenerateImmersionError(

@@ -1,15 +1,18 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypmin
 from hypmin import cli
 from hypmin.cli import main
-from hypmin.descriptors import SurfaceFileError, parse_surface_text
+from hypmin.descriptors import SurfaceFileError, load_surface, parse_surface_text
+from hypmin.kernel import hyperbolic_curvature
 from hypmin.surfaces import Kind, TranslationSurface
 
 
@@ -52,6 +55,16 @@ def test_parse_reference_patches():
     assert vp.position(0.1, 1.0)[1] == 3.0
 
 
+BAD_NUMBERS = [
+    ("kind = hemisphere\nradius = inf\n", "expected a finite number"),
+    ("kind = horosphere\nlevel = nan\n", "expected a finite number"),
+    ("kind = type1\ndomain = 1 -1 0.5 nan\nf = constant 1\ng = constant 1\n", "expected a finite number"),
+    ("kind = type2\ndomain = -1 1 1 2\nf = linear -inf 0\ng = constant 1\n", "expected a finite number"),
+    ("kind = type1\ndomain = 1 -1 0 1\nf = constant 1\ng = constant 1\n", "domain needs u0 < u1 and v0 < v1"),
+    ("kind = type2\ndomain = -1 1 2 2\nf = constant 1\ng = constant 1\n", "domain needs u0 < u1 and v0 < v1"),
+]
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
@@ -64,6 +77,7 @@ def test_parse_reference_patches():
         ("kind = type1\nkind = type2\n", "duplicate key"),
         ("kind type1\n", "expected 'key = value'"),
         ("kind = hemisphere\nradius = 1 2\n", "radius takes"),
+        *BAD_NUMBERS,
     ],
 )
 def test_parse_errors(text, fragment):
@@ -75,6 +89,22 @@ def test_error_carries_line_number():
     with pytest.raises(SurfaceFileError) as exc:
         parse_surface_text("kind = type1\ndomain = 0 1 0 1\nf = bad\ng = constant 1\n")
     assert exc.value.line == 3
+
+
+def test_non_finite_number_error_carries_line_and_column():
+    with pytest.raises(SurfaceFileError) as exc:
+        parse_surface_text("kind = horosphere\nlevel = nan\n")
+    assert (exc.value.line, exc.value.column) == (2, 8)
+
+
+@pytest.mark.parametrize("text,fragment", BAD_NUMBERS)
+def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text, fragment):
+    surf = tmp_path / "s.txt"
+    surf.write_text(text)
+    out = tmp_path / "out"
+    assert main(["curvature", "--surface", str(surf), "--grid", "5", "--out", str(out)]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_descriptors_do_not_import_the_optimizer():
@@ -122,6 +152,79 @@ def test_curvature_horosphere_csv(tmp_path):
     assert len(lines) == 1 + 25
     row = lines[1].split(",")
     assert float(row[7]) == 1.0  # H = 1 on a horosphere
+
+
+# -- CSV writer ---------------------------------------------------------
+
+SPECIAL_VALUES = [-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16, 1e-5, 0.1 + 0.2]
+
+
+def reference_csv(header, rows) -> str:
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def test_csv_special_values_match_repr(tmp_path):
+    values = np.array(SPECIAL_VALUES)
+    columns = [values, values[::-1].copy(), -values, np.arange(len(values))]
+    cli._write_csv(tmp_path / "t.csv", "abcd", columns)
+    rows = zip(*(c.tolist() for c in columns))
+    assert (tmp_path / "t.csv").read_text() == reference_csv("abcd", rows)
+
+
+def test_csv_spanning_several_blocks_matches_repr(tmp_path):
+    # two full blocks and a partial one; columns with many repeats, with
+    # none, and ints, as in the curvature and search tables
+    rng = np.random.default_rng(3)
+    n = 2 * cli.CSV_BLOCK_ROWS + 17
+    pool = np.array(SPECIAL_VALUES + list(rng.normal(size=20)))
+    columns = [
+        np.repeat(np.linspace(-1.0, 1.0, 50), n // 50 + 1)[:n],
+        rng.choice(pool, n),
+        rng.normal(size=n),
+        rng.integers(-5, 5, n),
+    ]
+    cli._write_csv(tmp_path / "t.csv", "abcd", columns)
+    rows = zip(*(c.tolist() for c in columns))
+    assert (tmp_path / "t.csv").read_text() == reference_csv("abcd", rows)
+
+
+def test_curvature_csv_matches_repr_of_the_grid(tmp_path):
+    # 70 x 70 = 4900 rows: more than one block
+    surf = tmp_path / "s.txt"
+    surf.write_text("kind = hemisphere\nradius = 2 0.5 -0.25\n")
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["curvature", "--surface", str(surf), "--grid", "70", "--out", str(out)]) == 0
+    patch = load_surface(str(surf))
+    us, vs = cli._grid_axes(patch.domain, 70)
+    jet = patch.jet(us, vs)
+    rep = hyperbolic_curvature(jet)
+    grid = np.broadcast_arrays(us, vs, jet.X[..., 0], jet.X[..., 1], jet.X[..., 2], rep.He, rep.N3, rep.H)
+    rows = np.stack([c.ravel() for c in grid], axis=1).tolist()
+    text = (outs[0] / "curvature.csv").read_text()
+    assert len(rows) > cli.CSV_BLOCK_ROWS
+    assert text == reference_csv(cli.CURVATURE_COLUMNS, rows)
+    assert (outs[0] / "curvature.csv").read_bytes() == (outs[1] / "curvature.csv").read_bytes()
+
+
+def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
+    surf = tmp_path / "s.txt"
+    surf.write_text("kind = hemisphere\nradius = 2\n")
+    format_column = cli._format_column
+    calls = []
+
+    def fail_in_second_block(values):
+        calls.append(len(values))
+        if len(calls) > len(cli.CURVATURE_COLUMNS):
+            raise OSError("disk full")
+        return format_column(values)
+
+    monkeypatch.setattr(cli, "_format_column", fail_in_second_block)
+    out = tmp_path / "out"
+    assert main(["curvature", "--surface", str(surf), "--grid", "70", "--out", str(out)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert calls[0] == cli.CSV_BLOCK_ROWS
+    assert list(out.iterdir()) == []
 
 
 def test_curvature_json_format(tmp_path):

@@ -12,6 +12,7 @@ from hypmin.kernel import (
     euclidean_principal_curvatures,
     fundamental_forms,
     hyperbolic_curvature,
+    unit_normal,
 )
 from hypmin.surfaces import Kind, TranslationSurface
 
@@ -91,6 +92,21 @@ def test_vertical_plane_is_minimal():
     assert rep.He == 0.0
     assert rep.N3 == 0.0
     assert rep.H == 0.0
+
+
+@pytest.mark.parametrize(
+    "shape_u,shape_v",
+    [((3,), (3,)), ((40, 30, 3), (40, 30, 3)), ((3,), (40, 30, 3)), ((40, 1, 3), (1, 30, 3))],
+)
+def test_unit_normal_cross_is_bit_identical_to_np_cross(shape_u, shape_v):
+    rng = np.random.default_rng(7)
+    xu, xv = rng.normal(size=shape_u), rng.normal(size=shape_v)
+    cross = np.cross(xu, xv)
+    want = cross / np.sqrt(np.einsum("...i,...i->...", cross, cross))[..., None]
+    zero = np.zeros(3)
+    got = unit_normal(ImmersionJet(zero, xu, xv, zero, zero, zero))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_degenerate_immersion_rejected():
