@@ -13,13 +13,14 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import algebra, surfaces
 from .descriptors import SurfaceFileError, load_surface
-from .kernel import hyperbolic_curvature
+from .kernel import ImmersionJet, hyperbolic_curvature
 from .kernel import euclidean_mean_curvature, fundamental_forms
 from .search import SearchConfig, generate_seeds, run_seeds
 from .surfaces import Kind
@@ -152,10 +153,10 @@ def cmd_scherk(args) -> int:
     jet = surfaces.patch_jet(s, us, vs, check_halfspace=False)
     max_he = float(np.max(np.abs(euclidean_mean_curvature(fundamental_forms(jet)))))
     # H is defined only above the ideal boundary: take it at the points with z > 0
-    above = jet.X[jet.X[..., 2] > 0.0]
+    above = jet.X[..., 2] > 0.0
     max_h = 0.0
-    if len(above):
-        jet_above = surfaces.patch_jet(s, above[:, 0], above[:, 1])
+    if np.any(above):
+        jet_above = ImmersionJet(*(getattr(jet, f.name)[above] for f in fields(ImmersionJet)))
         max_h = float(np.max(np.abs(hyperbolic_curvature(jet_above).H)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,6 +203,7 @@ def cmd_search(args) -> int:
         out / f"search_{args.kind}_summary.json",
         {
             "kind": args.kind,
+            "config": asdict(cfg),
             "seeds": args.seeds,
             "generator_seed": args.seed,
             "best_supResidual": min(sups),

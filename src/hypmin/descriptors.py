@@ -19,19 +19,17 @@ with <curve> one of:
     spline t0 t1 c0 c1 ... cN            (clamped uniform cubic B-spline)
 
 Unknown keys are rejected (strict parsing); errors carry line and column.
-Every number must be finite, and a domain needs u0 < u1 and v0 < v1.
+Every number must be finite, a domain needs u0 < u1 and v0 < v1, a spline
+needs t0 < t1, and values a constructor rejects (a radius or level <= 0,
+scherk-log-cos with a = 0) are reported at their line and column too.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.interpolate import BSpline
-
 from . import surfaces
 from .surfaces import FunctionCurve, Kind, TranslationSurface
-
-import numpy as np
 
 
 class SurfaceFileError(ValueError):
@@ -42,10 +40,22 @@ class SurfaceFileError(ValueError):
 
 
 _TRANSLATION_KEYS = {"kind", "domain", "f", "g"}
-_REFERENCE_KEYS = {
-    "hemisphere": {"kind", "radius"},
-    "horosphere": {"kind", "level"},
-    "vplane": {"kind", "y0"},
+# curve form -> (argument count, constructor); `spline` is parsed on its own
+_CURVES = {
+    "constant": (1, surfaces.constant),
+    "linear": (2, surfaces.linear),
+    "quadratic": (3, surfaces.quadratic),
+    "scherk-log-cos": (2, surfaces.log_cos),
+}
+# kind -> (its one key, argument usage, {argument count: constructor})
+_REFERENCE_PATCHES = {
+    "hemisphere": ("radius", "r [cx cy]", {1: surfaces.hemisphere, 3: lambda r, *c: surfaces.hemisphere(r, c)}),
+    "horosphere": ("level", "c [extent]", {1: surfaces.horosphere, 2: surfaces.horosphere}),
+    "vplane": (
+        "y0",
+        "c [extent z0 z1]",
+        {1: surfaces.vertical_plane, 4: lambda c, e, *z: surfaces.vertical_plane(c, e, z)},
+    ),
 }
 
 
@@ -61,29 +71,29 @@ def _floats(tokens: list[str], line: int, col: int) -> list[float]:
     return out
 
 
+def _construct(make, args, line: int, col: int):
+    """make(*args), with a ValueError it raises reported at (line, col)."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SurfaceFileError(str(exc), line, col) from exc
+
+
 def _parse_curve(value: str, line: int, col: int) -> FunctionCurve:
     tokens = value.split()
     if not tokens:
         raise SurfaceFileError("empty curve specification", line, col)
     form, args = tokens[0], tokens[1:]
     nums = _floats(args, line, col)
-    if form == "constant" and len(nums) == 1:
-        return surfaces.constant(nums[0])
-    if form == "linear" and len(nums) == 2:
-        return surfaces.linear(nums[0], nums[1])
-    if form == "quadratic" and len(nums) == 3:
-        return surfaces.quadratic(*nums)
-    if form == "scherk-log-cos" and len(nums) == 2:
-        return surfaces.log_cos(nums[0], nums[1])
+    if form in _CURVES and len(nums) == _CURVES[form][0]:
+        return _construct(_CURVES[form][1], nums, line, col)
     if form == "spline":
         if len(nums) < 7:
-            raise SurfaceFileError(
-                "spline needs t0 t1 and at least 5 coefficients", line, col
-            )
+            raise SurfaceFileError("spline needs t0 t1 and at least 5 coefficients", line, col)
         t0, t1, *coeffs = nums
-        n_interior = len(coeffs) - 4
-        knots = surfaces.clamped_knots((t0, t1), n_interior)
-        return surfaces.from_bspline(BSpline(knots, np.asarray(coeffs), 3), (t0, t1))
+        if not t0 < t1:
+            raise SurfaceFileError("spline needs t0 < t1", line, col)
+        return _construct(surfaces.from_bspline, ((t0, t1), coeffs), line, col)
     raise SurfaceFileError(f"bad curve {value!r}", line, col)
 
 
@@ -126,40 +136,18 @@ def parse_surface_text(text: str):
         kind = Kind.TYPE_I if kind_value == "type1" else Kind.TYPE_II
         return TranslationSurface(kind, f, g, ((nums[0], nums[1]), (nums[2], nums[3])))
 
-    if kind_value in _REFERENCE_KEYS:
-        allowed = _REFERENCE_KEYS[kind_value]
-        for key, (_, ln, _c) in entries.items():
-            if key not in allowed:
-                raise SurfaceFileError(f"unknown key {key!r}", ln)
-        if kind_value == "hemisphere":
-            val, ln, col = entries.get("radius", (None, kind_line, kind_col))
-            if val is None:
-                raise SurfaceFileError("hemisphere needs 'radius'", kind_line)
-            nums = _floats(val.split(), ln, col)
-            if len(nums) == 1:
-                return surfaces.hemisphere(nums[0])
-            if len(nums) == 3:
-                return surfaces.hemisphere(nums[0], (nums[1], nums[2]))
-            raise SurfaceFileError("radius takes r [cx cy]", ln, col)
-        if kind_value == "horosphere":
-            val, ln, col = entries.get("level", (None, kind_line, kind_col))
-            if val is None:
-                raise SurfaceFileError("horosphere needs 'level'", kind_line)
-            nums = _floats(val.split(), ln, col)
-            if len(nums) == 1:
-                return surfaces.horosphere(nums[0])
-            if len(nums) == 2:
-                return surfaces.horosphere(nums[0], nums[1])
-            raise SurfaceFileError("level takes c [extent]", ln, col)
-        val, ln, col = entries.get("y0", (None, kind_line, kind_col))
-        if val is None:
-            raise SurfaceFileError("vplane needs 'y0'", kind_line)
+    if kind_value in _REFERENCE_PATCHES:
+        key, usage, makers = _REFERENCE_PATCHES[kind_value]
+        for k, (_, ln, _c) in entries.items():
+            if k not in ("kind", key):
+                raise SurfaceFileError(f"unknown key {k!r}", ln)
+        if key not in entries:
+            raise SurfaceFileError(f"{kind_value} needs {key!r}", kind_line)
+        val, ln, col = entries[key]
         nums = _floats(val.split(), ln, col)
-        if len(nums) == 1:
-            return surfaces.vertical_plane(nums[0])
-        if len(nums) == 4:
-            return surfaces.vertical_plane(nums[0], nums[1], (nums[2], nums[3]))
-        raise SurfaceFileError("y0 takes c [extent z0 z1]", ln, col)
+        if len(nums) not in makers:
+            raise SurfaceFileError(f"{key} takes {usage}", ln, col)
+        return _construct(makers[len(nums)], nums, ln, col)
 
     raise SurfaceFileError(f"unknown kind {kind_value!r}", kind_line, kind_col)
 

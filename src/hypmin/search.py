@@ -24,10 +24,20 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from . import surfaces
-from .surfaces import Kind, TranslationSurface, clamped_knots, n_coeffs
+from .surfaces import Kind, TranslationSurface, n_coeffs
+
+# Fixed in every campaign: the type-I slab barrier weight of the first
+# continuation stage and its growth per stage, the smoothing weight of each
+# stage, the relative cost decrease that ends a stage, the side of the grid
+# type-I seeds are checked on, and the interior knots of a random seed.
+BARRIER_WEIGHT = 10.0
+BARRIER_RAMP = 10.0
+SMOOTHING_WEIGHTS = (30.0, 3.0, 0.3, 0.03, 0.0)
+REL_TOL = 1e-12
+CHECK_GRID = 101
+N_INTERIOR = 12
 
 
 class InfeasibleSeedError(ValueError):
@@ -48,18 +58,10 @@ class SplineAnsatz:
     g_coeffs: np.ndarray
     f_domain: tuple[float, float]
     g_domain: tuple[float, float]
-    n_interior: int = 12
-    degree: int = 3
-
-    def f_spline(self) -> BSpline:
-        return BSpline(clamped_knots(self.f_domain, self.n_interior, self.degree), self.f_coeffs, self.degree)
-
-    def g_spline(self) -> BSpline:
-        return BSpline(clamped_knots(self.g_domain, self.n_interior, self.degree), self.g_coeffs, self.degree)
 
     def surface(self) -> TranslationSurface:
-        f = surfaces.from_bspline(self.f_spline(), self.f_domain)
-        g = surfaces.from_bspline(self.g_spline(), self.g_domain)
+        f = surfaces.from_bspline(self.f_domain, self.f_coeffs)
+        g = surfaces.from_bspline(self.g_domain, self.g_coeffs)
         return TranslationSurface(self.kind, f, g, (self.f_domain, self.g_domain))
 
     def with_coeffs(self, packed: np.ndarray) -> "SplineAnsatz":
@@ -75,13 +77,8 @@ class SearchConfig:
     grid: tuple[int, int] = (33, 33)
     z_floor: float = 0.2
     z_ceil: float = 5.0
-    barrier_weight: float = 10.0
-    barrier_ramp: float = 10.0
-    smoothing_weights: tuple[float, ...] = (30.0, 3.0, 0.3, 0.03, 0.0)
     max_iterations: int = 500
-    rel_tol: float = 1e-12
     euclidean_control: bool = False
-    check_grid: int = 101
 
 
 @dataclass(frozen=True)
@@ -100,30 +97,21 @@ def random_ansatz(
     kind: Kind,
     f_domain: tuple[float, float],
     g_domain: tuple[float, float],
-    n_interior: int = 12,
-    scale: float = 0.5,
     lift: float = 0.0,
 ) -> SplineAnsatz:
-    """Coefficients ~ U(-scale, scale); `lift` shifts f upward (partition of
+    """Coefficients ~ U(-0.5, 0.5); `lift` shifts f upward (partition of
     unity makes this an exact constant shift), used to keep type-I seeds
     feasible."""
-    m = n_coeffs(n_interior)
-    fc = rng.uniform(-scale, scale, m) + lift
-    gc = rng.uniform(-scale, scale, m)
-    return SplineAnsatz(kind, fc, gc, f_domain, g_domain, n_interior)
+    m = n_coeffs(N_INTERIOR)
+    fc = rng.uniform(-0.5, 0.5, m) + lift
+    gc = rng.uniform(-0.5, 0.5, m)
+    return SplineAnsatz(kind, fc, gc, f_domain, g_domain)
 
 
 # -- basis design matrices (coefficient-independent, cached) -----------
 
-# (f_domain, g_domain, n_interior, degree, grid) -> (xs, vs, bf, bg), read-only
+# (f_domain, g_domain, mf, mg, grid) -> (xs, vs, bf, bg), read-only
 _DESIGN_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _design_matrices(domain, n_interior, degree, ts: np.ndarray) -> np.ndarray:
-    """B-spline basis and its first two derivatives at ts, shape (3, len(ts), m)."""
-    knots = clamped_knots(domain, n_interior, degree)
-    basis = BSpline(knots, np.eye(n_coeffs(n_interior, degree)), degree)
-    return np.stack([basis(ts), basis.derivative(1)(ts), basis.derivative(2)(ts)])
 
 
 def _bases(ansatz: SplineAnsatz, cfg: SearchConfig):
@@ -132,18 +120,16 @@ def _bases(ansatz: SplineAnsatz, cfg: SearchConfig):
     Cached per ansatz shape and grid.  Every later evaluation shares the
     arrays, so they are read-only.
     """
-    key = (ansatz.f_domain, ansatz.g_domain, ansatz.n_interior, ansatz.degree, cfg.grid)
+    mf, mg = len(ansatz.f_coeffs), len(ansatz.g_coeffs)
+    key = (ansatz.f_domain, ansatz.g_domain, mf, mg, cfg.grid)
     hit = _DESIGN_CACHE.get(key)
     if hit is None:
         nx, nz = cfg.grid
         xs = np.linspace(*ansatz.f_domain, nx)
         vs = np.linspace(*ansatz.g_domain, nz)
-        hit = (
-            xs,
-            vs,
-            _design_matrices(ansatz.f_domain, ansatz.n_interior, ansatz.degree, xs),
-            _design_matrices(ansatz.g_domain, ansatz.n_interior, ansatz.degree, vs),
-        )
+        bf = surfaces.spline_basis(ansatz.f_domain, mf, xs)
+        bg = surfaces.spline_basis(ansatz.g_domain, mg, vs)
+        hit = (xs, vs, bf, bg)
         for array in hit:
             array.flags.writeable = False
         _DESIGN_CACHE[key] = hit
@@ -157,7 +143,9 @@ def _spline_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig, partials: bool = True):
-    """Residual values and partials w.r.t. the six local quantities.
+    """The residual on the search grid and its partials w.r.t. the six local
+    quantities: H from `surfaces.translation_mean_curvature`, or under
+    `cfg.euclidean_control` the Euclidean type-I minimality expression.
 
     Returns (R, dR) with R of shape (nx, nz) and dR a dict of same-shape
     arrays keyed by f, fp, fpp, g, gp, gpp.  With `partials` false, dR is
@@ -166,64 +154,26 @@ def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig, partials: bool = True
     _, vs, bf, bg = _bases(ansatz, cfg)
     f0, f1, f2 = _spline_values(bf, ansatz.f_coeffs)
     g0, g1, g2 = _spline_values(bg, ansatz.g_coeffs)
-    fp = f1[:, None]
-    fpp = f2[:, None]
-    gp = g1[None, :]
-    gpp = g2[None, :]
+    fp, fpp, gp, gpp = f1[:, None], f2[:, None], g1[None, :], g2[None, :]
+    if not cfg.euclidean_control:
+        height = f0[:, None] + g0[None, :] if ansatz.kind is Kind.TYPE_I else vs[None, :]
+        return surfaces.translation_mean_curvature(ansatz.kind, height, fp, fpp, gp, gpp, partials)
+
+    # Euclidean type-I minimality: (1+g'^2) f'' + (1+f'^2) g''
     P = 1.0 + fp ** 2
     Q = 1.0 + gp ** 2
     S = Q * fpp + P * gpp
-    if cfg.euclidean_control:
-        # Euclidean type-I minimality: (1+g'^2) f'' + (1+f'^2) g''
-        if not partials:
-            return S, None
-        zeros = np.zeros(S.shape)
-        dR = {
-            "f": zeros,
-            "fp": 2.0 * fp * gpp + zeros,
-            "fpp": Q + zeros,
-            "g": zeros,
-            "gp": 2.0 * gp * fpp + zeros,
-            "gpp": P + zeros,
-        }
-        return S, dR
-
-    W2 = P + gp ** 2
-    W = np.sqrt(W2)
-    W3 = W2 * W
-    if ansatz.kind is Kind.TYPE_I:
-        zv = f0[:, None] + g0[None, :]
-        He = S / (2.0 * W3)
-        R = zv * He + 1.0 / W
-        if not partials:
-            return R, None
-        # dHe/df' = f' (g'' - T) / W^3 and dHe/dg' = g' (f'' - T) / W^3
-        T = 1.5 * S / W2
-        dR = {
-            "f": He,
-            "fp": fp * (zv * (gpp - T) - 1.0) / W3,
-            "fpp": zv * Q / (2.0 * W3),
-            "g": He,
-            "gp": gp * (zv * (fpp - T) - 1.0) / W3,
-            "gpp": zv * P / (2.0 * W3),
-        }
-        return R, dR
-
-    z = vs[None, :]
-    R = -z * S / (2.0 * W3) + gp / W
     if not partials:
-        return R, None
-    T = 1.5 * S / W2
-    zeros = np.zeros(R.shape)
-    dR = {
+        return S, None
+    zeros = np.zeros(S.shape)
+    return S, {
         "f": zeros,
-        "fp": fp * (z * (T - gpp) - gp) / W3,
-        "fpp": -z * Q / (2.0 * W3),
+        "fp": 2.0 * fp * gpp + zeros,
+        "fpp": Q + zeros,
         "g": zeros,
-        "gp": (gp * z * (T - fpp) + P) / W3,
-        "gpp": -z * P / (2.0 * W3),
+        "gp": 2.0 * gp * fpp + zeros,
+        "gpp": P + zeros,
     }
-    return R, dR
 
 
 def _slab(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, f0, g0):
@@ -395,7 +345,7 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
     A singular damped system raises the damping like a rejected step.  The
     stage ends when the damping reaches its cap without a descent, when
     `budget` evaluations are spent, or when an accepted step lowers the cost
-    by no more than `cfg.rel_tol` relative.  Returns (ansatz, nfev,
+    by no more than REL_TOL relative.  Returns (ansatz, nfev,
     converged, cost_trace); the trace records accepted costs only, so it is
     non-increasing by construction.
     """
@@ -432,7 +382,7 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
         if not step_taken:
             converged = True
             break
-        if trace[-2] - trace[-1] <= cfg.rel_tol * max(trace[-1], 1e-300):
+        if trace[-2] - trace[-1] <= REL_TOL * max(trace[-1], 1e-300):
             converged = True
             break
     return ansatz.with_coeffs(x), nfev, converged, tuple(trace)
@@ -446,9 +396,10 @@ def _stats(ansatz: SplineAnsatz, cfg: SearchConfig) -> tuple[float, float]:
 def _check_feasible(ansatz: SplineAnsatz, cfg: SearchConfig) -> None:
     if ansatz.kind is not Kind.TYPE_I or cfg.euclidean_control:
         return
-    xs = np.linspace(*ansatz.f_domain, cfg.check_grid)
-    vs = np.linspace(*ansatz.g_domain, cfg.check_grid)
-    zv = ansatz.f_spline()(xs)[:, None] + ansatz.g_spline()(vs)[None, :]
+    s = ansatz.surface()
+    xs = np.linspace(*ansatz.f_domain, CHECK_GRID)
+    vs = np.linspace(*ansatz.g_domain, CHECK_GRID)
+    zv = s.f(xs).v0[:, None] + s.g(vs).v0[None, :]
     if float(zv.min()) < cfg.z_floor:
         raise InfeasibleSeedError(
             f"min(f+g) = {float(zv.min()):.6g} < zFloor = {cfg.z_floor}"
@@ -462,19 +413,15 @@ def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) ->
     total_nfev = 0
     converged = False
     traces = []
-    barrier = (
-        cfg.barrier_weight
-        if seed.kind is Kind.TYPE_I and not cfg.euclidean_control
-        else 0.0
-    )
-    for smooth_w in cfg.smoothing_weights:
+    barrier = BARRIER_WEIGHT if seed.kind is Kind.TYPE_I and not cfg.euclidean_control else 0.0
+    for smooth_w in SMOOTHING_WEIGHTS:
         current, nfev, converged, trace = _lm_stage(
             current, cfg, barrier, smooth_w, cfg.max_iterations
         )
         total_nfev += nfev
         traces.append(trace)
         if barrier > 0.0:
-            barrier *= cfg.barrier_ramp
+            barrier *= BARRIER_RAMP
     sup_r, msr = _stats(current, cfg)
     plane_d = None
     if current.kind is Kind.TYPE_II and not cfg.euclidean_control:
@@ -491,15 +438,11 @@ def generate_seeds(
     generator_seed: int,
     f_domain: tuple[float, float],
     g_domain: tuple[float, float],
-    n_interior: int = 12,
     euclidean_control: bool = False,
 ) -> list[SplineAnsatz]:
     rng = np.random.default_rng(generator_seed)
     lift = 1.5 if kind is Kind.TYPE_I and not euclidean_control else 0.0
-    return [
-        random_ansatz(rng, kind, f_domain, g_domain, n_interior, lift=lift)
-        for _ in range(n)
-    ]
+    return [random_ansatz(rng, kind, f_domain, g_domain, lift=lift) for _ in range(n)]
 
 
 def _run_one(args) -> SearchResult:

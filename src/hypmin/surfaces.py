@@ -1,8 +1,10 @@
 """Translation-surface families and reference surfaces.
 
 Type I surfaces are graphs z = f(x) + g(y); type II surfaces are graphs
-y = f(x) + g(z).  Both come with closed-form minimality residuals, and the
-module also provides the classical reference surfaces (Scherk's Euclidean
+y = f(x) + g(z).  Their mean curvature has one closed form,
+`translation_mean_curvature`, which the minimality residuals and the
+search's residual grid share; `from_bspline` is the one spline constructor.
+The module also provides the classical reference surfaces (Scherk's Euclidean
 minimal surface, horospheres, hemispheres, vertical planes) that serve as
 oracles for the curvature kernel.
 """
@@ -97,20 +99,36 @@ def log_cos(a: float, scale: float, domain=None) -> FunctionCurve:
     return FunctionCurve(lambda t: scale * jets.abs_log_cos(Jet3(a * t, a, 0.0, 0.0)), domain)
 
 
-def clamped_knots(domain: tuple[float, float], n_interior: int, degree: int = 3) -> np.ndarray:
+def clamped_knots(domain: tuple[float, float], n_interior: int) -> np.ndarray:
+    """Knots of the clamped uniform cubic spline with n_interior interior knots."""
     lo, hi = domain
     inner = np.linspace(lo, hi, n_interior + 2)
-    return np.concatenate([[lo] * degree, inner, [hi] * degree])
+    return np.concatenate([[lo] * 3, inner, [hi] * 3])
 
 
-def n_coeffs(n_interior: int, degree: int = 3) -> int:
-    return n_interior + degree + 1
+def n_coeffs(n_interior: int) -> int:
+    return n_interior + 4
 
 
-def from_bspline(spline, domain: tuple[float, float]) -> FunctionCurve:
-    """Wrap a scipy BSpline (cubic) as a FunctionCurve with three derivatives."""
+def from_bspline(domain: tuple[float, float], coeffs) -> FunctionCurve:
+    """The clamped uniform cubic B-spline on `domain` with these coefficients
+    (len(coeffs) - 4 interior knots), with three derivatives.  coeffs may be
+    (m, k): then each slot has a trailing axis of k splines."""
+    # imported here, the one place that builds a BSpline: it takes longer to
+    # import than the rest of hypmin, and most commands build no spline
+    from scipy.interpolate import BSpline
+
+    coeffs = np.asarray(coeffs, dtype=float)
+    spline = BSpline(clamped_knots(domain, len(coeffs) - 4), coeffs, 3)
     derivs = [spline.derivative(k) for k in (1, 2, 3)]
     return FunctionCurve(lambda t: Jet3(spline(t), *(d(t) for d in derivs)), domain)
+
+
+def spline_basis(domain: tuple[float, float], m: int, ts: np.ndarray) -> np.ndarray:
+    """The m cubic B-splines of `from_bspline` on `domain` and their first two
+    derivatives at the points ts, stacked with shape (3, len(ts), m)."""
+    jet = from_bspline(domain, np.eye(m))(ts)
+    return np.stack([jet.v0, jet.v1, jet.v2])
 
 
 @dataclass(frozen=True)
@@ -132,6 +150,16 @@ def _check_domain(domain, u, v, what: str = "surface") -> None:
         raise DomainError(f"({bad[0]}, {bad[1]}) outside {what} domain {domain}")
 
 
+def _check_halfspace(kind: Kind, u, v, height) -> None:
+    """Raise HalfSpaceError naming the first point where the height (f+g for
+    type I, the parameter z for type II) is not positive."""
+    below = np.broadcast_to(height <= 0.0, np.broadcast(u, v, height).shape)
+    if np.any(below):
+        x, y, h = _first_where(below, u, v, height)
+        what = "type I graph height f+g" if kind is Kind.TYPE_I else "type II parameter z"
+        raise HalfSpaceError(f"{what} = {h} <= 0 at ({x}, {y})")
+
+
 def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True) -> ImmersionJet:
     """Assemble the immersion jet of the patch at (u, v) from the jets of f and g.
 
@@ -144,13 +172,8 @@ def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True) -> Imme
     _check_domain(s.domain, u, v)
     fj, gj = s.f(u), s.g(v)
     h = fj.v0 + gj.v0
-    if s.kind is Kind.TYPE_I:
-        below = h <= 0.0
-        if check_halfspace and np.any(below):
-            x, y, height = _first_where(below, u, v, h)
-            raise HalfSpaceError(f"type I graph height f+g = {height} <= 0 at ({x}, {y})")
-    elif check_halfspace and np.any(v <= 0.0):
-        raise HalfSpaceError(f"type II parameter z = {np.min(v)} <= 0")
+    if check_halfspace:
+        _check_halfspace(s.kind, u, v, h if s.kind is Kind.TYPE_I else v)
 
     def field(a, b, c):  # components in the (x, y, z) order of type I
         # type II is the graph y = h(x, z): the same fields with y and z swapped
@@ -164,41 +187,84 @@ def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True) -> Imme
 # -- closed-form minimality residuals ---------------------------------
 
 
-def type1_residual(s: TranslationSurface, x: float, y: float) -> float:
-    """LHS - RHS of the type-I minimality equation
+def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp, partials: bool = False):
+    """Hyperbolic mean curvature H of a translation graph, in closed form.
 
-        (f+g)(f''/(1+f'^2) + g''/(1+g'^2)) = -2 (1+f'^2+g'^2) / ((1+f'^2)(1+g'^2)).
+    height is f+g for type I (z = f(x) + g(y)) and z for type II
+    (y = f(x) + g(z)); fp, fpp, gp, gpp are f', f'', g', g''.  All broadcast.
+    With W^2 = 1+f'^2+g'^2 and S = (1+g'^2) f'' + (1+f'^2) g'',
+
+        type I:   H = (f+g) S / (2 W^3) + 1/W
+        type II:  H = -z S / (2 W^3) + g'/W
+
+    Returns (H, dH): dH is None, or with `partials` a dict of the partials
+    of H w.r.t. f, f', f'', g, g', g'' (keys f, fp, fpp, g, gp, gpp).
     """
-    if s.kind is not Kind.TYPE_I:
-        raise UsageError("type1_residual requires a type I surface")
-    _check_domain(s.domain, x, y)
-    fj, gj = s.f(x), s.g(y)
-    z = fj.v0 + gj.v0
-    if z <= 0.0:
-        raise HalfSpaceError(f"f+g = {z} <= 0 at ({x}, {y})")
-    P = 1.0 + fj.v1 ** 2
-    Q = 1.0 + gj.v1 ** 2
-    lhs = z * (fj.v2 / P + gj.v2 / Q)
-    rhs = -2.0 * (1.0 + fj.v1 ** 2 + gj.v1 ** 2) / (P * Q)
-    return lhs - rhs
+    P = 1.0 + fp ** 2
+    Q = 1.0 + gp ** 2
+    S = Q * fpp + P * gpp
+    W2 = P + gp ** 2
+    W = np.sqrt(W2)
+    W3 = W2 * W
+    if kind is Kind.TYPE_I:
+        He = S / (2.0 * W3)
+        H = height * He + 1.0 / W
+    else:
+        H = -height * S / (2.0 * W3) + gp / W
+    if not partials:
+        return H, None
+    T = 1.5 * S / W2
+    if kind is Kind.TYPE_I:
+        # dHe/df' = f' (g'' - T) / W^3 and dHe/dg' = g' (f'' - T) / W^3
+        return H, {
+            "f": He,
+            "fp": fp * (height * (gpp - T) - 1.0) / W3,
+            "fpp": height * Q / (2.0 * W3),
+            "g": He,
+            "gp": gp * (height * (fpp - T) - 1.0) / W3,
+            "gpp": height * P / (2.0 * W3),
+        }
+    zeros = np.zeros(H.shape)
+    return H, {
+        "f": zeros,
+        "fp": fp * (height * (T - gpp) - gp) / W3,
+        "fpp": -height * Q / (2.0 * W3),
+        "g": zeros,
+        "gp": (gp * height * (T - fpp) + P) / W3,
+        "gpp": -height * P / (2.0 * W3),
+    }
 
 
-def type2_residual(s: TranslationSurface, x: float, z: float) -> float:
-    """LHS - RHS of the type-II minimality equation
+def _minimality_residual(s: TranslationSurface, kind: Kind, u, v):
+    """+-2 W^3 H / ((1+f'^2)(1+g'^2)) at the points (u, v), + for type I."""
+    if s.kind is not kind:
+        raise UsageError(f"{kind.value}_residual requires a {kind.value} surface")
+    _check_domain(s.domain, u, v)
+    fj, gj = s.f(u), s.g(v)
+    height = fj.v0 + gj.v0 if kind is Kind.TYPE_I else v
+    _check_halfspace(kind, u, v, height)
+    H, _ = translation_mean_curvature(kind, height, fj.v1, fj.v2, gj.v1, gj.v2)
+    P, Q = 1.0 + fj.v1 ** 2, 1.0 + gj.v1 ** 2
+    W2 = P + gj.v1 ** 2
+    return (2.0 if kind is Kind.TYPE_I else -2.0) * (W2 * np.sqrt(W2)) * H / (P * Q)
 
-        z (f''/(1+f'^2) + g''/(1+g'^2)) = 2 g' (1+f'^2+g'^2) / ((1+f'^2)(1+g'^2)).
-    """
-    if s.kind is not Kind.TYPE_II:
-        raise UsageError("type2_residual requires a type II surface")
-    _check_domain(s.domain, x, z)
-    if z <= 0.0:
-        raise HalfSpaceError(f"z = {z} <= 0")
-    fj, gj = s.f(x), s.g(z)
-    P = 1.0 + fj.v1 ** 2
-    Q = 1.0 + gj.v1 ** 2
-    lhs = z * (fj.v2 / P + gj.v2 / Q)
-    rhs = 2.0 * gj.v1 * (1.0 + fj.v1 ** 2 + gj.v1 ** 2) / (P * Q)
-    return lhs - rhs
+
+def type1_residual(s: TranslationSurface, x, y):
+    """LHS - RHS of the type-I minimality equation, 2 W^3 H / ((1+f'^2)(1+g'^2)),
+
+        (f+g)(f''/(1+f'^2) + g''/(1+g'^2)) = -2 (1+f'^2+g'^2) / ((1+f'^2)(1+g'^2)),
+
+    at the points (x, y), which broadcast as in `patch_jet`."""
+    return _minimality_residual(s, Kind.TYPE_I, x, y)
+
+
+def type2_residual(s: TranslationSurface, x, z):
+    """LHS - RHS of the type-II minimality equation, -2 W^3 H / ((1+f'^2)(1+g'^2)),
+
+        z (f''/(1+f'^2) + g''/(1+g'^2)) = 2 g' (1+f'^2+g'^2) / ((1+f'^2)(1+g'^2)),
+
+    at the points (x, z), which broadcast as in `patch_jet`."""
+    return _minimality_residual(s, Kind.TYPE_II, x, z)
 
 
 def type1_reduction_residual(s: TranslationSurface, x: float, y: float) -> float:

@@ -64,6 +64,15 @@ BAD_NUMBERS = [
     ("kind = type2\ndomain = -1 1 2 2\nf = constant 1\ng = constant 1\n", "domain needs u0 < u1 and v0 < v1"),
 ]
 
+# values a curve or patch constructor rejects; the error names their position
+BAD_CONSTRUCTOR_ARGS = [
+    ("kind = type1\ndomain = -1 1 -1 1\nf = spline 1 -1 1 1 1 1 1\ng = constant 1\n", "line 3, column 4: spline needs t0 < t1"),
+    ("kind = type1\ndomain = -1 1 -1 1\nf = spline 1 1 1 1 1 1 1\ng = constant 1\n", "line 3, column 4: spline needs t0 < t1"),
+    ("kind = type1\ndomain = -1 1 -1 1\nf = constant 1\ng = scherk-log-cos 0 1\n", "line 4, column 4: log_cos requires a != 0"),
+    ("kind = hemisphere\nradius = 0\n", "line 2, column 9: hemisphere radius r = 0.0 <= 0"),
+    ("kind = horosphere\nlevel = -1\n", "line 2, column 8: horosphere level c = -1.0 <= 0"),
+]
+
 
 @pytest.mark.parametrize(
     "text,fragment",
@@ -78,6 +87,7 @@ BAD_NUMBERS = [
         ("kind type1\n", "expected 'key = value'"),
         ("kind = hemisphere\nradius = 1 2\n", "radius takes"),
         *BAD_NUMBERS,
+        *BAD_CONSTRUCTOR_ARGS,
     ],
 )
 def test_parse_errors(text, fragment):
@@ -97,7 +107,7 @@ def test_non_finite_number_error_carries_line_and_column():
     assert (exc.value.line, exc.value.column) == (2, 8)
 
 
-@pytest.mark.parametrize("text,fragment", BAD_NUMBERS)
+@pytest.mark.parametrize("text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS)
 def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text, fragment):
     surf = tmp_path / "s.txt"
     surf.write_text(text)
@@ -107,9 +117,16 @@ def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text
     assert not out.exists()
 
 
-def test_descriptors_do_not_import_the_optimizer():
+@pytest.mark.parametrize(
+    "module,unloaded",
+    [
+        ("hypmin.descriptors", "hypmin.search"),  # the parser does not import the optimizer
+        ("hypmin.cli", "scipy.interpolate"),  # loaded only when a spline is built
+    ],
+)
+def test_import_does_not_load(module, unloaded):
     src = Path(hypmin.__file__).resolve().parents[1]
-    code = "import sys, hypmin.descriptors; print('hypmin.search' in sys.modules)"
+    code = f"import sys, {module}; print({unloaded!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -312,6 +329,13 @@ def test_search_type2_csv_and_summary(tmp_path):
         assert cols[5] == "1"
     summary = json.loads((tmp_path / "search_type2_summary.json").read_text())
     assert summary["converged"] == 3
+    assert summary["config"] == {
+        "grid": [33, 33],
+        "z_floor": 0.2,
+        "z_ceil": 5.0,
+        "max_iterations": 500,
+        "euclidean_control": False,
+    }
     assert summary["best_supResidual"] < 1e-6
 
 

@@ -5,24 +5,24 @@ import numpy as np
 import pytest
 
 from hypmin import experiments, search
+from hypmin.kernel import hyperbolic_curvature
 from hypmin.search import (
     InfeasibleSeedError,
     SearchConfig,
     SplineAnsatz,
-    clamped_knots,
     generate_seeds,
     minimize_residual,
     n_coeffs,
     residual_and_jacobian,
     run_seeds,
 )
-from hypmin.surfaces import Kind
+from hypmin.surfaces import Kind, clamped_knots
 
 
-def greville(domain, n_interior, degree=3):
-    knots = clamped_knots(domain, n_interior, degree)
-    m = n_coeffs(n_interior, degree)
-    return np.array([knots[i + 1 : i + 1 + degree].mean() for i in range(m)])
+def greville(domain, n_interior):
+    knots = clamped_knots(domain, n_interior)
+    m = n_coeffs(n_interior)
+    return np.array([knots[i + 1 : i + 4].mean() for i in range(m)])  # cubic: 3 knots each
 
 
 def plane_ansatz(m=2.0, n=0.0, p=1.0, f_domain=(-1, 1), g_domain=(1, 2)):
@@ -167,8 +167,19 @@ def test_lm_stops_when_every_solve_fails(monkeypatch):
     (seed,) = generate_seeds(1, Kind.TYPE_I, 7, (-1, 1), (-1, 1), euclidean_control=True)
     cfg = SearchConfig(grid=(9, 9), euclidean_control=True)
     res = minimize_residual(seed, cfg)
-    assert res.iterations == len(cfg.smoothing_weights)  # one evaluation per stage, no trials
+    assert res.iterations == len(search.SMOOTHING_WEIGHTS)  # one evaluation per stage, no trials
     assert np.array_equal(res.ansatz.packed(), seed.packed())
+
+
+@pytest.mark.parametrize("kind,g_domain,lift", [(Kind.TYPE_I, (-1, 1), 1.5), (Kind.TYPE_II, (1, 2), 0.0)])
+def test_residual_grid_is_the_kernel_H(kind, g_domain, lift):
+    ansatz = search.random_ansatz(np.random.default_rng(31), kind, (-1, 1), g_domain, lift=lift)
+    cfg = SearchConfig()
+    R, dR = search.residual_grid(ansatz, cfg, partials=False)
+    xs, vs, _, _ = search._bases(ansatz, cfg)
+    H = hyperbolic_curvature(ansatz.surface().jet(xs[:, None], vs[None, :])).H
+    assert dR is None and R.shape == H.shape == cfg.grid
+    assert np.max(np.abs(R - H) / np.abs(H)) <= 1e-10
 
 
 def test_cached_bases_are_read_only():

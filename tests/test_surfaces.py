@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.interpolate import BSpline
 
 from hypmin import surfaces
 from hypmin.kernel import (
@@ -305,7 +304,7 @@ def test_horosphere_rejects_nonpositive_level():
 
 def _spline_curve(seed, dom, lift=0.0):
     coeffs = np.random.default_rng(seed).uniform(-0.5, 0.5, 16) + lift
-    return surfaces.from_bspline(BSpline(surfaces.clamped_knots(dom, 12), coeffs, 3), dom)
+    return surfaces.from_bspline(dom, coeffs)
 
 
 GRID_PATCHES = {
@@ -355,4 +354,22 @@ def test_grid_with_one_node_below_halfspace_rejected():
     assert patch_jet(s, us[:, None], off_centre[None, :]).X.shape == (5, 4, 3)
     with pytest.raises(HalfSpaceError, match=r"at \(0\.0, 0\.0\)"):
         patch_jet(s, us[:, None], vs[None, :])
+    with pytest.raises(HalfSpaceError, match=r"f\+g = 0\.0 <= 0 at \(0\.0, 0\.0\)"):
+        type1_residual(s, us[:, None], vs[None, :])
+    # type II: z = 0 on a whole grid column; the first of its nodes is named
+    s2 = _type2(surfaces.linear(1, 0), surfaces.constant(1.0), ((-1, 1), (0, 2)))
+    with pytest.raises(HalfSpaceError, match=r"z = 0\.0 <= 0 at \(-1\.0, 0\.0\)"):
+        type2_residual(s2, us[:, None], np.linspace(0, 2, 5)[None, :])
+
+
+@pytest.mark.parametrize("name", ["type1-spline", "type2-spline"])
+def test_residual_on_grid_matches_pointwise(name):
+    s = GRID_PATCHES[name]()
+    residual = type1_residual if s.kind is Kind.TYPE_I else type2_residual
+    us, vs = _axes(s)
+    got = residual(s, us[:, None], vs[None, :])
+    assert got.shape == (len(us), len(vs))
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            assert got[i, j] == residual(s, float(u), float(v))
 
