@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Side experiments on the type-II reduction.
 
-1. Integrate f'' = a(1+f'^2)^2 and report the finite-time blow-up point
-   together with the max defect of the factorization identity along the way.
+1. Evaluate the solution of f'' = a(1+f'^2)^2 in closed form and report
+   the finite-time blow-up point together with the max defect of the
+   factorization identity along the way.
 2. Trace the real branch g'(z) of the cubic constraint and sweep the second
    separation constant b, printing how far (q1, q2) stay from vanishing
    jointly -- the numerical shadow of the nonexistence argument.
@@ -26,9 +27,9 @@ def main() -> int:
 
     ode = integrate_first_integral(args.a, args.p0, (0.0, args.x_max))
     print(f"ODE f'' = a(1+f'^2)^2, a={args.a}, f'(0)={args.p0}:")
-    print(f"  integrated to x = {ode.x_end:.9f} (blow-up: {ode.blew_up})")
+    print(f"  solved to x = {ode.x_end:.9f} (blow-up: {ode.blew_up})")
     # near blow-up the defect is pure cancellation noise; quote it on the
-    # first quarter of the integrated range where the slope is still tame
+    # first quarter of the solved range where the slope is still tame
     tame = integrate_first_integral(args.a, args.p0, (0.0, 0.25 * ode.x_end))
     print(f"  max factorization defect on (0, {0.25 * ode.x_end:.3f}): {tame.max_defect:.3e}")
     if args.a != 0.0 and args.p0 == 0.0:

@@ -1,17 +1,20 @@
 """Side experiments on the type-II reduction: the separated ODE
-f'' = a(1+f'^2)^2 up to its blow-up, and the real branch of the cubic
-constraint on g'.  Nothing else in the package depends on this module."""
+f'' = a(1+f'^2)^2, evaluated in closed form up to its blow-up, and the real
+branch of the cubic constraint on g'.  Nothing else in the package depends
+on this module."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .algebra import build_named
 
 BLOW_UP_LIMIT = 1e6
+ODE_SAMPLES = 2001
+BISECTION_STEPS = 64  # halves a bracket narrower than pi to below one ulp of theta
 
 
 @dataclass(frozen=True)
@@ -24,37 +27,54 @@ class OdeReport:
     x_end: float
 
 
+def _G(theta):
+    """The x-antiderivative of the ODE in theta = arctan f': a dx = cos^2(theta) dtheta."""
+    return theta / 2.0 + np.sin(2.0 * theta) / 4.0
+
+
 def integrate_first_integral(a: float, p0: float, x_range: tuple[float, float]) -> OdeReport:
-    """Integrate f'' = a(1+f'^2)^2 adaptively, stopping at blow-up, and
-    report the factorization defect |-4 f' f''^2 + (1+f'^2) f'''| along the
-    trajectory (f''' = 4 a f' f'' (1+f'^2))."""
+    """Evaluate the solution of f'' = a(1+f'^2)^2, f(x0) = 0, f'(x0) = p0 on
+    x_range = (x0, x1) in closed form, stopping where |f'| reaches
+    BLOW_UP_LIMIT, and report the factorization defect
+    |-4 f' f''^2 + (1+f'^2) f'''| at ODE_SAMPLES points of the trajectory
+    (f''' = 4 a f' f'' (1+f'^2)).
 
-    def rhs(x, y):
-        f, p = y
-        return [p, a * (1.0 + p * p) ** 2]
-
-    def blow_up(x, y):
-        return abs(y[1]) - BLOW_UP_LIMIT
-
-    blow_up.terminal = True
-    sol = solve_ivp(
-        rhs,
-        x_range,
-        [0.0, p0],
-        method="RK45",
-        rtol=1e-10,
-        atol=1e-12,
-        events=blow_up,
-    )
-    xs = sol.t
-    f, p = sol.y
+    In theta = arctan f' the ODE reads cos^2(theta) dtheta = a dx, so
+    x = x0 + (G(theta) - G(theta0))/a with G(theta) = theta/2 + sin(2 theta)/4,
+    and f = (cos^2 theta0 - cos^2 theta)/(2a).  theta moves monotonically
+    towards +-pi/2, where f' blows up; the samples are uniform in theta.
+    For a = 0, f' is constant and f linear.
+    """
+    x0, x1 = x_range
+    theta0 = math.atan(p0)
+    if a == 0.0:
+        xs = np.linspace(x0, x1, ODE_SAMPLES)
+        thetas = np.full(ODE_SAMPLES, theta0)
+        f = p0 * (xs - x0)
+        blew_up = False
+    else:
+        # theta moves in the direction `sign` and blows up at theta_lim
+        sign = 1.0 if a * (x1 - x0) >= 0.0 else -1.0
+        theta_lim = sign * max(math.atan(BLOW_UP_LIMIT), sign * theta0)
+        target = _G(theta0) + a * (x1 - x0)
+        blew_up = bool(sign * target >= sign * _G(theta_lim))
+        theta_end = theta_lim
+        if not blew_up:  # G increases, so bisection on [theta0, theta_lim] finds G = target
+            lo, hi = sorted((theta0, theta_lim))
+            for _ in range(BISECTION_STEPS):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if _G(mid) < target else (lo, mid)
+            theta_end = 0.5 * (lo + hi)
+        thetas = np.linspace(theta0, theta_end, ODE_SAMPLES)
+        xs = x0 + (_G(thetas) - _G(theta0)) / a
+        if not blew_up:
+            xs[-1] = x1  # exactly, not to rounding
+        f = (math.cos(theta0) ** 2 - np.cos(thetas) ** 2) / (2.0 * a)
+    p = np.tan(thetas)
     one_p2 = 1.0 + p * p
     fpp = a * one_p2 ** 2
     fppp = 4.0 * a * p * fpp * one_p2
     defect = np.abs(-4.0 * p * fpp ** 2 + one_p2 * fppp)
-    # status < 0 is step-size underflow at the finite-time singularity: the
-    # slope explodes faster than the event threshold can be reached.
-    blew_up = len(sol.t_events[0]) > 0 or sol.status < 0
     return OdeReport(xs, f, p, float(defect.max()), blew_up, float(xs[-1]))
 
 

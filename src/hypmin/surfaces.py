@@ -113,15 +113,53 @@ def n_coeffs(n_interior: int) -> int:
 def from_bspline(domain: tuple[float, float], coeffs) -> FunctionCurve:
     """The clamped uniform cubic B-spline on `domain` with these coefficients
     (len(coeffs) - 4 interior knots), with three derivatives.  coeffs may be
-    (m, k): then each slot has a trailing axis of k splines."""
-    # imported here, the one place that builds a BSpline: it takes longer to
-    # import than the rest of hypmin, and most commands build no spline
-    from scipy.interpolate import BSpline
+    (m, k): then each slot has a trailing axis of k splines.
 
-    coeffs = np.asarray(coeffs, dtype=float)
-    spline = BSpline(clamped_knots(domain, len(coeffs) - 4), coeffs, 3)
-    derivs = [spline.derivative(k) for k in (1, 2, 3)]
-    return FunctionCurve(lambda t: Jet3(spline(t), *(d(t) for d in derivs)), domain)
+    de Boor's algorithm: the k-th derivative is the degree 3-k spline on the
+    knots t[k:-k] whose coefficients are the k-th divided differences of
+    coeffs (FITPACK's splder), summed against its B-splines on the knot span
+    of x, which the Cox-de Boor recurrence yields one degree per step (Piegl
+    & Tiller, The NURBS Book, A2.2).  The steps and their order are those of
+    the reference evaluator the tests compare against, bit for bit.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    m = len(c)
+    lo, hi = domain
+    if m < 4 or not lo < hi:
+        raise ValueError(f"a cubic spline needs at least 4 coefficients and t0 < t1, got {m} on {domain}")
+    t = clamped_knots(domain, m - 4)
+    # dcs[k]: coefficients of the k-th derivative, one column per spline
+    dcs = [c.reshape(m, -1)]
+    tk = t
+    for k in (3, 2, 1):
+        dt = tk[k + 1 : -1] - tk[1 : -k - 1]
+        dcs.append((dcs[-1][1:] - dcs[-1][:-1]) * k / dt[:, None])
+        tk = tk[1:-1]
+
+    # defined here: the bench tracer tells spline curves apart by this qualname
+    def eval_jet(x) -> Jet3:
+        x = np.asarray(x, dtype=float)
+        xs = x.ravel()
+        # the knot span: t[span] <= x < t[span + 1], the last span closed
+        span = np.clip(np.searchsorted(t, xs, side="right") - 1, 3, m - 1)
+        local = t[span + np.arange(-2, 4)[:, None]]  # rows t[span - 2], ..., t[span + 3]
+        N = np.ones((1, len(xs)))  # the degree-0 B-spline on the span
+        slots = [None] * 4
+        for p in range(4):
+            if p:  # Cox-de Boor, degree p - 1 to p: row j is B-spline number span - p + j
+                xa, xb = local[3 - p : 3], local[3 : 3 + p]
+                w = N / (xb - xa)
+                N = np.zeros((p + 1, len(xs)))
+                N[1:] = w * (xs - xa)
+                N[:-1] += w * (xb - xs)
+            dc = dcs[3 - p][span + np.arange(-3, p - 2)[:, None]]  # the p + 1 coefficients on the span
+            acc = np.zeros((len(xs), dc.shape[2]))
+            for a in range(p + 1):
+                acc += dc[a] * N[a, :, None]
+            slots[3 - p] = acc.reshape(x.shape + c.shape[1:])
+        return Jet3(*slots)
+
+    return FunctionCurve(eval_jet, domain)
 
 
 def spline_basis(domain: tuple[float, float], m: int, ts: np.ndarray) -> np.ndarray:
@@ -267,30 +305,32 @@ def type2_residual(s: TranslationSurface, x, z):
     return _minimality_residual(s, Kind.TYPE_II, x, z)
 
 
-def type1_reduction_residual(s: TranslationSurface, x: float, y: float) -> float:
+def type1_reduction_residual(s: TranslationSurface, x, y):
     """LHS - RHS of the once-differentiated, separated type-I equation
 
         (1/g')(g''/(1+g'^2))' + (1/f')(f''/(1+f'^2))'
             = 8 f'' g'' / ((1+f'^2)^2 (1+g'^2)^2),
 
     evaluated with order-3 jets ((h''/(1+h'^2))' = (h'''(1+h'^2) - 2h'h''^2)
-    / (1+h'^2)^2).
+    / (1+h'^2)^2), at the points (x, y), which broadcast as in `patch_jet`.
     """
     if s.kind is not Kind.TYPE_I:
         raise UsageError("type1_reduction_residual requires a type I surface")
     _check_domain(s.domain, x, y)
     fj, gj = s.f(x), s.g(y)
-    if fj.v1 == 0.0 or gj.v1 == 0.0:
-        raise SingularLocusError(
-            f"f'({x}) = {fj.v1}, g'({y}) = {gj.v1}: the equation divides by f'g'"
-        )
+    shape = np.broadcast(x, y, fj.v1, gj.v1).shape
+    singular = np.broadcast_to((fj.v1 == 0.0) | (gj.v1 == 0.0), shape)
+    if np.any(singular):
+        bx, by, fp, gp = _first_where(singular, x, y, fj.v1, gj.v1)
+        raise SingularLocusError(f"f'({bx}) = {fp}, g'({by}) = {gp}: the equation divides by f'g'")
     P = 1.0 + fj.v1 ** 2
     Q = 1.0 + gj.v1 ** 2
     dA = (fj.v3 * P - 2.0 * fj.v1 * fj.v2 ** 2) / (P * P)
     dB = (gj.v3 * Q - 2.0 * gj.v1 * gj.v2 ** 2) / (Q * Q)
     lhs = dB / gj.v1 + dA / fj.v1
     rhs = 8.0 * fj.v2 * gj.v2 / (P * P * Q * Q)
-    return lhs - rhs
+    # an affine f or g has constant jet slots: spread the residual over the grid
+    return np.broadcast_to(lhs - rhs, shape).copy()
 
 
 # -- named surfaces ---------------------------------------------------

@@ -121,16 +121,34 @@ def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text
     "module,unloaded",
     [
         ("hypmin.descriptors", "hypmin.search"),  # the parser does not import the optimizer
-        ("hypmin.cli", "scipy.interpolate"),  # loaded only when a spline is built
+        ("hypmin.cli", "scipy"),  # numpy is the only runtime dependency
     ],
 )
 def test_import_does_not_load(module, unloaded):
+    assert _run_python(f"import sys, {module}; print({unloaded!r} in sys.modules)") == "False"
+
+
+def _run_python(code: str) -> str:
+    """Run `code` in a fresh interpreter on this source tree; return its stdout."""
     src = Path(hypmin.__file__).resolve().parents[1]
-    code = f"import sys, {module}; print({unloaded!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(src)}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_spline_commands_and_experiments_load_no_scipy(tmp_path):
+    surf = tmp_path / "s.txt"
+    surf.write_text("kind = type2\ndomain = -1 1 1 2\nf = spline -1 1 0.1 0.3 -0.2 0.4 0.0\ng = spline 1 2 0 0.2 0.1 -0.1 0.3 0.2\n")
+    code = (
+        "import sys\n"
+        "from hypmin.cli import main\n"
+        "import hypmin.experiments\n"
+        f"assert main(['curvature', '--surface', {str(surf)!r}, '--grid', '9', '--out', {str(tmp_path / 'c')!r}]) == 0\n"
+        f"assert main(['search', '--kind', 'type1', '--seeds', '1', '--out', {str(tmp_path / 's')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    assert _run_python(code).splitlines()[-1] == "[]"
 
 
 # -- subcommands ------------------------------------------------------

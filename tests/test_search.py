@@ -182,6 +182,25 @@ def test_residual_grid_is_the_kernel_H(kind, g_domain, lift):
     assert np.max(np.abs(R - H) / np.abs(H)) <= 1e-10
 
 
+def _scipy_basis(domain, m, ts):
+    """The oracle: scipy's B-splines on the knots of `clamped_knots`, written out."""
+    from scipy.interpolate import BSpline
+
+    lo, hi = domain
+    knots = np.concatenate([[lo] * 3, np.linspace(lo, hi, m - 2), [hi] * 3])
+    spline = BSpline(knots, np.eye(m), 3)
+    return np.stack([spline(ts), spline.derivative(1)(ts), spline.derivative(2)(ts)])
+
+
+@pytest.mark.parametrize("kind,g_domain", [(Kind.TYPE_I, (-1.0, 1.0)), (Kind.TYPE_II, (1.0, 2.0))])
+@pytest.mark.parametrize("cfg", [SearchConfig(), FAST])
+def test_bases_equal_scipy_design_matrices(kind, g_domain, cfg):
+    (seed,) = generate_seeds(1, kind, 3, (-1.0, 1.0), g_domain)
+    xs, vs, bf, bg = search._bases(seed, cfg)
+    assert np.array_equal(bf, _scipy_basis(seed.f_domain, len(seed.f_coeffs), xs))
+    assert np.array_equal(bg, _scipy_basis(seed.g_domain, len(seed.g_coeffs), vs))
+
+
 def test_cached_bases_are_read_only():
     (seed,) = generate_seeds(1, Kind.TYPE_II, 3, (-1, 1), (1, 2))
     xs, vs, bf, bg = search._bases(seed, FAST)
@@ -213,6 +232,26 @@ def test_ode_blow_up_detected_near_quarter_pi():
     rep = experiments.integrate_first_integral(1.0, 0.0, (0.0, 10.0))
     assert rep.blew_up
     assert rep.x_end == pytest.approx(math.pi / 4.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("a,p0", [(1.0, 0.5), (0.7, -1.3), (-1.2, 0.8), (2.0, 2.0)])
+def test_ode_closed_form_matches_solve_ivp(a, p0):
+    from scipy.integrate import solve_ivp  # test-only oracle
+
+    x_blow = experiments.integrate_first_integral(a, p0, (0.0, 10.0)).x_end
+    rep = experiments.integrate_first_integral(a, p0, (0.0, 0.5 * x_blow))
+    assert not rep.blew_up and rep.x_end == 0.5 * x_blow
+    sol = solve_ivp(
+        lambda x, y: [y[1], a * (1.0 + y[1] ** 2) ** 2],
+        (0.0, rep.x_end),
+        [0.0, p0],
+        t_eval=rep.xs,
+        rtol=1e-12,
+        atol=1e-12,
+    )
+    assert sol.success
+    assert np.max(np.abs(sol.y[0] - rep.f)) < 1e-10
+    assert np.max(np.abs(sol.y[1] - rep.fp)) < 1e-10 * np.max(np.abs(rep.fp))
 
 
 # -- cubic branch tracing ---------------------------------------------

@@ -150,6 +150,12 @@ def test_reduction_residual_singular_locus():
     s = _type1(surfaces.quadratic(1, 0, 1), surfaces.linear(1, 1))
     with pytest.raises(SingularLocusError):
         type1_reduction_residual(s, 0.0, 0.0)  # f'(0) = 0
+    # on a grid, f' = 2x vanishes only on the column x = 0; its first node is named
+    us, vs = _axes(s, nu=5, nv=4)
+    off_axis = np.delete(us, 2)
+    assert type1_reduction_residual(s, off_axis[:, None], vs[None, :]).shape == (4, 4)
+    with pytest.raises(SingularLocusError, match=r"f'\(0\.0\) = 0\.0, g'\(-1\.0\) = 1:"):
+        type1_reduction_residual(s, us[:, None], vs[None, :])
 
 
 def _exact_reduction(fv, gv):
@@ -362,10 +368,16 @@ def test_grid_with_one_node_below_halfspace_rejected():
         type2_residual(s2, us[:, None], np.linspace(0, 2, 5)[None, :])
 
 
-@pytest.mark.parametrize("name", ["type1-spline", "type2-spline"])
-def test_residual_on_grid_matches_pointwise(name):
+@pytest.mark.parametrize(
+    "name,residual",
+    [
+        pytest.param("type1-spline", type1_residual, id="type1-spline"),
+        pytest.param("type2-spline", type2_residual, id="type2-spline"),
+        pytest.param("type1-spline", type1_reduction_residual, id="type1-reduction"),
+    ],
+)
+def test_residual_on_grid_matches_pointwise(name, residual):
     s = GRID_PATCHES[name]()
-    residual = type1_residual if s.kind is Kind.TYPE_I else type2_residual
     us, vs = _axes(s)
     got = residual(s, us[:, None], vs[None, :])
     assert got.shape == (len(us), len(vs))
@@ -373,3 +385,35 @@ def test_residual_on_grid_matches_pointwise(name):
         for j, v in enumerate(vs):
             assert got[i, j] == residual(s, float(u), float(v))
 
+
+# -- the spline against scipy's BSpline, a test-only oracle --------------
+
+
+def _scipy_jet(domain, coeffs, t):
+    from scipy.interpolate import BSpline
+
+    spline = BSpline(surfaces.clamped_knots(domain, len(coeffs) - 4), coeffs, 3)
+    return [spline(t)] + [spline.derivative(k)(t) for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_from_bspline_matches_scipy(seed):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-3.0, 3.0)
+    dom = (lo, lo + rng.uniform(0.05, 5.0))
+    m = int(rng.integers(4, 31))
+    coeffs = rng.normal(size=(m,) if seed % 2 else (m, 3))
+    t = np.concatenate([dom, np.linspace(*dom, 23), rng.uniform(*dom, 40)])
+    for args in (t, t[:, None], t[None, :], np.float64(t[-1]), dom[1]):
+        jet = surfaces.from_bspline(dom, coeffs)(args)
+        got = (jet.v0, jet.v1, jet.v2, jet.v3)
+        for k, want in enumerate(_scipy_jet(dom, coeffs, args)):
+            assert got[k].shape == want.shape
+            assert np.max(np.abs(got[k] - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_from_bspline_rejects_too_few_coefficients_or_empty_domain():
+    with pytest.raises(ValueError, match="at least 4 coefficients"):
+        surfaces.from_bspline((0.0, 1.0), [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="t0 < t1"):
+        surfaces.from_bspline((1.0, 1.0), [1.0, 2.0, 3.0, 4.0])
