@@ -22,7 +22,7 @@ from . import algebra, surfaces
 from .descriptors import SurfaceFileError, load_surface
 from .kernel import ImmersionJet, hyperbolic_curvature
 from .kernel import euclidean_mean_curvature, fundamental_forms
-from .search import SearchConfig, generate_seeds, run_seeds
+from .search import STOP_REASONS, SearchConfig, generate_seeds, run_seeds
 from .surfaces import Kind
 
 SCHEMA_VERSION = 1
@@ -72,11 +72,20 @@ def _atomic_open(path: Path):
         raise
 
 
-def _format_column(values: np.ndarray) -> list[str]:
+# json.dumps spells the non-finite floats as JavaScript does
+JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _format_column(values: np.ndarray, specials: dict[str, str] | None = None) -> list[str]:
     """repr of each entry of a 1-d int64 or float64 array, with one repr call
-    per distinct bit pattern (so -0.0 and 0.0 stay apart)."""
+    per distinct bit pattern (so -0.0 and 0.0 stay apart).  With `specials`,
+    the repr of a NaN or an infinity is replaced by its entry there."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = np.array(list(map(repr, bits.view(values.dtype).tolist())), dtype=object)
+    unique = bits.view(values.dtype)
+    text = np.array(list(map(repr, unique.tolist())), dtype=object)
+    if specials is not None:
+        special = ~np.isfinite(unique)
+        text[special] = [specials[t] for t in text[special]]
     return text[inverse].tolist()
 
 
@@ -95,10 +104,32 @@ def _write_csv(path: Path, header, columns) -> None:
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _write_json(path: Path, payload: dict, columns=None) -> None:
+    """Write `payload` and the schema version as json.dumps(..., indent=2,
+    sort_keys=True) would, atomically.
+
+    `columns`, if given, are equal-length 1-d float64 arrays that go in as
+    payload["rows"], one list per row.  The rows are spelled column by column
+    in blocks of CSV_BLOCK_ROWS, as `_write_csv` does, and the bytes equal
+    json.dumps of the whole payload.
+    """
     payload = {"schema_version": SCHEMA_VERSION, **payload}
+    if columns is not None:
+        payload["rows"] = []
+    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with _atomic_open(path) as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        if columns is None or len(columns[0]) == 0:
+            fh.write(text)
+            return
+        head, tail = text.split('"rows": []')
+        fh.write(head + '"rows": [')
+        sep = "\n"
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            cells = (_format_column(c[start : start + CSV_BLOCK_ROWS], JSON_SPECIALS) for c in columns)
+            rows = map(",\n      ".join, zip(*cells))
+            fh.write(sep + "    [\n      " + "\n    ],\n    [\n      ".join(rows) + "\n    ]")
+            sep = ",\n"
+        fh.write("\n  ]" + tail)
 
 
 def _grid_axes(domain, n: int):
@@ -134,8 +165,7 @@ def cmd_curvature(args) -> int:
     if args.format == "csv":
         _write_csv(out / "curvature.csv", CURVATURE_COLUMNS, columns)
     else:
-        rows = np.stack(columns, axis=1).tolist()
-        _write_json(out / "curvature.json", {"columns": list(CURVATURE_COLUMNS), "rows": rows})
+        _write_json(out / "curvature.json", {"columns": list(CURVATURE_COLUMNS)}, columns)
     print(f"max |H| = {np.max(np.abs(rep.H)):.3e} over {len(columns[0])} points")
     return 0
 
@@ -209,6 +239,9 @@ def cmd_search(args) -> int:
             "best_supResidual": min(sups),
             "worst_supResidual": max(sups),
             "converged": sum(1 for r in results if r.converged),
+            "stop_reasons": {
+                reason: sum(r.stop_reasons.count(reason) for r in results) for reason in STOP_REASONS
+            },
         },
     )
     print(

@@ -15,6 +15,12 @@ step evaluates the cost r @ r alone, and only an accepted point builds the
 normal equations J.T @ J and J.T @ r, straight from the residual partials
 and the cached B-spline bases.  R(i, j) depends only on f near x_i and g
 near v_j, so both are sums of products of small stacked matrices.
+
+Each stage damps its steps by the gain ratio, the actual cost decrease over
+the decrease the linear model predicts, and ends for one of STOP_REASONS
+(see `_lm_stage`).  Two of them, a negligible predicted decrease and a step
+that changes no coefficient, cost no evaluation, so a stage at the roundoff
+floor ends in a few evaluations instead of raising the damping to its cap.
 """
 
 from __future__ import annotations
@@ -38,6 +44,9 @@ SMOOTHING_WEIGHTS = (30.0, 3.0, 0.3, 0.03, 0.0)
 REL_TOL = 1e-12
 CHECK_GRID = 101
 N_INTERIOR = 12
+
+# Why an LM stage ended; see `_lm_stage`.
+STOP_REASONS = ("rel_tol", "model", "noop_step", "damping_cap", "budget")
 
 
 class InfeasibleSeedError(ValueError):
@@ -88,8 +97,13 @@ class SearchResult:
     mean_square_residual: float
     plane_distance: float | None
     iterations: int
-    converged: bool
+    stop_reasons: tuple[str, ...]
     stage_costs: tuple[tuple[float, ...], ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        """The last stage stopped for any reason but its evaluation budget."""
+        return self.stop_reasons[-1] != "budget"
 
 
 def random_ansatz(
@@ -331,61 +345,92 @@ def _normal_equations(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: f
 # -- damped least squares with continuation ---------------------------
 
 
+def _damped_step(A: np.ndarray, g: np.ndarray, d: np.ndarray, mu: float):
+    """The step delta solving (A + mu*diag(d)) delta = -g, and the decrease
+    pred = -g.delta + mu * delta.diag(d).delta that the linear model predicts.
+
+    With A = J.T @ J and g = J.T @ r this is |r|^2 - |r + J delta|^2, exactly
+    in exact arithmetic, so pred >= 0.  Raises `np.linalg.LinAlgError` when
+    the damped system is singular.
+    """
+    delta = np.linalg.solve(A + mu * np.diag(d), -g)
+    return delta, float(-g @ delta + mu * (delta @ (d * delta)))
+
+
 def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
     """One continuation stage: damped least squares on the normal equations.
 
-    Hand-rolled Levenberg-Marquardt (diagonal-scaled damping, multiplicative
-    update) so every arithmetic step is plain numpy and runs are bit-for-bit
-    reproducible across processes.  A trial step costs one residual
-    evaluation (`_cost`).  Only an accepted point builds the normal equations
-    A = J.T @ J, g = J.T @ r, straight from the residual partials and the
-    cached bases (`_normal_equations`); the dense Jacobian is never formed.
-    nfev counts every residual evaluation, trial steps included.
+    Hand-rolled Levenberg-Marquardt (diagonal-scaled damping) so every
+    arithmetic step is plain numpy and runs are bit-for-bit reproducible
+    across processes.  A trial step costs one residual evaluation (`_cost`).
+    Only an accepted point builds the normal equations A = J.T @ J,
+    g = J.T @ r, straight from the residual partials and the cached bases
+    (`_normal_equations`); the dense Jacobian is never formed.  nfev counts
+    every residual evaluation, trial steps included.
 
-    A singular damped system raises the damping like a rejected step.  The
-    stage ends when the damping reaches its cap without a descent, when
-    `budget` evaluations are spent, or when an accepted step lowers the cost
-    by no more than REL_TOL relative.  Returns (ansatz, nfev,
-    converged, cost_trace); the trace records accepted costs only, so it is
-    non-increasing by construction.
+    The damping follows the gain ratio rho = (actual decrease) / pred of
+    `_damped_step` (Madsen, Nielsen & Tingleff, "Methods for non-linear
+    least squares problems", 2004, section 3.2): an accepted step scales mu
+    by max(1/3, 1 - (2 rho - 1)^3) and resets nu to 2; a rejected one scales
+    mu by nu and doubles nu.  A singular damped system raises mu tenfold.
+    mu stays in [1e-15, 1e15].  The stage ends for one of STOP_REASONS:
+
+    - rel_tol: an accepted step lowers the cost by no more than REL_TOL
+      relative;
+    - model: the linear model predicts no more than that decrease, so the
+      trial is not evaluated (pred only shrinks as mu grows);
+    - noop_step: x + delta equals x bit for bit, so the trial is not
+      evaluated;
+    - damping_cap: mu reaches its cap without a descent;
+    - budget: `budget` evaluations are spent.
+
+    Returns (ansatz, nfev, stop_reason, cost_trace); the trace records
+    accepted costs only, so it is non-increasing by construction.
     """
 
     def cost_at(x):
         return _cost(ansatz.with_coeffs(x), cfg, barrier_weight, smoothing_weight)
 
+    def stop(reason):
+        return ansatz.with_coeffs(x), nfev, reason, tuple(trace)
+
     x = ansatz.packed()
     cost = cost_at(x)
     trace = [cost]
     nfev = 1
-    mu = 1e-3
-    converged = False
+    mu, nu = 1e-3, 2.0
     while nfev < budget:
         A, g = _normal_equations(ansatz.with_coeffs(x), cfg, barrier_weight, smoothing_weight)
         d = np.maximum(np.diag(A), 1e-12)
-        step_taken = False
-        while nfev < budget and mu < 1e15:
+        while True:
+            if nfev >= budget:
+                return stop("budget")
+            if mu >= 1e15:
+                return stop("damping_cap")
             try:
-                delta = np.linalg.solve(A + mu * np.diag(d), -g)
+                delta, pred = _damped_step(A, g, d, mu)
             except np.linalg.LinAlgError:
                 mu = min(mu * 10.0, 1e15)
                 continue
+            if pred <= REL_TOL * max(cost, 1e-300):
+                return stop("model")
             x_new = x + delta
+            if np.array_equal(x_new, x):
+                return stop("noop_step")
             cost_new = cost_at(x_new)
             nfev += 1
             if cost_new < cost:
-                x, cost = x_new, cost_new
-                trace.append(cost)
-                mu = max(mu / 3.0, 1e-15)
-                step_taken = True
+                rho = (cost - cost_new) / pred
+                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
+                nu = 2.0
                 break
-            mu = min(mu * 4.0, 1e15)
-        if not step_taken:
-            converged = True
-            break
-        if trace[-2] - trace[-1] <= REL_TOL * max(trace[-1], 1e-300):
-            converged = True
-            break
-    return ansatz.with_coeffs(x), nfev, converged, tuple(trace)
+            mu = min(mu * nu, 1e15)
+            nu *= 2.0
+        x, cost = x_new, cost_new
+        trace.append(cost)
+        if trace[-2] - trace[-1] <= REL_TOL * max(cost, 1e-300):
+            return stop("rel_tol")
+    return stop("budget")
 
 
 def _stats(ansatz: SplineAnsatz, cfg: SearchConfig) -> tuple[float, float]:
@@ -411,14 +456,15 @@ def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) ->
     _check_feasible(seed, cfg)
     current = seed
     total_nfev = 0
-    converged = False
+    reasons = []
     traces = []
     barrier = BARRIER_WEIGHT if seed.kind is Kind.TYPE_I and not cfg.euclidean_control else 0.0
     for smooth_w in SMOOTHING_WEIGHTS:
-        current, nfev, converged, trace = _lm_stage(
+        current, nfev, reason, trace = _lm_stage(
             current, cfg, barrier, smooth_w, cfg.max_iterations
         )
         total_nfev += nfev
+        reasons.append(reason)
         traces.append(trace)
         if barrier > 0.0:
             barrier *= BARRIER_RAMP
@@ -426,7 +472,7 @@ def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) ->
     plane_d = None
     if current.kind is Kind.TYPE_II and not cfg.euclidean_control:
         plane_d = surfaces.plane_family_distance(current.surface())
-    return SearchResult(current, sup_r, msr, plane_d, total_nfev, converged, tuple(traces))
+    return SearchResult(current, sup_r, msr, plane_d, total_nfev, tuple(reasons), tuple(traces))
 
 
 # -- seed fan-out ------------------------------------------------------

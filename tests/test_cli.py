@@ -13,6 +13,7 @@ from hypmin import cli
 from hypmin.cli import main
 from hypmin.descriptors import SurfaceFileError, load_surface, parse_surface_text
 from hypmin.kernel import hyperbolic_curvature
+from hypmin.search import SMOOTHING_WEIGHTS, STOP_REASONS
 from hypmin.surfaces import Kind, TranslationSurface
 
 
@@ -223,6 +224,42 @@ def test_csv_spanning_several_blocks_matches_repr(tmp_path):
     assert (tmp_path / "t.csv").read_text() == reference_csv("abcd", rows)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2 * cli.CSV_BLOCK_ROWS + 17])
+def test_json_rows_match_json_dumps(tmp_path, n):
+    # NaN and the infinities take JSON's spellings; a NaN with its sign bit
+    # set is still NaN
+    rng = np.random.default_rng(5)
+    pool = np.array(SPECIAL_VALUES + [-math.nan] + list(rng.normal(size=20)))
+    columns = [rng.choice(pool, n), np.repeat(pool, n // len(pool) + 1)[:n], rng.normal(size=n)]
+    payload = {"columns": ["a", "b", "c"], "grid": 3}
+    cli._write_json(tmp_path / "t.json", payload, columns)
+    rows = np.stack(columns, axis=1).tolist()
+    want = json.dumps(
+        {"schema_version": cli.SCHEMA_VERSION, **payload, "rows": rows}, indent=2, sort_keys=True
+    )
+    assert (tmp_path / "t.json").read_text() == want + "\n"
+
+
+def test_curvature_json_matches_json_dumps_of_the_grid(tmp_path):
+    # 70 x 70 = 4900 rows: more than one block
+    surf = tmp_path / "s.txt"
+    surf.write_text("kind = hemisphere\nradius = 2 0.5 -0.25\n")
+    argv = ["curvature", "--surface", str(surf), "--grid", "70", "--format", "json", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    patch = load_surface(str(surf))
+    us, vs = cli._grid_axes(patch.domain, 70)
+    jet = patch.jet(us, vs)
+    rep = hyperbolic_curvature(jet)
+    grid = np.broadcast_arrays(us, vs, jet.X[..., 0], jet.X[..., 1], jet.X[..., 2], rep.He, rep.N3, rep.H)
+    payload = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "columns": list(cli.CURVATURE_COLUMNS),
+        "rows": np.stack([c.ravel() for c in grid], axis=1).tolist(),
+    }
+    want = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "curvature.json").read_text() == want
+
+
 def test_curvature_csv_matches_repr_of_the_grid(tmp_path):
     # 70 x 70 = 4900 rows: more than one block
     surf = tmp_path / "s.txt"
@@ -347,6 +384,9 @@ def test_search_type2_csv_and_summary(tmp_path):
         assert cols[5] == "1"
     summary = json.loads((tmp_path / "search_type2_summary.json").read_text())
     assert summary["converged"] == 3
+    assert list(summary["stop_reasons"]) == sorted(STOP_REASONS)
+    assert sum(summary["stop_reasons"].values()) == 3 * len(SMOOTHING_WEIGHTS)
+    assert summary["stop_reasons"]["budget"] == 0
     assert summary["config"] == {
         "grid": [33, 33],
         "z_floor": 0.2,

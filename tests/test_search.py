@@ -171,6 +171,70 @@ def test_lm_stops_when_every_solve_fails(monkeypatch):
     assert np.array_equal(res.ansatz.packed(), seed.packed())
 
 
+@pytest.mark.parametrize("kind,g_domain,control,z_slab,barrier,smoothing", [
+    (Kind.TYPE_I, (-1, 1), False, (1.6, 1.9), 4.0, 0.3),  # both slab sides active
+    (Kind.TYPE_II, (1, 2), False, None, 0.0, 0.0),
+    (Kind.TYPE_I, (-1, 1), True, None, 0.0, 0.0),
+])
+@pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
+def test_predicted_decrease_matches_dense_model(kind, g_domain, control, z_slab, barrier, smoothing, mu):
+    rng = np.random.default_rng(29)
+    cfg = SearchConfig(grid=(7, 9), euclidean_control=control)
+    lift = 0.0
+    if z_slab is not None:
+        cfg = replace(cfg, z_floor=z_slab[0], z_ceil=z_slab[1])
+        lift = 1.75
+    ansatz = search.random_ansatz(rng, kind, (-1, 1), g_domain, lift=lift)
+    r, J = residual_and_jacobian(ansatz, cfg, barrier, smoothing)
+    if z_slab is not None:
+        slack = r[63:126]
+        assert np.any(slack > 0.0) and np.any(slack < 0.0)
+    A, g = search._normal_equations(ansatz, cfg, barrier, smoothing)
+    delta, pred = search._damped_step(A, g, np.maximum(np.diag(A), 1e-12), mu)
+    model = r + J @ delta
+    dense = r @ r - model @ model
+    assert dense > 0.0
+    assert abs(pred - dense) <= 1e-12 * dense
+
+
+@pytest.mark.parametrize("kind,g_domain,control", [
+    (Kind.TYPE_II, (1, 2), False),
+    (Kind.TYPE_I, (-1, 1), True),
+])
+def test_restart_at_optimum_spends_few_evaluations(kind, g_domain, control):
+    cfg = SearchConfig(euclidean_control=control)
+    (seed,) = generate_seeds(1, kind, 1234, (-1, 1), g_domain, euclidean_control=control)
+    optimum = minimize_residual(seed, cfg)
+    rerun = minimize_residual(optimum.ansatz, cfg)
+    assert rerun.iterations <= 8 * len(search.SMOOTHING_WEIGHTS)
+    assert set(rerun.stop_reasons) <= {"model", "noop_step"}
+    assert rerun.sup_residual < 1e-12
+
+
+def test_every_stop_reason_occurs(monkeypatch):
+    (type1,) = generate_seeds(1, Kind.TYPE_I, 1234, (-1, 1), (-1, 1))
+    (type2,) = generate_seeds(1, Kind.TYPE_II, 1234, (-1, 1), (1, 2))
+    runs = [
+        minimize_residual(type1, FAST),
+        minimize_residual(type2, FAST),
+        minimize_residual(type2, replace(FAST, max_iterations=3)),
+    ]
+    assert {"rel_tol", "model"} <= set(runs[0].stop_reasons)
+    assert "noop_step" in runs[1].stop_reasons
+    assert runs[2].stop_reasons == ("budget",) * len(search.SMOOTHING_WEIGHTS)
+    assert not runs[2].converged
+
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    capped = minimize_residual(type2, FAST)
+    assert capped.stop_reasons == ("damping_cap",) * len(search.SMOOTHING_WEIGHTS)
+    assert capped.converged
+    seen = {reason for res in (*runs, capped) for reason in res.stop_reasons}
+    assert seen == set(search.STOP_REASONS)
+
+
 @pytest.mark.parametrize("kind,g_domain,lift", [(Kind.TYPE_I, (-1, 1), 1.5), (Kind.TYPE_II, (1, 2), 0.0)])
 def test_residual_grid_is_the_kernel_H(kind, g_domain, lift):
     ansatz = search.random_ansatz(np.random.default_rng(31), kind, (-1, 1), g_domain, lift=lift)
