@@ -239,6 +239,7 @@ def cmd_search(args) -> int:
             "best_supResidual": min(sups),
             "worst_supResidual": max(sups),
             "converged": sum(1 for r in results if r.converged),
+            "nfev_per_stage": [sum(stage) for stage in zip(*(r.stage_nfev for r in results))],
             "stop_reasons": {
                 reason: sum(r.stop_reasons.count(reason) for r in results) for reason in STOP_REASONS
             },

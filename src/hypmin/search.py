@@ -10,10 +10,13 @@ A Euclidean control objective (which does have solutions) demonstrates
 that the harness finds them when they exist.
 
 `residual_and_jacobian` defines the least-squares problem as a dense
-residual vector r and Jacobian J.  The optimizer never forms J: a trial
-step evaluates the cost r @ r alone, and only an accepted point builds the
-normal equations J.T @ J and J.T @ r, straight from the residual partials
-and the cached B-spline bases.  R(i, j) depends only on f near x_i and g
+residual vector r and Jacobian J.  The optimizer never forms J, and it
+evaluates each point once: `_evaluate` computes the spline rows, the
+residual grid R and the slab block at a coefficient vector, which gives the
+cost r @ r that tests a trial step.  When the step is accepted, `_assemble`
+builds the normal equations J.T @ J and J.T @ r from that same record and
+the cached B-spline bases; all it computes anew are R's partials, from the
+intermediates that produced R.  R(i, j) depends only on f near x_i and g
 near v_j, so both are sums of products of small stacked matrices.
 
 Each stage damps its steps by the gain ratio, the actual cost decrease over
@@ -26,8 +29,10 @@ floor ends in a few evaluations instead of raising the damping to its cap.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -96,9 +101,14 @@ class SearchResult:
     sup_residual: float
     mean_square_residual: float
     plane_distance: float | None
-    iterations: int
+    stage_nfev: tuple[int, ...]
     stop_reasons: tuple[str, ...]
     stage_costs: tuple[tuple[float, ...], ...] = ()
+
+    @property
+    def iterations(self) -> int:
+        """Residual evaluations over all stages, trial steps included."""
+        return sum(self.stage_nfev)
 
     @property
     def converged(self) -> bool:
@@ -156,6 +166,36 @@ def _spline_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (basis.reshape(3 * n, m) @ coeffs).reshape(3, n)
 
 
+def _euclidean_residual(fp, fpp, gp, gpp):
+    """The Euclidean type-I minimality expression S = (1+g'^2) f'' + (1+f'^2) g'',
+    returned as `surfaces.translation_mean_curvature` returns H: (S, partials)."""
+    P = 1.0 + fp ** 2
+    Q = 1.0 + gp ** 2
+    S = Q * fpp + P * gpp
+
+    def partials() -> dict:
+        zeros = np.zeros(S.shape)
+        return {
+            "f": zeros,
+            "fp": 2.0 * fp * gpp + zeros,
+            "fpp": Q + zeros,
+            "g": zeros,
+            "gp": 2.0 * gp * fpp + zeros,
+            "gpp": P + zeros,
+        }
+
+    return S, partials
+
+
+def _residual_terms(kind: Kind, cfg: SearchConfig, vs: np.ndarray, f: np.ndarray, g: np.ndarray):
+    """(R, partials) on the grid from the spline rows f, g of `_spline_values`."""
+    fp, fpp, gp, gpp = f[1][:, None], f[2][:, None], g[1][None, :], g[2][None, :]
+    if cfg.euclidean_control:
+        return _euclidean_residual(fp, fpp, gp, gpp)
+    height = f[0][:, None] + g[0][None, :] if kind is Kind.TYPE_I else vs[None, :]
+    return surfaces.translation_mean_curvature(kind, height, fp, fpp, gp, gpp)
+
+
 def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig, partials: bool = True):
     """The residual on the search grid and its partials w.r.t. the six local
     quantities: H from `surfaces.translation_mean_curvature`, or under
@@ -166,28 +206,9 @@ def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig, partials: bool = True
     None and only R is computed.
     """
     _, vs, bf, bg = _bases(ansatz, cfg)
-    f0, f1, f2 = _spline_values(bf, ansatz.f_coeffs)
-    g0, g1, g2 = _spline_values(bg, ansatz.g_coeffs)
-    fp, fpp, gp, gpp = f1[:, None], f2[:, None], g1[None, :], g2[None, :]
-    if not cfg.euclidean_control:
-        height = f0[:, None] + g0[None, :] if ansatz.kind is Kind.TYPE_I else vs[None, :]
-        return surfaces.translation_mean_curvature(ansatz.kind, height, fp, fpp, gp, gpp, partials)
-
-    # Euclidean type-I minimality: (1+g'^2) f'' + (1+f'^2) g''
-    P = 1.0 + fp ** 2
-    Q = 1.0 + gp ** 2
-    S = Q * fpp + P * gpp
-    if not partials:
-        return S, None
-    zeros = np.zeros(S.shape)
-    return S, {
-        "f": zeros,
-        "fp": 2.0 * fp * gpp + zeros,
-        "fpp": Q + zeros,
-        "g": zeros,
-        "gp": 2.0 * gp * fpp + zeros,
-        "gpp": P + zeros,
-    }
+    f, g = _spline_values(bf, ansatz.f_coeffs), _spline_values(bg, ansatz.g_coeffs)
+    R, dR = _residual_terms(ansatz.kind, cfg, vs, f, g)
+    return R, dR() if partials else None
 
 
 def _slab(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, f0, g0):
@@ -233,8 +254,9 @@ def residual_and_jacobian(
     Optional extra residual blocks: the type-I slab barrier (`_slab`) and
     the continuation smoothing penalty
     sqrt(w) * f'' (resp. g'') on the grid lines.  This dense form defines
-    the least-squares problem; the optimizer works from `_cost` and
-    `_normal_equations`, which give the same r @ r, J.T @ J and J.T @ r.
+    the least-squares problem; the optimizer works from `_evaluate` and
+    `_assemble`, which give the same r @ r, J.T @ J and J.T @ r, as do
+    their wrappers `_cost` and `_normal_equations`.
     """
     _, _, bf, bg = _bases(ansatz, cfg)
     (Bf, Bf1, Bf2), (Bg, Bg1, Bg2) = bf, bg
@@ -272,15 +294,40 @@ def residual_and_jacobian(
     return _residual_vector(R, slab, smoothing_weight, f, g), np.vstack(J_blocks)
 
 
-def _cost(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float) -> float:
-    """r @ r for the r of `residual_and_jacobian`, from the residual values alone."""
-    _, _, bf, bg = _bases(ansatz, cfg)
-    f, g = _spline_values(bf, ansatz.f_coeffs), _spline_values(bg, ansatz.g_coeffs)
-    R, _ = residual_grid(ansatz, cfg, partials=False)
-    r = _residual_vector(R, _slab(ansatz, cfg, barrier_weight, f[0], g[0]), smoothing_weight, f, g)
+@dataclass(frozen=True)
+class _Evaluation:
+    """The least-squares problem of one stage at one coefficient vector x:
+    the cost r @ r and what `_assemble` builds the normal equations from,
+    the spline rows f, g, the residual grid R, the slab block and R's
+    partials, which come on demand from the intermediates that gave R."""
+
+    cost: float
+    f: np.ndarray
+    g: np.ndarray
+    R: np.ndarray
+    slab: tuple[np.ndarray, np.ndarray] | None
+    partials: Callable[[], dict]
+
+
+def _evaluate(
+    ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float, x: np.ndarray
+) -> _Evaluation:
+    """Evaluate the problem of `residual_and_jacobian` at the packed
+    coefficients x; ansatz supplies only the kind, the domains and the sizes."""
+    _, vs, bf, bg = _bases(ansatz, cfg)
+    mf = bf.shape[2]
+    f, g = _spline_values(bf, x[:mf]), _spline_values(bg, x[mf:])
+    R, partials = _residual_terms(ansatz.kind, cfg, vs, f, g)
+    slab = _slab(ansatz, cfg, barrier_weight, f[0], g[0])
+    r = _residual_vector(R, slab, smoothing_weight, f, g)
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidualError("non-finite residual during optimization")
-    return float(r @ r)
+    return _Evaluation(float(r @ r), f, g, R, slab, partials)
+
+
+def _cost(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float) -> float:
+    """r @ r for the r of `residual_and_jacobian`, from the residual values alone."""
+    return _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed()).cost
 
 
 def _basis_gram(basis: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -290,9 +337,9 @@ def _basis_gram(basis: np.ndarray, S: np.ndarray) -> np.ndarray:
     return basis.reshape(3 * n, m).T @ weighted
 
 
-def _normal_equations(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float):
-    """A = J.T @ J and g = J.T @ r for the (r, J) of `residual_and_jacobian`,
-    without forming J.
+def _assemble(ev: _Evaluation, bf: np.ndarray, bg: np.ndarray, smoothing_weight: float):
+    """A = J.T @ J and g = J.T @ r at the point of the evaluation `ev`, for
+    the stacked bases bf, bg of `_bases`; only R's partials are computed here.
 
     R(i, j) depends only on f at x_i and g at v_j.  Write D_k = dR/df^(k) and
     E_l = dR/dg^(l) for the value and first two derivatives (k, l = 0, 1, 2),
@@ -306,11 +353,9 @@ def _normal_equations(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: f
     to the k = l = 2 terms.  Each sum over (k, l) is one matmul over the
     (3n, m) stacked bases.
     """
-    _, _, bf, bg = _bases(ansatz, cfg)
     _, nx, mf = bf.shape
     _, nz, mg = bg.shape
-    f, g = _spline_values(bf, ansatz.f_coeffs), _spline_values(bg, ansatz.g_coeffs)
-    R, dR = residual_grid(ansatz, cfg)
+    f, g, R, dR = ev.f, ev.g, ev.R, ev.partials()
     D = np.stack([dR["f"], dR["fp"], dR["fpp"]])  # (3, nx, nz)
     E = np.stack([dR["g"], dR["gp"], dR["gpp"]])
     Sf = D.transpose(1, 0, 2) @ D.transpose(1, 2, 0)  # (nx, 3, 3): sum_j D_k*D_l
@@ -318,9 +363,8 @@ def _normal_equations(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: f
     DE = (D[:, :, None, :] * E.transpose(1, 0, 2)[None]).reshape(3 * nx, 3 * nz)
     rf = (D * R).sum(axis=2)  # (3, nx): sum_j D_k*R
     rg = (E * R).sum(axis=1)  # (3, nz): sum_i E_l*R
-    slab = _slab(ansatz, cfg, barrier_weight, f[0], g[0])
-    if slab is not None:
-        slack, sign = slab
+    if ev.slab is not None:
+        slack, sign = ev.slab
         sign2 = sign * sign
         Sf[:, 0, 0] += sign2.sum(axis=1)
         Sg[:, 0, 0] += sign2.sum(axis=0)
@@ -340,6 +384,14 @@ def _normal_equations(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: f
     A[:mf, mf:] = Bm.T @ DE @ Cm
     A[mf:, :mf] = A[:mf, mf:].T
     return A, np.concatenate([Bm.T @ rf.reshape(-1), Cm.T @ rg.reshape(-1)])
+
+
+def _normal_equations(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float):
+    """A = J.T @ J and g = J.T @ r for the (r, J) of `residual_and_jacobian`,
+    without forming J (see `_assemble`)."""
+    _, _, bf, bg = _bases(ansatz, cfg)
+    ev = _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed())
+    return _assemble(ev, bf, bg, smoothing_weight)
 
 
 # -- damped least squares with continuation ---------------------------
@@ -362,11 +414,15 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
 
     Hand-rolled Levenberg-Marquardt (diagonal-scaled damping) so every
     arithmetic step is plain numpy and runs are bit-for-bit reproducible
-    across processes.  A trial step costs one residual evaluation (`_cost`).
-    Only an accepted point builds the normal equations A = J.T @ J,
-    g = J.T @ r, straight from the residual partials and the cached bases
-    (`_normal_equations`); the dense Jacobian is never formed.  nfev counts
-    every residual evaluation, trial steps included.
+    across processes.  The stage iterates on the packed coefficients x.  A
+    trial step costs one evaluation (`_evaluate`): the spline rows, R and
+    the slab block at x + delta, and the cost.  A rejected trial's record is
+    dropped at once; an accepted one becomes the current point, and its
+    record builds the normal equations A = J.T @ J, g = J.T @ r
+    (`_assemble`), which adds only R's partials from the record's own
+    intermediates.  The dense Jacobian is never formed, no point is
+    evaluated twice, and a `SplineAnsatz` is built only when the stage
+    returns.  nfev counts every evaluation, trial steps included.
 
     The damping follows the gain ratio rho = (actual decrease) / pred of
     `_damped_step` (Madsen, Nielsen & Tingleff, "Methods for non-linear
@@ -388,19 +444,20 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
     accepted costs only, so it is non-increasing by construction.
     """
 
-    def cost_at(x):
-        return _cost(ansatz.with_coeffs(x), cfg, barrier_weight, smoothing_weight)
+    def evaluate(x):
+        return _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x)
 
     def stop(reason):
         return ansatz.with_coeffs(x), nfev, reason, tuple(trace)
 
+    _, _, bf, bg = _bases(ansatz, cfg)
     x = ansatz.packed()
-    cost = cost_at(x)
-    trace = [cost]
+    here = evaluate(x)
+    trace = [here.cost]
     nfev = 1
     mu, nu = 1e-3, 2.0
     while nfev < budget:
-        A, g = _normal_equations(ansatz.with_coeffs(x), cfg, barrier_weight, smoothing_weight)
+        A, g = _assemble(here, bf, bg, smoothing_weight)
         d = np.maximum(np.diag(A), 1e-12)
         while True:
             if nfev >= budget:
@@ -412,23 +469,24 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
             except np.linalg.LinAlgError:
                 mu = min(mu * 10.0, 1e15)
                 continue
-            if pred <= REL_TOL * max(cost, 1e-300):
+            if pred <= REL_TOL * max(here.cost, 1e-300):
                 return stop("model")
             x_new = x + delta
             if np.array_equal(x_new, x):
                 return stop("noop_step")
-            cost_new = cost_at(x_new)
+            trial = evaluate(x_new)
             nfev += 1
-            if cost_new < cost:
-                rho = (cost - cost_new) / pred
+            if trial.cost < here.cost:
+                rho = (here.cost - trial.cost) / pred
                 mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
                 nu = 2.0
                 break
+            del trial  # a rejected trial's record is not kept
             mu = min(mu * nu, 1e15)
             nu *= 2.0
-        x, cost = x_new, cost_new
-        trace.append(cost)
-        if trace[-2] - trace[-1] <= REL_TOL * max(cost, 1e-300):
+        x, here = x_new, trial
+        trace.append(here.cost)
+        if trace[-2] - trace[-1] <= REL_TOL * max(here.cost, 1e-300):
             return stop("rel_tol")
     return stop("budget")
 
@@ -455,7 +513,7 @@ def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) ->
     """Optimize the ansatz; deterministic given (seed, cfg)."""
     _check_feasible(seed, cfg)
     current = seed
-    total_nfev = 0
+    nfevs = []
     reasons = []
     traces = []
     barrier = BARRIER_WEIGHT if seed.kind is Kind.TYPE_I and not cfg.euclidean_control else 0.0
@@ -463,7 +521,7 @@ def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) ->
         current, nfev, reason, trace = _lm_stage(
             current, cfg, barrier, smooth_w, cfg.max_iterations
         )
-        total_nfev += nfev
+        nfevs.append(nfev)
         reasons.append(reason)
         traces.append(trace)
         if barrier > 0.0:
@@ -472,7 +530,7 @@ def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) ->
     plane_d = None
     if current.kind is Kind.TYPE_II and not cfg.euclidean_control:
         plane_d = surfaces.plane_family_distance(current.surface())
-    return SearchResult(current, sup_r, msr, plane_d, total_nfev, tuple(reasons), tuple(traces))
+    return SearchResult(current, sup_r, msr, plane_d, tuple(nfevs), tuple(reasons), tuple(traces))
 
 
 # -- seed fan-out ------------------------------------------------------
@@ -499,7 +557,13 @@ def _run_one(args) -> SearchResult:
 def run_seeds(
     seeds: list[SplineAnsatz], cfg: SearchConfig, workers: int = 1
 ) -> list[SearchResult]:
-    """Run all seeds; results are merged in seed order regardless of workers."""
+    """Run all seeds; results are merged in seed order regardless of workers.
+
+    At most min(workers, len(seeds), os.cpu_count()) processes start, and
+    none when that is 1: a fork-started pool launches all of its processes
+    up front, so an unbounded `workers` would fork that many.
+    """
+    workers = min(workers, len(seeds), os.cpu_count() or 1)
     if workers <= 1:
         return [minimize_residual(s, cfg) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -225,7 +225,7 @@ def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True) -> Imme
 # -- closed-form minimality residuals ---------------------------------
 
 
-def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp, partials: bool = False):
+def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp):
     """Hyperbolic mean curvature H of a translation graph, in closed form.
 
     height is f+g for type I (z = f(x) + g(y)) and z for type II
@@ -235,8 +235,11 @@ def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp, partials: b
         type I:   H = (f+g) S / (2 W^3) + 1/W
         type II:  H = -z S / (2 W^3) + g'/W
 
-    Returns (H, dH): dH is None, or with `partials` a dict of the partials
-    of H w.r.t. f, f', f'', g, g', g'' (keys f, fp, fpp, g, gp, gpp).
+    Returns (H, partials).  H is computed at once; partials() returns the
+    dict of the partials of H w.r.t. f, f', f'', g, g', g'' (keys f, fp,
+    fpp, g, gp, gpp), built on demand from the P, Q, S, W^2, W and W^3 that
+    produced H.  A caller that needs H alone never pays for them, and one
+    that needs both later evaluates the formula once.
     """
     P = 1.0 + fp ** 2
     Q = 1.0 + gp ** 2
@@ -249,28 +252,30 @@ def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp, partials: b
         H = height * He + 1.0 / W
     else:
         H = -height * S / (2.0 * W3) + gp / W
-    if not partials:
-        return H, None
-    T = 1.5 * S / W2
-    if kind is Kind.TYPE_I:
-        # dHe/df' = f' (g'' - T) / W^3 and dHe/dg' = g' (f'' - T) / W^3
-        return H, {
-            "f": He,
-            "fp": fp * (height * (gpp - T) - 1.0) / W3,
-            "fpp": height * Q / (2.0 * W3),
-            "g": He,
-            "gp": gp * (height * (fpp - T) - 1.0) / W3,
-            "gpp": height * P / (2.0 * W3),
+
+    def partials() -> dict:
+        T = 1.5 * S / W2
+        if kind is Kind.TYPE_I:
+            # dHe/df' = f' (g'' - T) / W^3 and dHe/dg' = g' (f'' - T) / W^3
+            return {
+                "f": He,
+                "fp": fp * (height * (gpp - T) - 1.0) / W3,
+                "fpp": height * Q / (2.0 * W3),
+                "g": He,
+                "gp": gp * (height * (fpp - T) - 1.0) / W3,
+                "gpp": height * P / (2.0 * W3),
+            }
+        zeros = np.zeros(H.shape)
+        return {
+            "f": zeros,
+            "fp": fp * (height * (T - gpp) - gp) / W3,
+            "fpp": -height * Q / (2.0 * W3),
+            "g": zeros,
+            "gp": (gp * height * (T - fpp) + P) / W3,
+            "gpp": -height * P / (2.0 * W3),
         }
-    zeros = np.zeros(H.shape)
-    return H, {
-        "f": zeros,
-        "fp": fp * (height * (T - gpp) - gp) / W3,
-        "fpp": -height * Q / (2.0 * W3),
-        "g": zeros,
-        "gp": (gp * height * (T - fpp) + P) / W3,
-        "gpp": -height * P / (2.0 * W3),
-    }
+
+    return H, partials
 
 
 def _minimality_residual(s: TranslationSurface, kind: Kind, u, v):

@@ -387,6 +387,8 @@ def test_search_type2_csv_and_summary(tmp_path):
     assert list(summary["stop_reasons"]) == sorted(STOP_REASONS)
     assert sum(summary["stop_reasons"].values()) == 3 * len(SMOOTHING_WEIGHTS)
     assert summary["stop_reasons"]["budget"] == 0
+    assert len(summary["nfev_per_stage"]) == len(SMOOTHING_WEIGHTS)
+    assert sum(summary["nfev_per_stage"]) == sum(int(line.split(",")[4]) for line in lines[1:])
     assert summary["config"] == {
         "grid": [33, 33],
         "z_floor": 0.2,

@@ -235,6 +235,118 @@ def test_every_stop_reason_occurs(monkeypatch):
     assert seen == set(search.STOP_REASONS)
 
 
+@pytest.mark.parametrize("kind,g_domain", [(Kind.TYPE_I, (-1, 1)), (Kind.TYPE_II, (1, 2))])
+def test_one_evaluation_per_counted_nfev(monkeypatch, kind, g_domain):
+    (seed,) = generate_seeds(1, kind, 1234, (-1, 1), g_domain)
+    evaluate, with_coeffs = search._evaluate, SplineAnsatz.with_coeffs
+    calls = {"evaluate": 0, "with_coeffs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(search, "_evaluate", counted("evaluate", evaluate))
+    monkeypatch.setattr(SplineAnsatz, "with_coeffs", counted("with_coeffs", with_coeffs))
+    res = minimize_residual(seed, FAST)
+    assert len(res.stage_nfev) == len(search.SMOOTHING_WEIGHTS)
+    assert calls["evaluate"] == res.iterations == sum(res.stage_nfev)
+    assert calls["with_coeffs"] == len(search.SMOOTHING_WEIGHTS)  # once per stage, when it returns
+
+
+@pytest.mark.parametrize("kind,g_domain,control,z_slab,barrier,smoothing", [
+    (Kind.TYPE_I, (-1, 1), False, (1.6, 1.9), 4.0, 0.5),  # both slab sides active
+    (Kind.TYPE_II, (1, 2), False, None, 0.0, 0.0),
+    (Kind.TYPE_I, (-1, 1), True, None, 0.0, 0.5),
+])
+def test_reused_record_equals_fresh_normal_equations(monkeypatch, kind, g_domain, control, z_slab, barrier, smoothing):
+    rng = np.random.default_rng(29)
+    cfg = SearchConfig(grid=(7, 9), euclidean_control=control)
+    lift = 0.0
+    if z_slab is not None:
+        cfg = replace(cfg, z_floor=z_slab[0], z_ceil=z_slab[1])
+        lift = 1.75
+    ansatz = search.random_ansatz(rng, kind, (-1, 1), g_domain, lift=lift)
+    evaluate, assemble = search._evaluate, search._assemble
+    points = {}  # id of a record -> (record, its x); holding the record keeps its id unique
+    built = []  # (x, A, g) for every build in the stage
+
+    def recording_evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x):
+        ev = evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x)
+        points[id(ev)] = (ev, x.copy())
+        return ev
+
+    def recording_assemble(ev, bf, bg, smoothing_weight):
+        A, g = assemble(ev, bf, bg, smoothing_weight)
+        built.append((ev, points[id(ev)][1], A, g))
+        return A, g
+
+    monkeypatch.setattr(search, "_evaluate", recording_evaluate)
+    monkeypatch.setattr(search, "_assemble", recording_assemble)
+    search._lm_stage(ansatz, cfg, barrier, smoothing, 12)
+    monkeypatch.undo()
+    assert len(built) >= 3  # the start and at least two accepted trials
+    for ev, x, A, g in built[1:]:
+        if z_slab is not None:
+            slack = ev.slab[0]
+            assert np.any(slack > 0.0) and np.any(slack < 0.0)
+        A_fresh, g_fresh = search._normal_equations(ansatz.with_coeffs(x), cfg, barrier, smoothing)
+        assert np.array_equal(A, A_fresh) and np.array_equal(g, g_fresh)
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_worker_pool_is_bounded(monkeypatch):
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    seeds = generate_seeds(4, Kind.TYPE_II, 5, (-1, 1), (1, 2))
+    want = [minimize_residual(s, FAST).sup_residual for s in seeds]
+
+    def sups(n, workers):
+        return [r.sup_residual for r in run_seeds(seeds[:n], FAST, workers=workers)]
+
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    assert sups(4, 5000) == want
+    assert sups(2, 5000) == want[:2]
+    assert sups(1, 5000) == want[:1]
+    assert _InlinePool.sizes == [3, 2]  # min(workers, seeds, cpus); one process runs in-process
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    assert sups(2, 2) == want[:2]
+    assert _InlinePool.sizes == [3, 2]
+
+
+def test_search_command_bounds_the_pool(monkeypatch, tmp_path):
+    from hypmin.cli import main
+
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    args = ["search", "--kind", "type2", "--seeds", "2", "--seed", "5"]
+    assert main([*args, "--workers", "64", "--out", str(tmp_path / "pool")]) == 0
+    assert _InlinePool.sizes == [2]
+    assert main([*args, "--out", str(tmp_path / "seq")]) == 0
+    for name in ("search_type2.csv", "search_type2_summary.json"):
+        assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "seq" / name).read_bytes()
+
+
 @pytest.mark.parametrize("kind,g_domain,lift", [(Kind.TYPE_I, (-1, 1), 1.5), (Kind.TYPE_II, (1, 2), 0.0)])
 def test_residual_grid_is_the_kernel_H(kind, g_domain, lift):
     ansatz = search.random_ansatz(np.random.default_rng(31), kind, (-1, 1), g_domain, lift=lift)
