@@ -1,16 +1,20 @@
 """Exact multivariate polynomial arithmetic and the identity verifier.
 
-Everything here runs over big rationals (fractions.Fraction); no floating
-point enters any verification.  The default variable universe is
-(a, b, z, X): the two separation constants, the height coordinate, and the
-substitution X = g'.  A few verifications use auxiliary formal symbols
-(p = f', s = f'', u = f''') over the same machinery.
+Everything here runs over the rationals: a coefficient is a Python int
+when it is integral and a fractions.Fraction otherwise.  No floating point
+enters any verification; MultiPoly rejects it at its boundary.  The
+default variable universe is (a, b, z, X): the two separation constants,
+the height coordinate, and the substitution X = g'.  A few verifications
+use auxiliary formal symbols (p = f', s = f'', u = f''') over the same
+machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Rational
+from operator import add
 from typing import Iterable, Mapping
 
 DEFAULT_VARS = ("a", "b", "z", "X")
@@ -21,22 +25,38 @@ class DegreeOverflowError(ArithmeticError):
     """An exponent exceeded the supported degree bound."""
 
 
-class MultiPoly:
-    """Canonical multivariate polynomial with Fraction coefficients.
+def _rational(value, what: str) -> int | Fraction:
+    """value as a coefficient: an int if integral, else a Fraction.
+    Floats, numpy floats included, are not rational: TypeError."""
+    if not isinstance(value, Rational):
+        raise TypeError(f"{what} must be rational, got {type(value).__name__} {value!r}")
+    num, den = int(value.numerator), int(value.denominator)
+    return num if den == 1 else Fraction(num, den)
 
-    terms maps exponent tuples (aligned with `vars`) to nonzero Fractions.
+
+class MultiPoly:
+    """Canonical multivariate polynomial with rational coefficients.
+
+    terms maps exponent tuples (aligned with `vars`) to nonzero
+    coefficients: an int when integral, a Fraction otherwise.  The
+    constructor, `const` and `var` validate their input; the ring
+    operations build their results through `_make`, which trusts it.
     """
 
     __slots__ = ("vars", "terms")
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None, vars=DEFAULT_VARS):
+    def __init__(self, terms: Mapping[tuple, Rational] | None = None, vars=DEFAULT_VARS):
         self.vars = tuple(vars)
+        if not self.vars:
+            raise ValueError("a polynomial needs at least one variable")
         clean = {}
         if terms:
             for exps, coeff in terms.items():
-                c = Fraction(coeff)
+                c = _rational(coeff, "coefficient")
                 if c == 0:
                     continue
+                if not all(isinstance(e, Integral) for e in exps):
+                    raise TypeError(f"exponents must be integers, got {exps}")
                 exps = tuple(int(e) for e in exps)
                 if len(exps) != len(self.vars):
                     raise ValueError(f"exponent tuple {exps} does not match vars {self.vars}")
@@ -44,10 +64,24 @@ class MultiPoly:
                     raise ValueError(f"negative exponent in {exps}")
                 if any(e > MAX_DEGREE for e in exps):
                     raise DegreeOverflowError(f"exponent {exps} exceeds degree bound {MAX_DEGREE}")
-                clean[exps] = clean.get(exps, Fraction(0)) + c
+                clean[exps] = _rational(clean.get(exps, 0) + c, "coefficient")
                 if clean[exps] == 0:
                     del clean[exps]
         self.terms = clean
+
+    @classmethod
+    def _make(cls, terms: dict, vars: tuple) -> "MultiPoly":
+        """The result of a ring operation on valid polynomials over `vars`:
+        drops the zeros that cancellation leaves and stores an integral
+        Fraction as its int.  Nothing else is checked."""
+        out = object.__new__(cls)
+        out.vars = vars
+        out.terms = {
+            e: (c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
+            for e, c in terms.items()
+            if c
+        }
+        return out
 
     # -- constructors -------------------------------------------------
 
@@ -58,13 +92,13 @@ class MultiPoly:
     @classmethod
     def const(cls, c, vars=DEFAULT_VARS) -> "MultiPoly":
         z = tuple(0 for _ in vars)
-        return cls({z: Fraction(c)}, vars)
+        return cls({z: c}, vars)
 
     @classmethod
     def var(cls, name: str, vars=DEFAULT_VARS) -> "MultiPoly":
         i = vars.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls({exps: Fraction(1)}, vars)
+        return cls({exps: 1}, vars)
 
     # -- ring operations ----------------------------------------------
 
@@ -73,19 +107,19 @@ class MultiPoly:
             if other.vars != self.vars:
                 raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
             return other
-        return MultiPoly.const(other, self.vars)
+        return MultiPoly._make({(0,) * len(self.vars): _rational(other, "coefficient")}, self.vars)
 
     def __add__(self, other) -> "MultiPoly":
         o = self._coerce(other)
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(terms, self.vars)
+            terms[e] = terms.get(e, 0) + c
+        return MultiPoly._make(terms, self.vars)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly({e: -c for e, c in self.terms.items()}, self.vars)
+        return MultiPoly._make({e: -c for e, c in self.terms.items()}, self.vars)
 
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
@@ -95,21 +129,21 @@ class MultiPoly:
 
     def __mul__(self, other) -> "MultiPoly":
         o = self._coerce(other)
-        terms: dict[tuple, Fraction] = {}
+        terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if any(x > MAX_DEGREE for x in e):
+                e = tuple(map(add, e1, e2))
+                if max(e) > MAX_DEGREE:
                     raise DegreeOverflowError(f"product exponent {e} exceeds {MAX_DEGREE}")
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(terms, self.vars)
+                terms[e] = terms.get(e, 0) + c1 * c2
+        return MultiPoly._make(terms, self.vars)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power")
-        out = MultiPoly.const(1, self.vars)
+        out = self._coerce(1)
         for _ in range(n):
             out = out * self
         return out
@@ -127,45 +161,46 @@ class MultiPoly:
 
     # -- queries ------------------------------------------------------
 
-    def evaluate(self, point: Mapping[str, Fraction]) -> Fraction:
+    def evaluate(self, point: Mapping[str, Rational]) -> Fraction:
+        values = {name: _rational(point[name], f"value of {name}") for name in self.vars if name in point}
         total = Fraction(0)
         for exps, coeff in self.terms.items():
             term = coeff
             for name, e in zip(self.vars, exps):
                 if e:
-                    term *= Fraction(point[name]) ** e
+                    term *= values[name] ** e
             total += term
         return total
 
     def partial(self, name: str) -> "MultiPoly":
         i = self.vars.index(name)
-        terms: dict[tuple, Fraction] = {}
+        terms: dict = {}
         for exps, coeff in self.terms.items():
             if exps[i] == 0:
                 continue
             e = list(exps)
             e[i] -= 1
             e = tuple(e)
-            terms[e] = terms.get(e, Fraction(0)) + coeff * exps[i]
-        return MultiPoly(terms, self.vars)
+            terms[e] = terms.get(e, 0) + coeff * exps[i]
+        return MultiPoly._make(terms, self.vars)
 
     def substitute(self, name: str, value: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for a variable (exact)."""
         value = self._coerce(value)
         i = self.vars.index(name)
-        out = MultiPoly.zero(self.vars)
+        out = MultiPoly._make({}, self.vars)
         for exps, coeff in self.terms.items():
             rest = list(exps)
             power = rest[i]
             rest[i] = 0
-            mono = MultiPoly({tuple(rest): coeff}, self.vars)
+            mono = MultiPoly._make({tuple(rest): coeff}, self.vars)
             out = out + mono * value ** power
         return out
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         """Coefficient of the lexicographically largest exponent tuple."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         return self.terms[max(self.terms)]
 
     def content(self) -> Fraction:
@@ -181,9 +216,9 @@ class MultiPoly:
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
 
-    def scaled(self, factor: Fraction) -> "MultiPoly":
-        factor = Fraction(factor)
-        return MultiPoly({e: c * factor for e, c in self.terms.items()}, self.vars)
+    def scaled(self, factor) -> "MultiPoly":
+        factor = _rational(factor, "factor")
+        return MultiPoly._make({e: c * factor for e, c in self.terms.items()}, self.vars)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -383,7 +418,7 @@ def _constant_ratio(p: MultiPoly, q: MultiPoly) -> Fraction | None:
         return None
     if set(p.terms) != set(q.terms):
         return None
-    ratios = {p.terms[e] / q.terms[e] for e in q.terms}
+    ratios = {Fraction(p.terms[e], q.terms[e]) for e in q.terms}
     if len(ratios) == 1:
         return ratios.pop()
     return None

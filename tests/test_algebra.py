@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,9 @@ from scipy.optimize import brentq
 from hypmin import algebra
 from hypmin.algebra import (
     EXACT,
+    MAX_DEGREE,
     MISMATCH,
+    UP_TO_FACTOR,
     DegreeOverflowError,
     MultiPoly,
     RationalFunction,
@@ -197,3 +203,138 @@ def test_partial_of_substitute_chain(p):
     # d/dz of p(z -> z) is just partial; sanity: substitute identity is no-op
     z = MultiPoly.var("z")
     assert p.substitute("z", z) == p
+
+
+# -- the validating boundary and the canonical form -------------------
+
+
+def test_constructor_boundary_checks():
+    with pytest.raises(ValueError):
+        MultiPoly({(1, -1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly({(1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        MultiPoly({(): 1}, vars=())
+    with pytest.raises(TypeError):
+        MultiPoly({(1.5, 0, 0, 0): 1})
+    assert MultiPoly({(np.int64(1), 0, 0, 0): 1}) == MultiPoly.var("a")
+    with pytest.raises(DegreeOverflowError):
+        MultiPoly({(0, 0, MAX_DEGREE + 1, 0): 1})
+    assert not MultiPoly({(0, 0, MAX_DEGREE, 0): 1}).is_zero()
+
+
+def test_degree_overflow_from_ring_operations():
+    z = MultiPoly.var("z")
+    X = MultiPoly.var("X")
+    assert z ** MAX_DEGREE == MultiPoly({(0, 0, MAX_DEGREE, 0): 1})
+    with pytest.raises(DegreeOverflowError):
+        z ** 9 * z ** 8
+    with pytest.raises(DegreeOverflowError):
+        (X ** 9).substitute("X", z ** 2)
+
+
+@pytest.mark.parametrize("bad", [0.1, 0.5, 3.0, np.float64(0.5), np.float32(2.0)])
+def test_non_rational_coefficients_rejected(bad):
+    a = MultiPoly.var("a")
+    with pytest.raises(TypeError):
+        MultiPoly({(1, 0, 0, 0): bad})
+    with pytest.raises(TypeError):
+        MultiPoly.const(bad)
+    with pytest.raises(TypeError):
+        a.scaled(bad)
+    with pytest.raises(TypeError):
+        a + bad
+    with pytest.raises(TypeError):
+        a * bad
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(0.5)])
+def test_non_rational_points_rejected(bad):
+    p = build_named("q1")
+    with pytest.raises(TypeError):
+        p.evaluate({**ONES, "z": bad})
+    with pytest.raises(TypeError):
+        RationalFunction.make(p, p + 1).evaluate({**ONES, "a": bad})
+
+
+def test_rational_inputs_become_canonical_coefficients():
+    one = (0, 0, 0, 0)
+    assert type(MultiPoly.const(np.int64(3)).terms[one]) is int
+    assert type(MultiPoly.const(Fraction(6, 3)).terms[one]) is int
+    assert MultiPoly.const(Fraction(1, 2)).terms[one] == Fraction(1, 2)
+    assert type(build_named("q1").evaluate({k: np.int64(1) for k in ONES})) is Fraction
+
+
+@pytest.mark.parametrize(
+    "scale,factor,text",
+    [(Fraction(1, 3), Fraction(3), "3"), (Fraction(3), Fraction(1, 3), "1/3")],
+)
+def test_elimination_up_to_factor(monkeypatch, scale, factor, text):
+    real = algebra.build_named
+
+    def scaled_final7(name):
+        poly = real(name)
+        return poly.scaled(scale) if name == "final7" else poly
+
+    monkeypatch.setattr(algebra, "build_named", scaled_final7)
+    *_, final_report = solve_X_and_eliminate()
+    assert final_report.status == UP_TO_FACTOR and final_report.ok
+    assert final_report.factor == factor
+    assert type(final_report.factor) is Fraction
+    assert final_report.to_json()["factor"] == text
+
+
+def test_every_verification_recomputes():
+    # Nothing is cached across calls, so each `hypmin verify` redoes the
+    # whole elimination chain.  A fresh interpreter, so that no earlier
+    # test has warmed a cache.
+    code = (
+        "from hypmin.algebra import MultiPoly, run_all_verifications\n"
+        "calls = []\n"
+        "real = MultiPoly.__mul__\n"
+        "def counting(self, other):\n"
+        "    calls.append(None)\n"
+        "    return real(self, other)\n"
+        "MultiPoly.__mul__ = MultiPoly.__rmul__ = counting\n"
+        "run_all_verifications()\n"
+        "first = len(calls)\n"
+        "run_all_verifications()\n"
+        "print(first, len(calls) - first)\n"
+    )
+    src = Path(algebra.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.split())
+    assert first > 0
+    assert second == first
+
+
+canonical_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 4),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+    max_size=5,
+).map(MultiPoly)
+
+
+def _assert_canonical(p):
+    for c in p.terms.values():
+        assert c != 0
+        if Fraction(c).denominator == 1:
+            assert type(c) is int
+        else:
+            assert type(c) is Fraction and c.denominator > 1
+    assert p == MultiPoly(dict(p.terms), p.vars)
+
+
+@given(
+    canonical_polys,
+    canonical_polys,
+    st.integers(0, 3),
+    st.sampled_from(algebra.DEFAULT_VARS),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+def test_ring_results_are_canonical(p, q, n, name, factor):
+    _assert_canonical(p)
+    for result in (p + q, p - q, -p, p * q, p ** n, p.partial(name), p.substitute(name, q), p.scaled(factor)):
+        _assert_canonical(result)
