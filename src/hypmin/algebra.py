@@ -153,9 +153,6 @@ class MultiPoly:
             other = MultiPoly.const(other, self.vars)
         return isinstance(other, MultiPoly) and self.vars == other.vars and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -16,12 +16,13 @@ with <curve> one of:
     linear m n
     quadratic a2 a1 a0
     scherk-log-cos a scale
-    spline t0 t1 c0 c1 ... cN            (clamped uniform cubic B-spline)
+    spline t0 t1 c0 c1 ... cN            (clamped uniform cubic B-spline, N >= 3)
 
 Unknown keys are rejected (strict parsing); errors carry line and column.
 Every number must be finite, a domain needs u0 < u1 and v0 < v1, a spline
 needs t0 < t1, and values a constructor rejects (a radius or level <= 0,
-scherk-log-cos with a = 0) are reported at their line and column too.
+scherk-log-cos with a = 0, a spline with fewer than 4 coefficients) are
+reported at their line and column too.
 """
 
 from __future__ import annotations
@@ -87,9 +88,7 @@ def _parse_curve(value: str, line: int, col: int) -> FunctionCurve:
     nums = _floats(args, line, col)
     if form in _CURVES and len(nums) == _CURVES[form][0]:
         return _construct(_CURVES[form][1], nums, line, col)
-    if form == "spline":
-        if len(nums) < 7:
-            raise SurfaceFileError("spline needs t0 t1 and at least 5 coefficients", line, col)
+    if form == "spline" and len(nums) >= 2:
         t0, t1, *coeffs = nums
         if not t0 < t1:
             raise SurfaceFileError("spline needs t0 < t1", line, col)

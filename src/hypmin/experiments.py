@@ -122,19 +122,13 @@ def trace_type2_branch(
         prev = roots[i]
     g = np.concatenate([[0.0], np.cumsum((roots[1:] + roots[:-1]) / 2.0 * np.diff(zs))])
 
-    q1 = build_named("q1")
-    q2 = build_named("q2")
+    B, Z, X = b_values[:, None], zs[None, :], roots[None, :]  # rows b, columns (z, X) on the branch
 
-    def q(poly, b, z, X):
-        total = 0.0
-        for (ea, eb, ez, eX), c in poly.terms.items():
-            total += float(c) * a ** ea * b ** eb * z ** ez * X ** eX
-        return total
+    def q(name):
+        terms = build_named(name).terms.items()
+        return sum(float(c) * a ** ea * B ** eb * Z ** ez * X ** eX for (ea, eb, ez, eX), c in terms)
 
-    infeas = np.empty(len(b_values))
-    for k, b in enumerate(b_values):
-        vals = np.array([abs(q(q1, b, z, X)) + abs(q(q2, b, z, X)) for z, X in zip(zs, roots)])
-        infeas[k] = float(vals.max())
+    infeas = (np.abs(q("q1")) + np.abs(q("q2"))).max(axis=1)
     return BranchReport(zs, roots, g, b_values, infeas, float(infeas.min()))
 
 

@@ -9,15 +9,17 @@ the geodesic-plane family; for type I a positive residual floor remains.
 A Euclidean control objective (which does have solutions) demonstrates
 that the harness finds them when they exist.
 
-`residual_and_jacobian` defines the least-squares problem as a dense
-residual vector r and Jacobian J.  The optimizer never forms J, and it
-evaluates each point once: `_evaluate` computes the spline rows, the
-residual grid R and the slab block at a coefficient vector, which gives the
-cost r @ r that tests a trial step.  When the step is accepted, `_assemble`
-builds the normal equations J.T @ J and J.T @ r from that same record and
-the cached B-spline bases; all it computes anew are R's partials, from the
-intermediates that produced R.  R(i, j) depends only on f near x_i and g
-near v_j, so both are sums of products of small stacked matrices.
+`_evaluate` is the one place that computes the spline rows and the
+residual grid R: at a coefficient vector it gives R, the slab block and the
+cost r @ r that tests a trial step.  `residual_and_jacobian`, the dense
+residual vector r and Jacobian J that define the least-squares problem, and
+`residual_grid` are each built from one such record.  The optimizer never
+forms J and evaluates each point once.  When a step is accepted, `_assemble`
+builds J.T @ J and J.T @ r from the trial's record and the cached B-spline
+bases, computing anew only R's partials from the intermediates that gave R.
+R(i, j) depends only on f near x_i and g near v_j, so both are sums of
+products of small stacked matrices.  The final statistics come from the
+last evaluation, the record of the point the last stage returns.
 
 Each stage damps its steps by the gain ratio, the actual cost decrease over
 the decrease the linear model predicts, and ends for one of STOP_REASONS
@@ -187,37 +189,27 @@ def _euclidean_residual(fp, fpp, gp, gpp):
     return S, partials
 
 
-def _residual_terms(kind: Kind, cfg: SearchConfig, vs: np.ndarray, f: np.ndarray, g: np.ndarray):
-    """(R, partials) on the grid from the spline rows f, g of `_spline_values`."""
-    fp, fpp, gp, gpp = f[1][:, None], f[2][:, None], g[1][None, :], g[2][None, :]
-    if cfg.euclidean_control:
-        return _euclidean_residual(fp, fpp, gp, gpp)
-    height = f[0][:, None] + g[0][None, :] if kind is Kind.TYPE_I else vs[None, :]
-    return surfaces.translation_mean_curvature(kind, height, fp, fpp, gp, gpp)
-
-
-def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig, partials: bool = True):
+def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
     """The residual on the search grid and its partials w.r.t. the six local
     quantities: H from `surfaces.translation_mean_curvature`, or under
     `cfg.euclidean_control` the Euclidean type-I minimality expression.
 
-    Returns (R, dR) with R of shape (nx, nz) and dR a dict of same-shape
-    arrays keyed by f, fp, fpp, g, gp, gpp.  With `partials` false, dR is
-    None and only R is computed.
+    Returns (R, dR) of one `_evaluate` record, with R of shape (nx, nz) and
+    dR a dict of same-shape arrays keyed by f, fp, fpp, g, gp, gpp; a
+    non-finite R raises NonFiniteResidualError.
     """
-    _, vs, bf, bg = _bases(ansatz, cfg)
-    f, g = _spline_values(bf, ansatz.f_coeffs), _spline_values(bg, ansatz.g_coeffs)
-    R, dR = _residual_terms(ansatz.kind, cfg, vs, f, g)
-    return R, dR() if partials else None
+    ev = _evaluate(ansatz, cfg, 0.0, 0.0, ansatz.packed())
+    return ev.R, ev.partials()
 
 
-def _slab(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, f0, g0):
+def _slab(cfg: SearchConfig, barrier_weight: float, f0, g0):
     """The type-I barrier block (slack, sign), or None when it is off.
 
     slack = sqrt(w) * (max(0, zFloor - (f+g)) - max(0, (f+g) - zCeil)) and
-    sign is its derivative w.r.t. f+g.
+    sign is its derivative w.r.t. f+g.  `minimize_residual` turns the
+    barrier on (w > 0) only for type I outside the Euclidean control.
     """
-    if ansatz.kind is not Kind.TYPE_I or cfg.euclidean_control or barrier_weight <= 0.0:
+    if barrier_weight <= 0.0:
         return None
     # Slab constraint zFloor <= f+g <= zCeil: the floor keeps the graph in
     # the half-space, the ceiling compactifies the search (otherwise the
@@ -244,27 +236,23 @@ def _residual_vector(R, slab, smoothing_weight: float, f, g) -> np.ndarray:
 
 
 def residual_and_jacobian(
-    ansatz: SplineAnsatz,
-    cfg: SearchConfig,
-    barrier_weight: float = 0.0,
-    smoothing_weight: float = 0.0,
+    ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float = 0.0, smoothing_weight: float = 0.0
 ):
     """Flattened residual vector and its Jacobian w.r.t. packed coefficients.
 
     Optional extra residual blocks: the type-I slab barrier (`_slab`) and
     the continuation smoothing penalty
     sqrt(w) * f'' (resp. g'') on the grid lines.  This dense form defines
-    the least-squares problem; the optimizer works from `_evaluate` and
-    `_assemble`, which give the same r @ r, J.T @ J and J.T @ r, as do
-    their wrappers `_cost` and `_normal_equations`.
+    the least-squares problem and is built from one `_evaluate` record; the
+    optimizer never forms J, and `_assemble` gives the same J.T @ J and
+    J.T @ r from the record alone.
     """
     _, _, bf, bg = _bases(ansatz, cfg)
     (Bf, Bf1, Bf2), (Bg, Bg1, Bg2) = bf, bg
-    f, g = _spline_values(bf, ansatz.f_coeffs), _spline_values(bg, ansatz.g_coeffs)
-    R, dR = residual_grid(ansatz, cfg)
-    nx, nz = R.shape
-    mf = Bf.shape[1]
-    mg = Bg.shape[1]
+    ev = _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed())
+    dR = ev.partials()
+    nx, nz = ev.R.shape
+    mf, mg = Bf.shape[1], Bg.shape[1]
     Jf = (
         np.einsum("ij,ik->ijk", dR["f"], Bf)
         + np.einsum("ij,ik->ijk", dR["fp"], Bf1)
@@ -277,9 +265,8 @@ def residual_and_jacobian(
     ).reshape(nx * nz, mg)
     J_blocks = [np.hstack([Jf, Jg])]
 
-    slab = _slab(ansatz, cfg, barrier_weight, f[0], g[0])
-    if slab is not None:
-        sign = slab[1]
+    if ev.slab is not None:
+        sign = ev.slab[1]
         Jbf = np.einsum("ij,ik->ijk", sign, Bf).reshape(nx * nz, mf)
         Jbg = np.einsum("ij,jk->ijk", sign, Bg).reshape(nx * nz, mg)
         J_blocks.append(np.hstack([Jbf, Jbg]))
@@ -291,7 +278,7 @@ def residual_and_jacobian(
         Js[nx:, mf:] = sw * Bg2
         J_blocks.append(Js)
 
-    return _residual_vector(R, slab, smoothing_weight, f, g), np.vstack(J_blocks)
+    return _residual_vector(ev.R, ev.slab, smoothing_weight, ev.f, ev.g), np.vstack(J_blocks)
 
 
 @dataclass(frozen=True)
@@ -313,21 +300,22 @@ def _evaluate(
     ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float, x: np.ndarray
 ) -> _Evaluation:
     """Evaluate the problem of `residual_and_jacobian` at the packed
-    coefficients x; ansatz supplies only the kind, the domains and the sizes."""
+    coefficients x; ansatz supplies only the kind, the domains and the sizes.
+    The only place the spline rows and R are computed."""
     _, vs, bf, bg = _bases(ansatz, cfg)
     mf = bf.shape[2]
     f, g = _spline_values(bf, x[:mf]), _spline_values(bg, x[mf:])
-    R, partials = _residual_terms(ansatz.kind, cfg, vs, f, g)
-    slab = _slab(ansatz, cfg, barrier_weight, f[0], g[0])
+    fp, fpp, gp, gpp = f[1][:, None], f[2][:, None], g[1][None, :], g[2][None, :]
+    if cfg.euclidean_control:
+        R, partials = _euclidean_residual(fp, fpp, gp, gpp)
+    else:
+        height = f[0][:, None] + g[0][None, :] if ansatz.kind is Kind.TYPE_I else vs[None, :]
+        R, partials = surfaces.translation_mean_curvature(ansatz.kind, height, fp, fpp, gp, gpp)
+    slab = _slab(cfg, barrier_weight, f[0], g[0])
     r = _residual_vector(R, slab, smoothing_weight, f, g)
     if not np.all(np.isfinite(r)):
         raise NonFiniteResidualError("non-finite residual during optimization")
     return _Evaluation(float(r @ r), f, g, R, slab, partials)
-
-
-def _cost(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float) -> float:
-    """r @ r for the r of `residual_and_jacobian`, from the residual values alone."""
-    return _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed()).cost
 
 
 def _basis_gram(basis: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -386,14 +374,6 @@ def _assemble(ev: _Evaluation, bf: np.ndarray, bg: np.ndarray, smoothing_weight:
     return A, np.concatenate([Bm.T @ rf.reshape(-1), Cm.T @ rg.reshape(-1)])
 
 
-def _normal_equations(ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float):
-    """A = J.T @ J and g = J.T @ r for the (r, J) of `residual_and_jacobian`,
-    without forming J (see `_assemble`)."""
-    _, _, bf, bg = _bases(ansatz, cfg)
-    ev = _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed())
-    return _assemble(ev, bf, bg, smoothing_weight)
-
-
 # -- damped least squares with continuation ---------------------------
 
 
@@ -440,15 +420,16 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
     - damping_cap: mu reaches its cap without a descent;
     - budget: `budget` evaluations are spent.
 
-    Returns (ansatz, nfev, stop_reason, cost_trace); the trace records
-    accepted costs only, so it is non-increasing by construction.
+    Returns (ansatz, nfev, stop_reason, cost_trace, record): the trace
+    records accepted costs only, so it is non-increasing by construction,
+    and the record is the `_evaluate` record of the returned point.
     """
 
     def evaluate(x):
         return _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x)
 
     def stop(reason):
-        return ansatz.with_coeffs(x), nfev, reason, tuple(trace)
+        return ansatz.with_coeffs(x), nfev, reason, tuple(trace), here
 
     _, _, bf, bg = _bases(ansatz, cfg)
     x = ansatz.packed()
@@ -491,14 +472,8 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
     return stop("budget")
 
 
-def _stats(ansatz: SplineAnsatz, cfg: SearchConfig) -> tuple[float, float]:
-    R, _ = residual_grid(ansatz, cfg, partials=False)
-    return float(np.max(np.abs(R))), float(np.mean(R ** 2))
-
-
 def _check_feasible(ansatz: SplineAnsatz, cfg: SearchConfig) -> None:
-    if ansatz.kind is not Kind.TYPE_I or cfg.euclidean_control:
-        return
+    """Reject a seed with f+g < zFloor anywhere on a CHECK_GRID grid."""
     s = ansatz.surface()
     xs = np.linspace(*ansatz.f_domain, CHECK_GRID)
     vs = np.linspace(*ansatz.g_domain, CHECK_GRID)
@@ -510,23 +485,22 @@ def _check_feasible(ansatz: SplineAnsatz, cfg: SearchConfig) -> None:
 
 
 def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) -> SearchResult:
-    """Optimize the ansatz; deterministic given (seed, cfg)."""
-    _check_feasible(seed, cfg)
-    current = seed
-    nfevs = []
-    reasons = []
-    traces = []
+    """Optimize the ansatz; deterministic given (seed, cfg).  The slab
+    barrier, and with it the feasibility check of the seed, is on only for
+    type I outside the Euclidean control.  sup|R| and mean R^2 come from the
+    last stage's record of the final point."""
+    current, nfevs, reasons, traces = seed, [], [], []
     barrier = BARRIER_WEIGHT if seed.kind is Kind.TYPE_I and not cfg.euclidean_control else 0.0
+    if barrier > 0.0:
+        _check_feasible(seed, cfg)
     for smooth_w in SMOOTHING_WEIGHTS:
-        current, nfev, reason, trace = _lm_stage(
-            current, cfg, barrier, smooth_w, cfg.max_iterations
-        )
+        current, nfev, reason, trace, last = _lm_stage(current, cfg, barrier, smooth_w, cfg.max_iterations)
         nfevs.append(nfev)
         reasons.append(reason)
         traces.append(trace)
         if barrier > 0.0:
             barrier *= BARRIER_RAMP
-    sup_r, msr = _stats(current, cfg)
+    sup_r, msr = float(np.max(np.abs(last.R))), float(np.mean(last.R ** 2))
     plane_d = None
     if current.kind is Kind.TYPE_II and not cfg.euclidean_control:
         plane_d = surfaces.plane_family_distance(current.surface())

@@ -265,6 +265,13 @@ def test_rational_inputs_become_canonical_coefficients():
     assert type(build_named("q1").evaluate({k: np.int64(1) for k in ONES})) is Fraction
 
 
+def test_multipoly_is_unhashable():
+    # const(3) == 3, so a hash consistent with __eq__ would have to equal hash(3)
+    assert MultiPoly.const(3) == 3
+    with pytest.raises(TypeError):
+        hash(MultiPoly.const(3))
+
+
 @pytest.mark.parametrize(
     "scale,factor,text",
     [(Fraction(1, 3), Fraction(3), "3"), (Fraction(3), Fraction(1, 3), "1/3")],

@@ -3,13 +3,14 @@ import math
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hypmin
-from hypmin import cli
+from hypmin import algebra, cli, descriptors, kernel, search, surfaces
 from hypmin.cli import main
 from hypmin.descriptors import SurfaceFileError, load_surface, parse_surface_text
 from hypmin.kernel import hyperbolic_curvature
@@ -45,6 +46,26 @@ def test_parse_spline_curve():
     )
     # all-ones coefficients reproduce the constant 1 (partition of unity)
     assert s.f(0.37).v0 == pytest.approx(1.0, rel=1e-14)
+
+
+def test_four_coefficient_spline_parses_and_runs(tmp_path):
+    # four coefficients are one cubic segment, the smallest spline from_bspline accepts
+    text = "kind = type2\ndomain = -1 1 1 2\nf = spline -1 1 0.1 0.3 -0.2 0.4\ng = constant 1\n"
+    s = parse_surface_text(text)
+    assert s.f(-1.0).v0 == pytest.approx(0.1, rel=1e-14) and s.f(1.0).v0 == pytest.approx(0.4, rel=1e-14)
+    surf = tmp_path / "s.txt"
+    surf.write_text(text)
+    assert main(["curvature", "--surface", str(surf), "--grid", "5", "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "curvature.csv").exists()
+
+
+def test_three_coefficient_spline_rejected_at_its_position(tmp_path, capsys):
+    surf = tmp_path / "s.txt"
+    surf.write_text("kind = type2\ndomain = -1 1 1 2\nf = spline -1 1 0.1 0.3 -0.2\ng = constant 1\n")
+    out = tmp_path / "out"
+    assert main(["curvature", "--surface", str(surf), "--grid", "5", "--out", str(out)]) == 1
+    assert "line 3, column 4: a cubic spline needs at least 4 coefficients" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_parse_reference_patches():
@@ -435,3 +456,38 @@ def test_report_subcommand(tmp_path, capsys):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert all(v < 1e-10 for v in payload["curvature_oracles_max_error"].values())
     assert "all verified" in capsys.readouterr().out
+
+
+# -- tooling: the bench tracer looks up package functions by name, so
+# deleting or renaming one breaks `python3 bench/run.py --trace 1`
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_tracing() -> types.ModuleType:
+    """bench/tracing.py as a module, compiled from source so that no
+    bytecode cache is written under bench/."""
+    path = BENCH / "tracing.py"
+    module = types.ModuleType("bench_tracing")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def _bench_files() -> dict:
+    return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in BENCH.rglob("*") if p.is_file()}
+
+
+def test_bench_tracer_installs_and_restores():
+    owners = (algebra, cli, descriptors, kernel, search, surfaces, surfaces.ParametricPatch, surfaces.FunctionCurve)
+    before = [dict(vars(owner)) for owner in owners]
+    files = _bench_files()
+    tracing = _load_tracing()
+    restore = tracing.install(tracing.Tracer())  # looks up every name it wraps
+    try:
+        assert search.residual_grid is not before[4]["residual_grid"]
+        assert search.residual_and_jacobian is not before[4]["residual_and_jacobian"]
+    finally:
+        restore()
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert _bench_files() == files

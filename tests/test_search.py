@@ -1,10 +1,12 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hypmin import experiments, search
+from hypmin.algebra import build_named
 from hypmin.kernel import hyperbolic_curvature
 from hypmin.search import (
     InfeasibleSeedError,
@@ -152,11 +154,27 @@ def test_normal_equations_match_dense_jacobian(kind, g_domain, control, z_slab, 
     if z_slab is not None:
         slack = r[63:126]
         assert np.any(slack > 0.0) and np.any(slack < 0.0)
-    A, g = search._normal_equations(ansatz, cfg, barrier, 0.5)
+    _, _, bf, bg = search._bases(ansatz, cfg)
+    ev = search._evaluate(ansatz, cfg, barrier, 0.5, ansatz.packed())
+    A, g = search._assemble(ev, bf, bg, 0.5)
     A_ref, g_ref = J.T @ J, J.T @ r
     assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
     assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
-    assert search._cost(ansatz, cfg, barrier, 0.5) == float(r @ r)
+    assert ev.cost == float(r @ r)
+
+
+@pytest.mark.parametrize("kind,g_domain,control", [
+    (Kind.TYPE_I, (-1, 1), False),
+    (Kind.TYPE_II, (1, 2), False),
+    (Kind.TYPE_I, (-1, 1), True),
+])
+def test_final_statistics_are_those_of_the_final_point(kind, g_domain, control):
+    cfg = replace(FAST, euclidean_control=control)
+    (seed,) = generate_seeds(1, kind, 1234, (-1, 1), g_domain, euclidean_control=control)
+    res = minimize_residual(seed, cfg)
+    R, _ = search.residual_grid(res.ansatz, cfg)
+    assert res.sup_residual == float(np.max(np.abs(R)))
+    assert res.mean_square_residual == float(np.mean(R ** 2))
 
 
 def test_lm_stops_when_every_solve_fails(monkeypatch):
@@ -189,7 +207,8 @@ def test_predicted_decrease_matches_dense_model(kind, g_domain, control, z_slab,
     if z_slab is not None:
         slack = r[63:126]
         assert np.any(slack > 0.0) and np.any(slack < 0.0)
-    A, g = search._normal_equations(ansatz, cfg, barrier, smoothing)
+    _, _, bf, bg = search._bases(ansatz, cfg)
+    A, g = search._assemble(search._evaluate(ansatz, cfg, barrier, smoothing, ansatz.packed()), bf, bg, smoothing)
     delta, pred = search._damped_step(A, g, np.maximum(np.diag(A), 1e-12), mu)
     model = r + J @ delta
     dense = r @ r - model @ model
@@ -287,12 +306,13 @@ def test_reused_record_equals_fresh_normal_equations(monkeypatch, kind, g_domain
     monkeypatch.setattr(search, "_assemble", recording_assemble)
     search._lm_stage(ansatz, cfg, barrier, smoothing, 12)
     monkeypatch.undo()
+    _, _, bf, bg = search._bases(ansatz, cfg)
     assert len(built) >= 3  # the start and at least two accepted trials
     for ev, x, A, g in built[1:]:
         if z_slab is not None:
             slack = ev.slab[0]
             assert np.any(slack > 0.0) and np.any(slack < 0.0)
-        A_fresh, g_fresh = search._normal_equations(ansatz.with_coeffs(x), cfg, barrier, smoothing)
+        A_fresh, g_fresh = search._assemble(search._evaluate(ansatz, cfg, barrier, smoothing, x), bf, bg, smoothing)
         assert np.array_equal(A, A_fresh) and np.array_equal(g, g_fresh)
 
 
@@ -351,10 +371,10 @@ def test_search_command_bounds_the_pool(monkeypatch, tmp_path):
 def test_residual_grid_is_the_kernel_H(kind, g_domain, lift):
     ansatz = search.random_ansatz(np.random.default_rng(31), kind, (-1, 1), g_domain, lift=lift)
     cfg = SearchConfig()
-    R, dR = search.residual_grid(ansatz, cfg, partials=False)
+    R, _ = search.residual_grid(ansatz, cfg)
     xs, vs, _, _ = search._bases(ansatz, cfg)
     H = hyperbolic_curvature(ansatz.surface().jet(xs[:, None], vs[None, :])).H
-    assert dR is None and R.shape == H.shape == cfg.grid
+    assert R.shape == H.shape == cfg.grid
     assert np.max(np.abs(R - H) / np.abs(H)) <= 1e-10
 
 
@@ -444,6 +464,20 @@ def test_branch_infeasibility_positive_for_all_b():
     assert rep.min_infeasibility > 1e-2
     assert np.all(rep.infeasibility > 0)
     assert len(rep.b_values) == 41
+
+
+@pytest.mark.parametrize("a", [1.0, -0.7])
+def test_branch_infeasibility_matches_exact_evaluation(a):
+    b_values = [-1.3, 0.0, 0.4, 1.7]
+    rep = experiments.trace_type2_branch(a, (0.5, 2.0), b_values=b_values, n_z=5)
+    q1, q2 = build_named("q1"), build_named("q2")
+    for b, got in zip(b_values, rep.infeasibility):
+        exact = []
+        for z, X in zip(rep.zs, rep.roots):
+            point = {"a": Fraction(a), "b": Fraction(b), "z": Fraction(z), "X": Fraction(X)}
+            exact.append(abs(q1.evaluate(point)) + abs(q2.evaluate(point)))
+        want = float(max(exact))
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_branch_root_continuity():
