@@ -88,10 +88,17 @@ class BranchReport:
     min_infeasibility: float
 
 
-def real_cubic_roots(a: float, z: float) -> np.ndarray:
-    """Real roots of X^3 - a z X^2 - a z = 0."""
-    roots = np.roots([1.0, -a * z, 0.0, -a * z])
-    return np.sort(roots[np.abs(roots.imag) < 1e-9].real)
+def real_cubic_root(a: float, z):
+    """The real root of X^3 - a z X^2 - a z = 0, elementwise over z, for a z != 0.
+
+    With s = a z the discriminant is -s^2 (4 s^2 + 27) < 0, so the root is
+    unique.  Cardano's formula gives it as X = s/3 + u + s^2/(9u), with
+    u^3 = s ((2 s^2 + 27)/54 + sqrt((4 s^2 + 27)/108)) the larger-magnitude
+    cube root: all three terms have the sign of s, so nothing cancels.
+    """
+    s = a * np.asarray(z, dtype=float)
+    u = np.cbrt(s * ((2.0 * s * s + 27.0) / 54.0 + np.sqrt((4.0 * s * s + 27.0) / 108.0)))
+    return s / 3.0 + u + s * s / (9.0 * u)
 
 
 def trace_type2_branch(
@@ -100,7 +107,8 @@ def trace_type2_branch(
     b_values=None,
     n_z: int = 101,
 ) -> BranchReport:
-    """Follow the real branch g'(z) of the cubic constraint and measure, for
+    """Take the real branch g'(z) of the cubic constraint (`real_cubic_root`)
+    over n_z points of z_range and measure, for
     each candidate separation constant b, how far (q1, q2) are from vanishing
     jointly along it."""
     if a == 0.0:
@@ -111,15 +119,7 @@ def trace_type2_branch(
         b_values = np.arange(-2.0, 2.0 + 1e-9, 0.1)
     b_values = np.asarray(b_values, dtype=float)
     zs = np.linspace(*z_range, n_z)
-    roots = np.empty(n_z)
-    prev = None
-    for i, z in enumerate(zs):
-        cand = real_cubic_roots(a, z)
-        if prev is None:
-            roots[i] = cand[-1] if a > 0 else cand[0]
-        else:
-            roots[i] = cand[np.argmin(np.abs(cand - prev))]
-        prev = roots[i]
+    roots = real_cubic_root(a, zs)
     g = np.concatenate([[0.0], np.cumsum((roots[1:] + roots[:-1]) / 2.0 * np.diff(zs))])
 
     B, Z, X = b_values[:, None], zs[None, :], roots[None, :]  # rows b, columns (z, X) on the branch

@@ -528,16 +528,24 @@ def _run_one(args) -> SearchResult:
     return minimize_residual(seed, cfg)
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else os.cpu_count() (1 if that is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_seeds(
     seeds: list[SplineAnsatz], cfg: SearchConfig, workers: int = 1
 ) -> list[SearchResult]:
     """Run all seeds; results are merged in seed order regardless of workers.
 
-    At most min(workers, len(seeds), os.cpu_count()) processes start, and
+    At most min(workers, len(seeds), usable_cpus()) processes start, and
     none when that is 1: a fork-started pool launches all of its processes
     up front, so an unbounded `workers` would fork that many.
     """
-    workers = min(workers, len(seeds), os.cpu_count() or 1)
+    workers = min(workers, len(seeds), usable_cpus())
     if workers <= 1:
         return [minimize_residual(s, cfg) for s in seeds]
     with ProcessPoolExecutor(max_workers=workers) as pool:

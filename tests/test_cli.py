@@ -320,6 +320,121 @@ def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
+def _boundary_columns(n):
+    # SPECIAL_VALUES in every row of the first column, so on both sides of
+    # every block and range boundary, and around each multiple of the block
+    # size in the others
+    rng = np.random.default_rng(11)
+    specials = np.array(SPECIAL_VALUES)
+    k = len(specials)
+    columns = [np.resize(specials, n), rng.normal(size=n), rng.normal(size=n)]
+    for edge in (*range(cli.CSV_BLOCK_ROWS, n, cli.CSV_BLOCK_ROWS), n):
+        for i, c in enumerate(columns[1:]):
+            c[edge - k : edge] = np.roll(specials, i)
+            c[edge : edge + k] = np.roll(specials, -i)[: n - edge]
+    return columns
+
+
+def _count_forks(monkeypatch):
+    # the pids of the children forked from this process
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_block_writer_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, cpus):
+    # four blocks, the last partial: the first block, then the other rows
+    # in 1, 2 and 3 contiguous ranges
+    monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+    forks = _count_forks(monkeypatch)
+    n = 3 * cli.CSV_BLOCK_ROWS + 17
+    columns = _boundary_columns(n)
+    csv_columns = [*columns, np.arange(n) - n // 2]
+    cli._write_csv(tmp_path / "t.csv", "abcd", csv_columns)
+    cli._write_json(tmp_path / "t.json", {"columns": ["a", "b", "c"]}, columns)
+    assert len(forks) == 2 * (cpus - 1)
+    rows = zip(*(c.tolist() for c in csv_columns))
+    assert (tmp_path / "t.csv").read_text() == reference_csv("abcd", rows)
+    payload = {"schema_version": cli.SCHEMA_VERSION, "columns": ["a", "b", "c"]}
+    payload["rows"] = np.stack(columns, axis=1).tolist()
+    assert (tmp_path / "t.json").read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "t.json"]
+    _assert_reaped(forks)
+
+
+def test_fewer_than_two_blocks_never_fork(tmp_path, monkeypatch):
+    monkeypatch.setattr(search, "usable_cpus", lambda: 3)
+    forks = _count_forks(monkeypatch)
+    for n in (0, 1, cli.CSV_BLOCK_ROWS):
+        columns = [np.linspace(0.0, 1.0, n), np.arange(n)]
+        cli._write_csv(tmp_path / "t.csv", "ab", columns)
+        cli._write_json(tmp_path / "t.json", {}, columns[:1])
+    cli._write_json(tmp_path / "t.json", {"a": 1})
+    assert forks == []
+    n = cli.CSV_BLOCK_ROWS + 1  # two blocks: one child
+    cli._write_csv(tmp_path / "t.csv", "ab", [np.linspace(0.0, 1.0, n), np.arange(n)])
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize(
+    "cpus,failing_row,error",
+    [
+        (2, 5000, ValueError),  # this process fails while its child runs
+        (3, 7000, ChildProcessError),  # the first child fails while the second runs
+        (3, 3 * cli.CSV_BLOCK_ROWS + 16, ChildProcessError),  # the last child fails
+    ],
+)
+def test_failed_block_leaves_no_file_and_no_child(tmp_path, monkeypatch, cpus, failing_row, error):
+    monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+    format_column = cli._format_column
+
+    def fail_on_row(values):
+        if values[0] <= failing_row < values[0] + len(values):
+            raise ValueError(f"bad block at row {failing_row}")
+        return format_column(values)
+
+    monkeypatch.setattr(cli, "_format_column", fail_on_row)
+    forks = _count_forks(monkeypatch)
+    n = 3 * cli.CSV_BLOCK_ROWS + 17
+    with pytest.raises(error, match=f"bad block at row {failing_row}"):
+        cli._write_csv(tmp_path / "t.csv", "ab", [np.arange(n, dtype=float), np.arange(n)])
+    assert len(forks) == cpus - 1
+    assert list(tmp_path.iterdir()) == []
+    _assert_reaped(forks)
+
+
+def test_error_in_every_block_raises_before_any_fork(tmp_path, monkeypatch):
+    # the first block is formatted before forking: an error every block
+    # raises keeps its type and starts no child
+    monkeypatch.setattr(search, "usable_cpus", lambda: 3)
+    forks = _count_forks(monkeypatch)
+
+    def fail(values):
+        raise ValueError("no column can be formatted")
+
+    monkeypatch.setattr(cli, "_format_column", fail)
+    n = 3 * cli.CSV_BLOCK_ROWS
+    with pytest.raises(ValueError, match="no column can be formatted"):
+        cli._write_csv(tmp_path / "t.csv", "a", [np.arange(n, dtype=float)])
+    assert forks == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_curvature_json_format(tmp_path):
     surf = tmp_path / "s.txt"
     surf.write_text("kind = vplane\ny0 = 0\n")

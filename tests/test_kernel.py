@@ -199,3 +199,29 @@ def test_umbilic_double_eigenvalue():
     k1, k2 = euclidean_principal_curvatures(fundamental_forms(hemisphere_pole_jet(2.0)))
     assert k1 == pytest.approx(-0.5)
     assert k2 == pytest.approx(-0.5)
+
+
+def test_type2_parabolic_cylinder_is_minimal_not_totally_geodesic():
+    # type II with f constant and z g'' = 2 g'(1 + g'^2), whose first integral
+    # is g' = z^2/sqrt(h^4 - z^4): a Euclidean cylinder over a curve in the
+    # (y, z) plane, invariant under the horizontal translations along x
+    h = 3.0
+    u, z = np.meshgrid(np.linspace(-1.0, 1.0, 21), np.linspace(1.0, 2.0, 21), indexing="ij")
+    gp = z ** 2 / np.sqrt(h ** 4 - z ** 4)
+    gpp = 2.0 * z * h ** 4 / (h ** 4 - z ** 4) ** 1.5
+    zero, one = np.zeros_like(z), np.ones_like(z)
+    jet = ImmersionJet(
+        X=np.stack((u, zero, z), axis=-1),  # H does not depend on the height y = f + g
+        Xu=np.stack((one, zero, zero), axis=-1),
+        Xv=np.stack((zero, gp, one), axis=-1),
+        Xuu=np.zeros(z.shape + (3,)),
+        Xuv=np.zeros(z.shape + (3,)),
+        Xvv=np.stack((zero, gpp, zero), axis=-1),
+    )
+    rep = hyperbolic_curvature(jet)
+    assert np.max(np.abs(rep.H)) < 1e-12
+    # the principal curvatures are -N3 and N3 (= z^2/h^2), so it is not totally geodesic
+    assert np.max(np.abs(np.minimum(*rep.kappaH) + np.abs(rep.N3))) < 1e-12
+    assert np.max(np.abs(np.maximum(*rep.kappaH) - np.abs(rep.N3))) < 1e-12
+    assert np.max(np.abs(rep.kappaH)) == pytest.approx(4.0 / 9.0, rel=1e-12)
+    assert np.max(np.abs(rep.N3 - z ** 2 / h ** 2)) < 1e-12

@@ -343,12 +343,12 @@ def test_worker_pool_is_bounded(monkeypatch):
     def sups(n, workers):
         return [r.sup_residual for r in run_seeds(seeds[:n], FAST, workers=workers)]
 
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 3)
     assert sups(4, 5000) == want
     assert sups(2, 5000) == want[:2]
     assert sups(1, 5000) == want[:1]
     assert _InlinePool.sizes == [3, 2]  # min(workers, seeds, cpus); one process runs in-process
-    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 1)
     assert sups(2, 2) == want[:2]
     assert _InlinePool.sizes == [3, 2]
 
@@ -358,7 +358,7 @@ def test_search_command_bounds_the_pool(monkeypatch, tmp_path):
 
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(search, "usable_cpus", lambda: 8)
     args = ["search", "--kind", "type2", "--seeds", "2", "--seed", "5"]
     assert main([*args, "--workers", "64", "--out", str(tmp_path / "pool")]) == 0
     assert _InlinePool.sizes == [2]
@@ -454,9 +454,20 @@ def test_ode_closed_form_matches_solve_ivp(a, p0):
 
 
 def test_real_cubic_root_value():
-    roots = experiments.real_cubic_roots(1.0, 1.0)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(1.465571231876768, abs=1e-12)
+    roots = np.roots([1.0, -1.0, 0.0, -1.0])
+    assert np.sum(np.abs(roots.imag) < 1e-9) == 1
+    assert experiments.real_cubic_root(1.0, 1.0) == pytest.approx(1.465571231876768, abs=1e-12)
+
+
+@pytest.mark.parametrize("a", [0.1, -0.1, 1.0, -1.0, 2.5, -2.5])
+def test_real_cubic_root_matches_np_roots(a):
+    zs = np.linspace(0.05, 3.0, 60)
+    got = experiments.real_cubic_root(a, zs)
+    for z, x in zip(zs, got):
+        roots = np.roots([1.0, -a * z, 0.0, -a * z])
+        real = roots[np.abs(roots.imag) < 1e-9].real
+        assert len(real) == 1
+        assert abs(x - real[0]) <= 1e-12 * abs(real[0])
 
 
 def test_branch_infeasibility_positive_for_all_b():
