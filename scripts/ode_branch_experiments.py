@@ -10,20 +10,28 @@
 """
 
 import argparse
+import math
 
 import numpy as np
 
 from hypmin.experiments import b0_branch_check, integrate_first_integral, trace_type2_branch
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--a", type=float, default=1.0)
     ap.add_argument("--p0", type=float, default=0.0)
     ap.add_argument("--x-max", type=float, default=10.0)
     ap.add_argument("--z-lo", type=float, default=0.5)
     ap.add_argument("--z-hi", type=float, default=2.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    # check the inputs before any output
+    if not all(map(math.isfinite, vars(args).values())):
+        ap.error("every number must be finite")
+    if args.a == 0.0:
+        ap.error("--a must be nonzero: the cubic branch needs a != 0")
+    if not 0.0 < args.z_lo < args.z_hi:
+        ap.error(f"need 0 < --z-lo < --z-hi, got {args.z_lo} and {args.z_hi}")
 
     ode = integrate_first_integral(args.a, args.p0, (0.0, args.x_max))
     print(f"ODE f'' = a(1+f'^2)^2, a={args.a}, f'(0)={args.p0}:")
@@ -32,7 +40,7 @@ def main() -> int:
     # first quarter of the solved range where the slope is still tame
     tame = integrate_first_integral(args.a, args.p0, (0.0, 0.25 * ode.x_end))
     print(f"  max factorization defect on (0, {0.25 * ode.x_end:.3f}): {tame.max_defect:.3e}")
-    if args.a != 0.0 and args.p0 == 0.0:
+    if args.p0 == 0.0:
         print(f"  closed-form singularity at pi/(4a) = {np.pi / (4 * args.a):.9f}")
 
     branch = trace_type2_branch(args.a, (args.z_lo, args.z_hi))

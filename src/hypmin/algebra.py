@@ -28,6 +28,11 @@ class DegreeOverflowError(ArithmeticError):
 def _rational(value, what: str) -> int | Fraction:
     """value as a coefficient: an int if integral, else a Fraction.
     Floats, numpy floats included, are not rational: TypeError."""
+    # the exact classes first: the Rational ABC check is the slow part
+    if value.__class__ is int:
+        return value
+    if value.__class__ is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if not isinstance(value, Rational):
         raise TypeError(f"{what} must be rational, got {type(value).__name__} {value!r}")
     num, den = int(value.numerator), int(value.denominator)
@@ -39,16 +44,15 @@ class MultiPoly:
 
     terms maps exponent tuples (aligned with `vars`) to nonzero
     coefficients: an int when integral, a Fraction otherwise.  The
-    constructor, `const` and `var` validate their input; the ring
-    operations build their results through `_make`, which trusts it.
+    constructor validates its input, and `zero`, `const` and `var` check
+    what theirs can get wrong; they and the ring operations build their
+    results through `_make`, which trusts it.
     """
 
     __slots__ = ("vars", "terms")
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None, vars=DEFAULT_VARS):
-        self.vars = tuple(vars)
-        if not self.vars:
-            raise ValueError("a polynomial needs at least one variable")
+        self.vars = self._universe(vars)
         clean = {}
         if terms:
             for exps, coeff in terms.items():
@@ -85,20 +89,27 @@ class MultiPoly:
 
     # -- constructors -------------------------------------------------
 
+    @staticmethod
+    def _universe(vars) -> tuple:
+        vars = tuple(vars)
+        if not vars:
+            raise ValueError("a polynomial needs at least one variable")
+        return vars
+
     @classmethod
     def zero(cls, vars=DEFAULT_VARS) -> "MultiPoly":
-        return cls({}, vars)
+        return cls._make({}, cls._universe(vars))
 
     @classmethod
     def const(cls, c, vars=DEFAULT_VARS) -> "MultiPoly":
-        z = tuple(0 for _ in vars)
-        return cls({z: c}, vars)
+        vars = cls._universe(vars)
+        return cls._make({(0,) * len(vars): _rational(c, "coefficient")}, vars)
 
     @classmethod
     def var(cls, name: str, vars=DEFAULT_VARS) -> "MultiPoly":
-        i = vars.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls({exps: 1}, vars)
+        vars = tuple(vars)
+        i = vars.index(name)  # ValueError for a name not in vars, an empty vars included
+        return cls._make({(0,) * i + (1,) + (0,) * (len(vars) - i - 1): 1}, vars)
 
     # -- ring operations ----------------------------------------------
 
@@ -122,18 +133,28 @@ class MultiPoly:
         return MultiPoly._make({e: -c for e, c in self.terms.items()}, self.vars)
 
     def __sub__(self, other) -> "MultiPoly":
-        return self + (-self._coerce(other))
+        o = self._coerce(other)
+        terms = dict(self.terms)
+        for e, c in o.terms.items():
+            terms[e] = terms.get(e, 0) - c
+        return MultiPoly._make(terms, self.vars)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            factor = _rational(other, "coefficient")
+            return MultiPoly._make({e: c * factor for e, c in self.terms.items()}, self.vars)
         o = self._coerce(other)
+        # no product exponent can exceed the sum of the factors' largest
+        # exponents; only when that bound does is every term checked
+        check = max(map(max, self.terms), default=0) + max(map(max, o.terms), default=0) > MAX_DEGREE
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in o.terms.items():
                 e = tuple(map(add, e1, e2))
-                if max(e) > MAX_DEGREE:
+                if check and max(e) > MAX_DEGREE:
                     raise DegreeOverflowError(f"product exponent {e} exceeds {MAX_DEGREE}")
                 terms[e] = terms.get(e, 0) + c1 * c2
         return MultiPoly._make(terms, self.vars)
@@ -141,11 +162,19 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "MultiPoly":
+        """self**n by repeated squaring.  No intermediate power has a larger
+        exponent than the result, so DegreeOverflowError is raised exactly
+        when self**n itself exceeds MAX_DEGREE."""
         if n < 0:
             raise ValueError("negative power")
         out = self._coerce(1)
-        for _ in range(n):
-            out = out * self
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __eq__(self, other) -> bool:
@@ -214,8 +243,7 @@ class MultiPoly:
         return Fraction(num, den)
 
     def scaled(self, factor) -> "MultiPoly":
-        factor = _rational(factor, "factor")
-        return MultiPoly._make({e: c * factor for e, c in self.terms.items()}, self.vars)
+        return self * _rational(factor, "factor")
 
     def __str__(self) -> str:
         if not self.terms:
@@ -265,6 +293,10 @@ class RationalFunction:
 
 def _abzX():
     return (MultiPoly.var(v) for v in DEFAULT_VARS)
+
+
+# every name build_named knows
+NAMED = ("q1", "q2", "q3", "eqg2", "eqg3", "final7", "b0branch")
 
 
 def build_named(name: str) -> MultiPoly:
@@ -320,6 +352,14 @@ class ProofReport:
         }
 
 
+def _named(**given: MultiPoly | None) -> list[MultiPoly]:
+    """The given named polynomials in order, with build_named(name) in place
+    of each one that is None.  A check takes the ones it reads this way, so
+    that run_all_verifications builds each once and a caller can hand in a
+    corrupted one."""
+    return [build_named(name) if poly is None else poly for name, poly in given.items()]
+
+
 def _identity_report(ident: str, lhs: MultiPoly, rhs: MultiPoly, detail: str) -> ProofReport:
     diff = lhs - rhs
     if diff.is_zero():
@@ -327,25 +367,30 @@ def _identity_report(ident: str, lhs: MultiPoly, rhs: MultiPoly, detail: str) ->
     return ProofReport(ident, MISMATCH, detail, difference=diff)
 
 
-def verify_q3_combination(q1: MultiPoly | None = None) -> ProofReport:
+def verify_q3_combination(
+    q1: MultiPoly | None = None, q2: MultiPoly | None = None, q3: MultiPoly | None = None
+) -> ProofReport:
     """X*q1 - z*q2 = q3, the linear combination producing the third quadric."""
-    if q1 is None:
-        q1 = build_named("q1")
+    q1, q2, q3 = _named(q1=q1, q2=q2, q3=q3)
     X = MultiPoly.var("X")
     z = MultiPoly.var("z")
-    lhs = X * q1 - z * build_named("q2")
-    return _identity_report("q3-combination", lhs, build_named("q3"), "X*q1 - z*q2 == q3")
+    lhs = X * q1 - z * q2
+    return _identity_report("q3-combination", lhs, q3, "X*q1 - z*q2 == q3")
 
 
-def verify_q1_q2_derivation() -> ProofReport:
+def verify_q1_q2_derivation(
+    q1: MultiPoly | None = None,
+    q2: MultiPoly | None = None,
+    eqg2: MultiPoly | None = None,
+    eqg3: MultiPoly | None = None,
+) -> ProofReport:
     """q1 and q2 arise from the cubic constraint and its companion:
     eqg3 - 3b*eqg2 = a*q1 and b*eqg2 + a*q1 = q2."""
+    q1, q2, eqg2, eqg3 = _named(q1=q1, q2=q2, eqg2=eqg2, eqg3=eqg3)
     a = MultiPoly.var("a")
     b = MultiPoly.var("b")
-    eqg2 = build_named("eqg2")
-    eqg3 = build_named("eqg3")
-    d1 = eqg3 - 3 * b * eqg2 - a * build_named("q1")
-    d2 = b * eqg2 + a * build_named("q1") - build_named("q2")
+    d1 = eqg3 - 3 * b * eqg2 - a * q1
+    d2 = b * eqg2 + a * q1 - q2
     if d1.is_zero() and d2.is_zero():
         return ProofReport("q1-q2-derivation", EXACT, "eqg3 - 3b*eqg2 == a*q1; b*eqg2 + a*q1 == q2")
     return ProofReport("q1-q2-derivation", MISMATCH, "derivation of q1/q2", difference=d1 if not d1.is_zero() else d2)
@@ -353,6 +398,8 @@ def verify_q1_q2_derivation() -> ProofReport:
 
 def solve_X_and_eliminate(
     q1: MultiPoly | None = None,
+    q3: MultiPoly | None = None,
+    final7: MultiPoly | None = None,
 ) -> tuple[RationalFunction, MultiPoly, ProofReport, ProofReport]:
     """Eliminate X^2 between 5*q1 and (bz)*q3 to solve for X, then substitute
     back into q1 and compare the cleared numerator with the reference degree-7 polynomial.
@@ -360,10 +407,9 @@ def solve_X_and_eliminate(
     Returns (X rational function, computed numerator polynomial, report on the
     X expression, report on the degree-7 comparison).
     """
-    if q1 is None:
-        q1 = build_named("q1")
+    q1, q3, final7 = _named(q1=q1, q3=q3, final7=final7)
     a, b, z, X = _abzX()
-    comb = 5 * q1 + b * z * build_named("q3")  # linear in X by construction
+    comb = 5 * q1 + b * z * q3  # linear in X by construction
     if not comb.partial("X").partial("X").is_zero():
         raise ArithmeticError("elimination did not cancel the X^2 term")
     D = comb.partial("X")
@@ -387,11 +433,10 @@ def solve_X_and_eliminate(
 
     # q1 with X = N/D, denominators cleared by D^2:
     computed = b * z * x_expr.num ** 2 - 5 * x_expr.num * x_expr.den + (4 * a * z + 3 * b * z) * x_expr.den ** 2
-    printed = build_named("final7")
-    if computed == printed:
+    if computed == final7:
         final_report = ProofReport("degree7-elimination", EXACT, "cleared numerator equals the reference degree-7 polynomial", factor=Fraction(1))
     else:
-        factor = _constant_ratio(computed, printed)
+        factor = _constant_ratio(computed, final7)
         if factor is not None:
             final_report = ProofReport(
                 "degree7-elimination",
@@ -404,7 +449,7 @@ def solve_X_and_eliminate(
                 "degree7-elimination",
                 MISMATCH,
                 "cleared numerator disagrees with the reference polynomial",
-                difference=computed - printed,
+                difference=computed - final7,
             )
     return x_expr, computed, x_report, final_report
 
@@ -465,18 +510,20 @@ def verify_factorization_step(coefficient: int = 4) -> ProofReport:
     )
 
 
-def verify_implicit_g(coefficient: int = 3) -> ProofReport:
+def verify_implicit_g(
+    coefficient: int = 3, eqg2: MultiPoly | None = None, b0branch: MultiPoly | None = None
+) -> ProofReport:
     """Implicit differentiation of X^3 - a z X^2 - a z = 0 in z.
 
     Checks dX(eqg2) == 3X^2 - 2azX and dz(eqg2) == -(aX^2 + a), so that
     g'' = a(1+X^2) / (X(3X - 2az)) follows as -dz/dX; plus the b=0 branch:
     X = 4az/5 substituted into the cubic gives exactly -16/125 a^3 z^3 - az.
     """
+    eqg2, b0branch = _named(eqg2=eqg2, b0branch=b0branch)
     a, b, z, X = _abzX()
-    eqg2 = build_named("eqg2")
     d_x = eqg2.partial("X") - (coefficient * X ** 2 - 2 * a * z * X)
     d_z = eqg2.partial("z") - (-(a * X ** 2 + a))
-    branch = eqg2.substitute("X", MultiPoly.const(Fraction(4, 5)) * a * z) - build_named("b0branch")
+    branch = eqg2.substitute("X", MultiPoly.const(Fraction(4, 5)) * a * z) - b0branch
     for name, diff in (("dX", d_x), ("dz", d_z), ("b0", branch)):
         if not diff.is_zero():
             return ProofReport(
@@ -523,16 +570,19 @@ def verify_eqg_substitution() -> ProofReport:
 
 
 def run_all_verifications() -> list[ProofReport]:
-    """The full exact identity suite, in the order of the elimination chain."""
+    """The full exact identity suite, in the order of the elimination chain.
+    Each named polynomial is built once per call and handed to the checks
+    that read it."""
+    q1, q2, q3, eqg2, eqg3, final7, b0branch = map(build_named, NAMED)
     reports = [
         verify_first_integral(),
         verify_factorization_step(),
-        verify_implicit_g(),
+        verify_implicit_g(eqg2=eqg2, b0branch=b0branch),
         verify_eqg_substitution(),
-        verify_q1_q2_derivation(),
-        verify_q3_combination(),
+        verify_q1_q2_derivation(q1, q2, eqg2, eqg3),
+        verify_q3_combination(q1, q2, q3),
     ]
-    _, _, x_report, final_report = solve_X_and_eliminate()
+    _, _, x_report, final_report = solve_X_and_eliminate(q1, q3, final7)
     reports.extend([x_report, final_report])
     return reports
 

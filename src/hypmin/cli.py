@@ -55,6 +55,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
 # rows per formatted block: bounds the strings alive at once, and so peak RSS
 CSV_BLOCK_ROWS = 4096
 
@@ -83,12 +90,14 @@ def _format_column(values: np.ndarray, specials: dict[str, str] | None = None) -
     per distinct bit pattern (so -0.0 and 0.0 stay apart).  With `specials`,
     the repr of a NaN or an infinity is replaced by its entry there."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    unique = bits.view(values.dtype)
-    text = np.array(list(map(repr, unique.tolist())), dtype=object)
+    # with no repeated value the reprs are already in row order
+    distinct = len(bits) == len(values)
+    unique = values if distinct else bits.view(values.dtype)
+    text = list(map(repr, unique.tolist()))
     if specials is not None:
-        special = ~np.isfinite(unique)
-        text[special] = [specials[t] for t in text[special]]
-    return text[inverse].tolist()
+        for i in np.flatnonzero(~np.isfinite(unique)).tolist():
+            text[i] = specials[text[i]]
+    return text if distinct else np.array(text, dtype=object)[inverse].tolist()
 
 
 def _fork_range(part: Path, write, lo: int, hi: int) -> int:
@@ -255,13 +264,15 @@ def cmd_curvature(args) -> int:
 
 
 def cmd_scherk(args) -> int:
-    a = args.a
+    a, margin = args.a, args.margin
     if a == 0.0:
         print("error: --a must be nonzero", file=sys.stderr)
         return 1
-    s = surfaces.scherk(a)
     half = math.pi / (2.0 * abs(a))
-    margin = args.margin
+    if not 0.0 < margin < half:
+        print(f"error: --margin must lie in (0, pi/(2|a|)) = (0, {half!r}), got {margin!r}", file=sys.stderr)
+        return 1
+    s = surfaces.scherk(a)
     lo, hi = -half + margin, half - margin
     us, vs = _grid_axes(((lo, hi), (lo, hi)), args.grid)
     jet = surfaces.patch_jet(s, us, vs, check_halfspace=False)
@@ -379,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_curvature)
 
     p = sub.add_parser("scherk", help="Scherk-surface sanity report")
-    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--a", type=finite_float, required=True)
     p.add_argument("--grid", type=positive_int, default=50)
-    p.add_argument("--margin", type=float, default=0.1)
+    p.add_argument("--margin", type=finite_float, default=0.1)
     p.add_argument("--out", default="out")
     p.set_defaults(fn=cmd_scherk)
 

@@ -20,9 +20,10 @@ with <curve> one of:
 
 Unknown keys are rejected (strict parsing); errors carry line and column.
 Every number must be finite, a domain needs u0 < u1 and v0 < v1, a spline
-needs t0 < t1, and values a constructor rejects (a radius or level <= 0,
-scherk-log-cos with a = 0, a spline with fewer than 4 coefficients) are
-reported at their line and column too.
+needs t0 < t1, and values a constructor rejects (a radius, level or
+extent <= 0, a vplane z range without 0 < z0 < z1, scherk-log-cos with
+a = 0, a spline with fewer than 4 coefficients) are reported at their line
+and column too.
 """
 
 from __future__ import annotations

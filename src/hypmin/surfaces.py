@@ -402,9 +402,11 @@ class ParametricPatch:
 
 
 def horosphere(c: float, extent: float = 2.0) -> ParametricPatch:
-    """The surface z = c > 0, oriented with upward normal."""
+    """The surface z = c > 0 over [-extent, extent]^2, oriented with upward normal."""
     if c <= 0.0:
         raise HalfSpaceError(f"horosphere level c = {c} <= 0")
+    if not extent > 0.0:
+        raise ValueError(f"horosphere extent = {extent} <= 0")
     return ParametricPatch(
         position=lambda u, v: _vectors(u, v, c),
         partials=lambda u, v: (
@@ -419,7 +421,13 @@ def horosphere(c: float, extent: float = 2.0) -> ParametricPatch:
 
 
 def vertical_plane(y0: float, extent: float = 2.0, z_range=(0.1, 4.0)) -> ParametricPatch:
-    """The plane y = y0: a totally geodesic plane of the half-space model."""
+    """The plane y = y0 over x in [-extent, extent] and z in z_range = (z0, z1):
+    a totally geodesic plane of the half-space model."""
+    if not extent > 0.0:
+        raise ValueError(f"vertical plane extent = {extent} <= 0")
+    z0, z1 = z_range
+    if not 0.0 < z0 < z1:
+        raise HalfSpaceError(f"vertical plane needs 0 < z0 < z1, got z0 = {z0}, z1 = {z1}")
     return ParametricPatch(
         position=lambda u, v: _vectors(u, y0, v),
         partials=lambda u, v: (

@@ -1,7 +1,9 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypmin.algebra import (
     EXACT,
     MAX_DEGREE,
     MISMATCH,
+    NAMED,
     UP_TO_FACTOR,
     DegreeOverflowError,
     MultiPoly,
@@ -25,6 +28,7 @@ from hypmin.algebra import (
     verify_factorization_step,
     verify_first_integral,
     verify_implicit_g,
+    verify_q1_q2_derivation,
     verify_q3_combination,
 )
 
@@ -135,6 +139,40 @@ def test_corrupted_elimination_input():
     assert final_report.status == MISMATCH
 
 
+@pytest.mark.parametrize(
+    "check,name",
+    [
+        *((verify_q3_combination, name) for name in ("q1", "q2", "q3")),
+        *((verify_q1_q2_derivation, name) for name in ("q1", "q2", "eqg2", "eqg3")),
+        *((verify_implicit_g, name) for name in ("eqg2", "b0branch")),
+        *((solve_X_and_eliminate, name) for name in ("q1", "q3", "final7")),
+    ],
+)
+def test_every_named_input_is_checked(check, name):
+    # a corrupted copy handed in for any named polynomial a check reads is caught
+    result = check(**{name: build_named(name) + MultiPoly.var("X")})
+    reports = result[2:] if isinstance(result, tuple) else (result,)
+    assert any(rep.status == MISMATCH for rep in reports)
+
+
+def test_each_run_builds_each_named_polynomial_once(monkeypatch):
+    # once per run_all_verifications call, and again on the next call:
+    # nothing is kept across runs
+    built = Counter()
+    real = algebra.build_named
+
+    def counting(name):
+        built[name] += 1
+        return real(name)
+
+    monkeypatch.setattr(algebra, "build_named", counting)
+    assert len(set(NAMED)) == 7
+    run_all_verifications()
+    assert built == Counter(NAMED)
+    run_all_verifications()
+    assert built == Counter(NAMED * 2)
+
+
 def test_eqg_substitution_exact():
     assert verify_eqg_substitution().status == EXACT
 
@@ -142,10 +180,52 @@ def test_eqg_substitution_exact():
 # -- polynomial arithmetic --------------------------------------------
 
 
+def _repeated_product(p, n):
+    out = MultiPoly.const(1, p.vars)
+    for _ in range(n):
+        out = out * p
+    return out
+
+
 def test_degree_overflow():
+    # the same error, message included, as MAX_DEGREE + 1 products
     z = MultiPoly.var("z")
-    with pytest.raises(DegreeOverflowError):
+    with pytest.raises(DegreeOverflowError) as by_power:
         z ** 17
+    with pytest.raises(DegreeOverflowError) as by_products:
+        _repeated_product(z, MAX_DEGREE + 1)
+    assert str(by_power.value) == str(by_products.value)
+
+
+@pytest.mark.parametrize("n", range(MAX_DEGREE + 1))
+def test_power_equals_repeated_product(n):
+    a, b, z, X = (MultiPoly.var(v) for v in algebra.DEFAULT_VARS)
+    p = Fraction(1, 3) * a - 2 * z * X + b + 5 if n <= MAX_DEGREE // 2 else z - Fraction(3, 2)
+    power, product = p ** n, _repeated_product(p, n)
+    assert power == product
+    assert {e: type(c) for e, c in power.terms.items()} == {e: type(c) for e, c in product.terms.items()}
+
+
+def test_var_const_zero_match_the_validating_constructor():
+    for vars in (algebra.DEFAULT_VARS, algebra.ODE_VARS, ("t",), ["x", "y"]):
+        n = len(vars)
+        for i, name in enumerate(vars):
+            want = MultiPoly({tuple(int(j == i) for j in range(n)): 1}, vars)
+            got = MultiPoly.var(name, vars)
+            assert got.vars == want.vars == tuple(vars)
+            assert got.terms == want.terms
+            assert [type(c) for c in got.terms.values()] == [int]
+            assert all(type(e) is int for exps in got.terms for e in exps)
+        for c in (0, 3, -7, Fraction(6, 3), Fraction(-1, 2), np.int64(4), True):
+            want, got = MultiPoly({(0,) * n: c}, vars), MultiPoly.const(c, vars)
+            assert got.vars == want.vars and got.terms == want.terms
+            assert [type(v) for v in got.terms.values()] == [type(v) for v in want.terms.values()]
+        assert MultiPoly.zero(vars).terms == {} and MultiPoly.zero(vars).vars == tuple(vars)
+    with pytest.raises(ValueError):
+        MultiPoly.var("q")
+    for make in (lambda: MultiPoly.var("a", ()), lambda: MultiPoly.const(1, ()), lambda: MultiPoly.zero(())):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_variable_universe_mismatch():
@@ -246,6 +326,8 @@ def test_non_rational_coefficients_rejected(bad):
         a + bad
     with pytest.raises(TypeError):
         a * bad
+    with pytest.raises(TypeError):
+        bad * a
 
 
 @pytest.mark.parametrize("bad", [0.5, 2.0, np.float64(0.5)])
@@ -345,3 +427,44 @@ def test_ring_results_are_canonical(p, q, n, name, factor):
     _assert_canonical(p)
     for result in (p + q, p - q, -p, p * q, p ** n, p.partial(name), p.substitute(name, q), p.scaled(factor)):
         _assert_canonical(result)
+
+
+scalars = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-6, max_value=6, max_denominator=5),
+    st.integers(-20, 20).map(np.int64),
+)
+
+
+@given(canonical_polys, scalars)
+def test_scalar_product_equals_constant_product(p, c):
+    want = p * MultiPoly.const(c)
+    for got in (p * c, c * p, p.scaled(c)):
+        assert got == want
+        assert {e: type(v) for e, v in got.terms.items()} == {e: type(v) for e, v in want.terms.items()}
+
+
+def _first_overflow(p, q):
+    """The message of the per-term degree check on p*q, or None."""
+    for e1 in p.terms:
+        for e2 in q.terms:
+            e = tuple(map(add, e1, e2))
+            if max(e) > MAX_DEGREE:
+                return f"product exponent {e} exceeds {MAX_DEGREE}"
+    return None
+
+
+near_bound_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, MAX_DEGREE)] * 4), st.integers(-3, 3), max_size=4
+).map(MultiPoly)
+
+
+@given(near_bound_polys, near_bound_polys)
+def test_product_degree_check_matches_per_term_check(p, q):
+    message = _first_overflow(p, q)
+    if message is None:
+        p * q
+    else:
+        with pytest.raises(DegreeOverflowError) as exc:
+            p * q
+        assert str(exc.value) == message

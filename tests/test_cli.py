@@ -93,6 +93,10 @@ BAD_CONSTRUCTOR_ARGS = [
     ("kind = type1\ndomain = -1 1 -1 1\nf = constant 1\ng = scherk-log-cos 0 1\n", "line 4, column 4: log_cos requires a != 0"),
     ("kind = hemisphere\nradius = 0\n", "line 2, column 9: hemisphere radius r = 0.0 <= 0"),
     ("kind = horosphere\nlevel = -1\n", "line 2, column 8: horosphere level c = -1.0 <= 0"),
+    ("kind = horosphere\nlevel = 1 0\n", "line 2, column 8: horosphere extent = 0.0 <= 0"),
+    ("kind = vplane\ny0 = 1 -2 1 2\n", "line 2, column 5: vertical plane extent = -2.0 <= 0"),
+    ("kind = vplane\ny0 = 1 2 3 1\n", "line 2, column 5: vertical plane needs 0 < z0 < z1, got z0 = 3.0, z1 = 1.0"),
+    ("kind = vplane\ny0 = 1 2 -1 1\n", "line 2, column 5: vertical plane needs 0 < z0 < z1, got z0 = -1.0, z1 = 1.0"),
 ]
 
 
@@ -228,9 +232,17 @@ def test_csv_special_values_match_repr(tmp_path):
     assert (tmp_path / "t.csv").read_text() == reference_csv("abcd", rows)
 
 
+def _distinct_column(rng, n):
+    # SPECIAL_VALUES and -nan once each, then fresh normals: no value repeats
+    values = np.concatenate([SPECIAL_VALUES, [-math.nan], rng.normal(size=n)])[:n]
+    assert len(np.unique(values.view(np.int64))) == n
+    return values
+
+
 def test_csv_spanning_several_blocks_matches_repr(tmp_path):
     # two full blocks and a partial one; columns with many repeats, with
-    # none, and ints, as in the curvature and search tables
+    # none (with and without the special values), and ints, as in the
+    # curvature and search tables
     rng = np.random.default_rng(3)
     n = 2 * cli.CSV_BLOCK_ROWS + 17
     pool = np.array(SPECIAL_VALUES + list(rng.normal(size=20)))
@@ -239,20 +251,26 @@ def test_csv_spanning_several_blocks_matches_repr(tmp_path):
         rng.choice(pool, n),
         rng.normal(size=n),
         rng.integers(-5, 5, n),
+        _distinct_column(rng, n),
     ]
-    cli._write_csv(tmp_path / "t.csv", "abcd", columns)
+    cli._write_csv(tmp_path / "t.csv", "abcde", columns)
     rows = zip(*(c.tolist() for c in columns))
-    assert (tmp_path / "t.csv").read_text() == reference_csv("abcd", rows)
+    assert (tmp_path / "t.csv").read_text() == reference_csv("abcde", rows)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2 * cli.CSV_BLOCK_ROWS + 17])
 def test_json_rows_match_json_dumps(tmp_path, n):
-    # NaN and the infinities take JSON's spellings; a NaN with its sign bit
-    # set is still NaN
+    # NaN and the infinities take JSON's spellings, also in the column
+    # where no value repeats; a NaN with its sign bit set is still NaN
     rng = np.random.default_rng(5)
     pool = np.array(SPECIAL_VALUES + [-math.nan] + list(rng.normal(size=20)))
-    columns = [rng.choice(pool, n), np.repeat(pool, n // len(pool) + 1)[:n], rng.normal(size=n)]
-    payload = {"columns": ["a", "b", "c"], "grid": 3}
+    columns = [
+        rng.choice(pool, n),
+        np.repeat(pool, n // len(pool) + 1)[:n],
+        rng.normal(size=n),
+        _distinct_column(rng, n),
+    ]
+    payload = {"columns": ["a", "b", "c", "d"], "grid": 4}
     cli._write_json(tmp_path / "t.json", payload, columns)
     rows = np.stack(columns, axis=1).tolist()
     want = json.dumps(
@@ -503,6 +521,27 @@ def test_scherk_report(tmp_path):
 
 def test_scherk_zero_a_exits_1(tmp_path):
     assert main(["scherk", "--a", "0", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["--a", "1", "--margin", "2"], "--margin must lie in (0, pi/(2|a|))"),  # a reversed interval
+        (["--a", "1", "--margin", repr(math.pi / 2)], "--margin must lie in (0, pi/(2|a|))"),  # an empty one
+        (["--a", "-2", "--margin", repr(math.pi / 4)], "--margin must lie in (0, pi/(2|a|))"),
+        (["--a", "1", "--margin", "0"], "--margin must lie in (0, pi/(2|a|))"),
+        (["--a", "1", "--margin", "-0.1"], "--margin must lie in (0, pi/(2|a|))"),
+        (["--a", "1", "--margin", "nan"], "argument --margin: must be finite"),
+        (["--a", "1", "--margin", "inf"], "argument --margin: must be finite"),
+        (["--a", "nan"], "argument --a: must be finite"),
+        (["--a=-inf"], "argument --a: must be finite"),
+    ],
+)
+def test_scherk_rejects_a_margin_that_empties_the_grid(tmp_path, capsys, argv, fragment):
+    out = tmp_path / "out"
+    assert main(["scherk", *argv, "--grid", "5", "--out", str(out)]) == 1
+    assert fragment in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_search_type2_csv_and_summary(tmp_path):
