@@ -120,12 +120,16 @@ class MultiPoly:
             return other
         return MultiPoly._make({(0,) * len(self.vars): _rational(other, "coefficient")}, self.vars)
 
-    def __add__(self, other) -> "MultiPoly":
+    def _plus(self, other, sign: int) -> "MultiPoly":
+        """self + sign*other in one pass, for sign 1 or -1."""
         o = self._coerce(other)
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            terms[e] = terms.get(e, 0) + c
+            terms[e] = terms.get(e, 0) + sign * c
         return MultiPoly._make(terms, self.vars)
+
+    def __add__(self, other) -> "MultiPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -133,11 +137,7 @@ class MultiPoly:
         return MultiPoly._make({e: -c for e, c in self.terms.items()}, self.vars)
 
     def __sub__(self, other) -> "MultiPoly":
-        o = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
-            terms[e] = terms.get(e, 0) - c
-        return MultiPoly._make(terms, self.vars)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         return self._coerce(other) - self
@@ -293,10 +293,6 @@ class RationalFunction:
 
 def _abzX():
     return (MultiPoly.var(v) for v in DEFAULT_VARS)
-
-
-# every name build_named knows
-NAMED = ("q1", "q2", "q3", "eqg2", "eqg3", "final7", "b0branch")
 
 
 def build_named(name: str) -> MultiPoly:
@@ -573,7 +569,9 @@ def run_all_verifications() -> list[ProofReport]:
     """The full exact identity suite, in the order of the elimination chain.
     Each named polynomial is built once per call and handed to the checks
     that read it."""
-    q1, q2, q3, eqg2, eqg3, final7, b0branch = map(build_named, NAMED)
+    q1, q2, q3, eqg2, eqg3, final7, b0branch = map(
+        build_named, ("q1", "q2", "q3", "eqg2", "eqg3", "final7", "b0branch")
+    )
     reports = [
         verify_first_integral(),
         verify_factorization_step(),

@@ -90,14 +90,12 @@ def _format_column(values: np.ndarray, specials: dict[str, str] | None = None) -
     per distinct bit pattern (so -0.0 and 0.0 stay apart).  With `specials`,
     the repr of a NaN or an infinity is replaced by its entry there."""
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    # with no repeated value the reprs are already in row order
-    distinct = len(bits) == len(values)
-    unique = values if distinct else bits.view(values.dtype)
-    text = list(map(repr, unique.tolist()))
+    unique = bits.view(values.dtype)
+    text = np.array(list(map(repr, unique.tolist())), dtype=object)
     if specials is not None:
-        for i in np.flatnonzero(~np.isfinite(unique)).tolist():
-            text[i] = specials[text[i]]
-    return text if distinct else np.array(text, dtype=object)[inverse].tolist()
+        special = ~np.isfinite(unique)
+        text[special] = [specials[t] for t in text[special]]
+    return text[inverse].tolist()
 
 
 def _fork_range(part: Path, write, lo: int, hi: int) -> int:
