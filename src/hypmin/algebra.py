@@ -178,7 +178,7 @@ class MultiPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             other = MultiPoly.const(other, self.vars)
         return isinstance(other, MultiPoly) and self.vars == other.vars and self.terms == other.terms
 

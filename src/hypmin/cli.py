@@ -12,7 +12,6 @@ import json
 import math
 import os
 import shutil
-import signal
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict, fields
@@ -26,6 +25,11 @@ from .kernel import ImmersionJet, hyperbolic_curvature
 from .kernel import euclidean_mean_curvature, fundamental_forms
 from .search import STOP_REASONS, SearchConfig, generate_seeds, run_seeds
 from .surfaces import Kind
+
+# after the package, whose `search` module imports it first: importing it
+# ahead of the package changes the heap layout left by start-up, which
+# raised the peak RSS of commands that start no pool by 0.3-0.5 MB
+from concurrent.futures import ProcessPoolExecutor
 
 SCHEMA_VERSION = 1
 
@@ -98,78 +102,77 @@ def _format_column(values: np.ndarray, specials: dict[str, str] | None = None) -
     return text[inverse].tolist()
 
 
-def _fork_range(part: Path, write, lo: int, hi: int) -> int:
-    """Fork a child that runs write(fh, lo, hi) on a new text file `part` and
-    exits: status 0 when it returned, 1 with "<type>: <message>" of its
-    exception in `part` when it raised, 2 when even that message could not
-    be written.  Returns the child's pid; the child never returns."""
-    pid = os.fork()
-    if pid:
-        return pid
-    # the child ends here and never unwinds into its caller's frames, whose
-    # `with` blocks would flush and close the parent's output file
-    status = 2
-    try:
-        try:
-            with open(part, "w", encoding="utf-8") as fh:
-                write(fh, lo, hi)
-            status = 0
-        except BaseException as exc:
-            part.write_text(f"{type(exc).__name__}: {exc}", encoding="utf-8")
-            status = 1
-    finally:
-        os._exit(status)
+def _render_csv(start: int, block) -> str:
+    """CSV lines of the rows in `block`, a list of equal-length column slices."""
+    cells = (_format_column(c) for c in block)
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
-def _write_blocks(fh, n_rows: int, render) -> None:
-    """Write render(start, stop) over blocks of at most CSV_BLOCK_ROWS rows
-    that cover range(n_rows), in order, to the text file `fh` (an
-    `_atomic_open` handle).
+def _render_json(start: int, block) -> str:
+    """The rows in `block` as json.dumps(..., indent=2) spells them inside
+    "rows", with the separator that precedes them unless `start` is 0."""
+    cells = (_format_column(c, JSON_SPECIALS) for c in block)
+    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
+    return ("\n" if start == 0 else ",\n") + "    [\n      " + rows + "\n    ]"
 
-    This process formats the first block before anything is forked, so an
-    error that every block would raise surfaces here without a child.  The
-    remaining rows are split into min(usable CPUs, blocks) contiguous ranges
+
+def _write_range(out, render, columns, lo: int, hi: int) -> None:
+    """Write render(start, block) to `out` for each block of at most
+    CSV_BLOCK_ROWS rows of `columns` that covers range(lo, hi), in order."""
+    for start in range(lo, hi, CSV_BLOCK_ROWS):
+        stop = min(start + CSV_BLOCK_ROWS, hi)
+        out.write(render(start, [c[start:stop] for c in columns]))
+
+
+# (render, columns) of the table a pool worker formats, set by _init_worker
+_table = None
+
+
+def _init_worker(render, columns) -> None:
+    global _table
+    _table = (render, columns)
+
+
+def _write_part(part: Path, lo: int, hi: int) -> None:
+    with open(part, "w", encoding="utf-8") as fh:
+        _write_range(fh, *_table, lo, hi)
+
+
+def _write_blocks(fh, render, columns) -> None:
+    """Write the rows of `columns` (equal-length 1-d arrays) to the text file
+    `fh` (an `_atomic_open` handle) as `_write_range` does, in up to
+    min(usable CPUs, blocks) processes.
+
+    The rows are split into k = min(usable CPUs, blocks) contiguous ranges
     of near-equal length.  This process formats the first range into `fh`,
-    and a forked child formats each other range into a part file beside
-    `fh`, which is appended once that child has exited 0.  Every process
-    holds one block's strings at a time, and the bytes do not depend on the
-    number of ranges.  With one range (one usable CPU, one block, or no
-    os.fork) nothing is forked.  If any side fails, every child is killed
-    and reaped and every part file removed.
+    while a pool of k - 1 workers writes the others to part files beside
+    `fh`, which are appended in order.  Every process holds one block's
+    strings at a time, and the bytes do not depend on k.  With k = 1 no
+    process starts.  A worker's exception is raised here, and the part
+    files are always removed.
     """
-    first = min(CSV_BLOCK_ROWS, n_rows)
-    blocks = -(-n_rows // CSV_BLOCK_ROWS)
-    k = max(1, min(search.usable_cpus(), blocks)) if hasattr(os, "fork") else 1
-    bounds = [first + i * (n_rows - first) // k for i in range(k + 1)]
-
-    def write(out, lo, hi):
-        for start in range(lo, hi, CSV_BLOCK_ROWS):
-            out.write(render(start, min(start + CSV_BLOCK_ROWS, hi)))
-
+    n_rows = len(columns[0])
+    k = max(1, min(search.usable_cpus(), -(-n_rows // CSV_BLOCK_ROWS)))
+    if k == 1:
+        _write_range(fh, render, columns, 0, n_rows)
+        return
+    bounds = [i * n_rows // k for i in range(k + 1)]
     parts = [Path(f"{fh.name}.part{i}") for i in range(1, k)]
-    children = []  # (pid, part file) of the children not yet reaped, in range order
     try:
-        write(fh, 0, first)
-        for i, part in enumerate(parts, 1):
-            children.append((_fork_range(part, write, bounds[i], bounds[i + 1]), part))
-        write(fh, first, bounds[1])
-        fh.flush()
-        while children:
-            pid, part = children[0]
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:
-                raise ChildProcessError(
-                    part.read_text(encoding="utf-8")
-                    if code == 1
-                    else f"a row-formatting process exited with status {code}"
-                )
-            with open(part, "rb") as src:
-                shutil.copyfileobj(src, fh.buffer)
+        # the workers get the table through initargs: inherited, not
+        # pickled, where processes are forked
+        with ProcessPoolExecutor(k - 1, initializer=_init_worker, initargs=(render, columns)) as pool:
+            futures = [
+                pool.submit(_write_part, part, bounds[i], bounds[i + 1])
+                for i, part in enumerate(parts, 1)
+            ]
+            _write_range(fh, render, columns, 0, bounds[1])
+            fh.flush()
+            for future, part in zip(futures, parts):
+                future.result()
+                with open(part, "rb") as src:
+                    shutil.copyfileobj(src, fh.buffer)
     finally:
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         for part in parts:
             part.unlink(missing_ok=True)
 
@@ -179,18 +182,11 @@ def _write_csv(path: Path, header, columns) -> None:
 
     Each cell is the repr of its Python value: an int, or the shortest
     string that round-trips the float.  Rows are formatted column by column
-    in blocks of at most CSV_BLOCK_ROWS, in up to min(usable CPUs, blocks)
-    processes (`_write_blocks`); each process holds one block at a time, and
-    the bytes do not depend on the number of processes.
+    in blocks, by `_write_blocks`.
     """
-
-    def render(start, stop):
-        cells = (_format_column(c[start:stop]) for c in columns)
-        return "\n".join(map(",".join, zip(*cells))) + "\n"
-
     with _atomic_open(path) as fh:
         fh.write(",".join(header) + "\n")
-        _write_blocks(fh, len(columns[0]), render)
+        _write_blocks(fh, _render_csv, columns)
 
 
 def _write_json(path: Path, payload: dict, columns=None) -> None:
@@ -199,27 +195,20 @@ def _write_json(path: Path, payload: dict, columns=None) -> None:
 
     `columns`, if given, are equal-length 1-d float64 arrays that go in as
     payload["rows"], one list per row.  The rows are spelled column by column
-    in blocks of at most CSV_BLOCK_ROWS, in up to min(usable CPUs, blocks)
-    processes, as `_write_csv` does, and the bytes equal json.dumps of the
+    in blocks, by `_write_blocks`, and the bytes equal json.dumps of the
     whole payload.
     """
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     if columns is not None:
         payload["rows"] = []
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-    def render(start, stop):
-        cells = (_format_column(c[start:stop], JSON_SPECIALS) for c in columns)
-        rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
-        return ("\n" if start == 0 else ",\n") + "    [\n      " + rows + "\n    ]"
-
     with _atomic_open(path) as fh:
         if columns is None or len(columns[0]) == 0:
             fh.write(text)
             return
         head, tail = text.split('"rows": []')
         fh.write(head + '"rows": [')
-        _write_blocks(fh, len(columns[0]), render)
+        _write_blocks(fh, _render_json, columns)
         fh.write("\n  ]" + tail)
 
 

@@ -113,15 +113,6 @@ def cos(x: Jet3) -> Jet3:
     return compose(x, c, -s, -c, s)
 
 
-def tan(x: Jet3) -> Jet3:
-    c = np.cos(x.v0)
-    if np.any(c == 0.0):
-        raise JetDomainError(f"tan at a pole: x = {x.v0}")
-    t = np.tan(x.v0)
-    sec2 = 1.0 + t * t
-    return compose(x, t, sec2, 2.0 * t * sec2, sec2 * (2.0 + 6.0 * t * t))
-
-
 def log(x: Jet3) -> Jet3:
     if np.any(x.v0 <= 0.0):
         raise JetDomainError(f"log of non-positive value: {x.v0}")
@@ -137,18 +128,3 @@ def abs_log_cos(x: Jet3) -> Jet3:
     t = np.tan(x.v0)
     sec2 = 1.0 + t * t
     return compose(x, np.log(np.abs(c)), -t, -sec2, -2.0 * sec2 * t)
-
-
-def pow_int(x: Jet3, n: int) -> Jet3:
-    if n < 0 and np.any(x.v0 == 0.0):
-        raise JetDomainError(f"negative power of zero: n = {n}")
-    u = x.v0
-
-    def p(k: int):
-        coeff = 1.0
-        for j in range(k):
-            coeff *= n - j
-        # coeff is 0 exactly when k > n >= 0; skipping it avoids 0 ** negative
-        return coeff * u ** (n - k) if coeff != 0.0 else 0.0
-
-    return compose(x, p(0), p(1), p(2), p(3))

@@ -120,7 +120,10 @@ def euclidean_mean_curvature(forms: FundamentalForms) -> np.ndarray:
 
 def euclidean_principal_curvatures(forms: FundamentalForms) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the shape operator at every point, via the quadratic on He and K."""
-    he = euclidean_mean_curvature(forms)
+    return _principal_curvatures(forms, euclidean_mean_curvature(forms))
+
+
+def _principal_curvatures(forms: FundamentalForms, he: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k_gauss = (forms.L * forms.N - forms.M * forms.M) / forms.det_first
     disc = he * he - k_gauss
     root = np.sqrt(np.where(disc < 0.0, 0.0, disc))  # umbilic up to roundoff
@@ -137,7 +140,7 @@ def hyperbolic_curvature(jet: ImmersionJet) -> CurvatureReport:
     forms = _forms(jet, n)
     n3 = n[..., 2]
     he = euclidean_mean_curvature(forms)
-    k1e, k2e = euclidean_principal_curvatures(forms)
+    k1e, k2e = _principal_curvatures(forms, he)
     return CurvatureReport(
         He=he,
         N3=n3,

@@ -467,3 +467,13 @@ def test_product_degree_check_matches_per_term_check(p, q):
         with pytest.raises(DegreeOverflowError) as exc:
             p * q
         assert str(exc.value) == message
+
+
+def test_equality_with_any_rational_scalar():
+    three = MultiPoly.const(3)
+    assert three == 3
+    assert three == MultiPoly.const(np.int64(3))
+    assert three == np.int64(3)
+    assert MultiPoly.const(Fraction(1, 2)) == Fraction(1, 2)
+    assert three != 3.0
+    assert three != np.float64(3.0)

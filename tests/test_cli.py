@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -319,23 +320,24 @@ def test_curvature_csv_matches_repr_of_the_grid(tmp_path):
 
 
 def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # grid 70: 4900 rows in two ranges; the error is raised in the worker
+    # that formats the second, on the rows whose u is the largest theta
+    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
     surf = tmp_path / "s.txt"
     surf.write_text("kind = hemisphere\nradius = 2\n")
     format_column = cli._format_column
-    calls = []
 
-    def fail_in_second_block(values):
-        calls.append(len(values))
-        if len(calls) > len(cli.CURVATURE_COLUMNS):
+    def fail_on_last_theta(values):
+        if np.any(values == 2.0 * math.pi):
             raise OSError("disk full")
         return format_column(values)
 
-    monkeypatch.setattr(cli, "_format_column", fail_in_second_block)
+    monkeypatch.setattr(cli, "_format_column", fail_on_last_theta)
     out = tmp_path / "out"
     assert main(["curvature", "--surface", str(surf), "--grid", "70", "--out", str(out)]) == 1
     assert "disk full" in capsys.readouterr().err
-    assert calls[0] == cli.CSV_BLOCK_ROWS
     assert list(out.iterdir()) == []
+    assert multiprocessing.active_children() == []
 
 
 def _boundary_columns(n):
@@ -376,8 +378,7 @@ def _assert_reaped(pids):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_block_writer_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, cpus):
-    # four blocks, the last partial: the first block, then the other rows
-    # in 1, 2 and 3 contiguous ranges
+    # four blocks, the last partial, in 1, 2 and 3 contiguous ranges
     monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
     forks = _count_forks(monkeypatch)
     n = 3 * cli.CSV_BLOCK_ROWS + 17
@@ -404,7 +405,7 @@ def test_fewer_than_two_blocks_never_fork(tmp_path, monkeypatch):
         cli._write_json(tmp_path / "t.json", {}, columns[:1])
     cli._write_json(tmp_path / "t.json", {"a": 1})
     assert forks == []
-    n = cli.CSV_BLOCK_ROWS + 1  # two blocks: one child
+    n = cli.CSV_BLOCK_ROWS + 1  # two blocks: one worker
     cli._write_csv(tmp_path / "t.csv", "ab", [np.linspace(0.0, 1.0, n), np.arange(n)])
     assert len(forks) == 1
 
@@ -412,9 +413,9 @@ def test_fewer_than_two_blocks_never_fork(tmp_path, monkeypatch):
 @pytest.mark.parametrize(
     "cpus,failing_row,error",
     [
-        (2, 5000, ValueError),  # this process fails while its child runs
-        (3, 7000, ChildProcessError),  # the first child fails while the second runs
-        (3, 3 * cli.CSV_BLOCK_ROWS + 16, ChildProcessError),  # the last child fails
+        (2, 5000, ValueError),  # this process fails while its worker runs
+        (3, 7000, ValueError),  # the first worker fails while the second runs
+        (3, 3 * cli.CSV_BLOCK_ROWS + 16, OSError),  # the last worker fails
     ],
 )
 def test_failed_block_leaves_no_file_and_no_child(tmp_path, monkeypatch, cpus, failing_row, error):
@@ -423,34 +424,18 @@ def test_failed_block_leaves_no_file_and_no_child(tmp_path, monkeypatch, cpus, f
 
     def fail_on_row(values):
         if values[0] <= failing_row < values[0] + len(values):
-            raise ValueError(f"bad block at row {failing_row}")
+            raise error(f"bad block at row {failing_row}")
         return format_column(values)
 
     monkeypatch.setattr(cli, "_format_column", fail_on_row)
     forks = _count_forks(monkeypatch)
     n = 3 * cli.CSV_BLOCK_ROWS + 17
-    with pytest.raises(error, match=f"bad block at row {failing_row}"):
+    with pytest.raises(error, match=f"^bad block at row {failing_row}$"):
         cli._write_csv(tmp_path / "t.csv", "ab", [np.arange(n, dtype=float), np.arange(n)])
     assert len(forks) == cpus - 1
     assert list(tmp_path.iterdir()) == []
+    assert multiprocessing.active_children() == []
     _assert_reaped(forks)
-
-
-def test_error_in_every_block_raises_before_any_fork(tmp_path, monkeypatch):
-    # the first block is formatted before forking: an error every block
-    # raises keeps its type and starts no child
-    monkeypatch.setattr(search, "usable_cpus", lambda: 3)
-    forks = _count_forks(monkeypatch)
-
-    def fail(values):
-        raise ValueError("no column can be formatted")
-
-    monkeypatch.setattr(cli, "_format_column", fail)
-    n = 3 * cli.CSV_BLOCK_ROWS
-    with pytest.raises(ValueError, match="no column can be formatted"):
-        cli._write_csv(tmp_path / "t.csv", "a", [np.arange(n, dtype=float)])
-    assert forks == []
-    assert list(tmp_path.iterdir()) == []
 
 
 def test_curvature_json_format(tmp_path):

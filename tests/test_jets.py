@@ -61,25 +61,6 @@ def test_abs_log_cos_negative_cos_branch():
     assert j.is_finite()
 
 
-def test_tan_matches_sin_over_cos():
-    x = Jet3.variable(0.7)
-    want = jets.sin(x) / jets.cos(x)
-    got = jets.tan(x)
-    for g, w in zip((got.v0, got.v1, got.v2, got.v3), (want.v0, want.v1, want.v2, want.v3)):
-        assert g == pytest.approx(w, rel=1e-13)
-
-
-def test_pow_int():
-    x = Jet3.variable(2.0)
-    assert jets.pow_int(x, 3) == Jet3(8, 12, 12, 6)
-    assert jets.pow_int(x, 0) == Jet3(1, 0, 0, 0)
-    inv = jets.pow_int(x, -1)
-    assert inv.v0 == pytest.approx(0.5)
-    assert inv.v1 == pytest.approx(-0.25)
-    with pytest.raises(JetDomainError):
-        jets.pow_int(Jet3.variable(0.0), -2)
-
-
 # -- random composite expressions vs central finite differences -------
 
 

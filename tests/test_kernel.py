@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ def test_conformal_lift_consistency():
         assert abs(rep.N3) <= 1.0 + 1e-15
         # principal curvatures average to the mean curvature
         assert (rep.kappaE[0] + rep.kappaE[1]) / 2 == pytest.approx(rep.He, rel=1e-9, abs=1e-12)
+
+
+def test_report_kappa_e_is_bit_identical_to_euclidean_principal_curvatures():
+    # a grid of random points with the umbilic plane and pole among them
+    rng = np.random.default_rng(5)
+    points = [_random_jet(rng) for _ in range(200)] + [plane_jet(), hemisphere_pole_jet()]
+    jet = ImmersionJet(*(np.stack([getattr(p, f.name) for p in points]) for f in fields(ImmersionJet)))
+    got = hyperbolic_curvature(jet).kappaE
+    want = euclidean_principal_curvatures(fundamental_forms(jet))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
 
 
 def test_dilation_invariance():
