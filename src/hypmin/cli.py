@@ -68,6 +68,8 @@ def finite_float(text: str) -> float:
 
 # rows per formatted block: bounds the strings alive at once, and so peak RSS
 CSV_BLOCK_ROWS = 4096
+# grid points per kernel call of `cmd_curvature`: its temporaries span a block, not the grid
+KERNEL_BLOCK_POINTS = 8192
 
 
 @contextmanager
@@ -236,17 +238,24 @@ def cmd_curvature(args) -> int:
         print(f"error: {args.surface}: {exc}", file=sys.stderr)
         return 1
     us, vs = _grid_axes(patch.domain, args.grid)
-    jet = patch.jet(us, vs)
-    rep = hyperbolic_curvature(jet)
-    grid = (us, vs, jet.X[..., 0], jet.X[..., 1], jet.X[..., 2], rep.He, rep.N3, rep.H)
-    columns = [c.ravel() for c in np.broadcast_arrays(*grid)]
+    columns = [np.empty((us.size, vs.size)) for _ in CURVATURE_COLUMNS]
+    step = max(1, KERNEL_BLOCK_POINTS // vs.size)
+    for start in range(0, us.size, step):
+        rows = us[start : start + step]
+        jet = patch.jet(rows, vs)
+        rep = hyperbolic_curvature(jet)
+        block = (rows, vs, jet.X[..., 0], jet.X[..., 1], jet.X[..., 2], rep.He, rep.N3, rep.H)
+        for column, values in zip(columns, block):
+            column[start : start + step] = values
+    columns = [c.ravel() for c in columns]
+    summary = f"max |H| = {np.max(np.abs(columns[-1])):.3e} over {len(columns[0])} points"
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
         _write_csv(out / "curvature.csv", CURVATURE_COLUMNS, columns)
     else:
         _write_json(out / "curvature.json", {"columns": list(CURVATURE_COLUMNS)}, columns)
-    print(f"max |H| = {np.max(np.abs(rep.H)):.3e} over {len(columns[0])} points")
+    print(summary)
     return 0
 
 

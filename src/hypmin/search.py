@@ -15,11 +15,13 @@ cost r @ r that tests a trial step.  `residual_and_jacobian`, the dense
 residual vector r and Jacobian J that define the least-squares problem, and
 `residual_grid` are each built from one such record.  The optimizer never
 forms J and evaluates each point once.  When a step is accepted, `_assemble`
-builds J.T @ J and J.T @ r from the trial's record and the cached B-spline
-bases, computing anew only R's partials from the intermediates that gave R.
-R(i, j) depends only on f near x_i and g near v_j, so both are sums of
-products of small stacked matrices.  The final statistics come from the
-last evaluation, the record of the point the last stage returns.
+builds J.T @ J and J.T @ r from the trial's record and the cached bases,
+computing anew only R's partials.  R(i, j) depends only on f near x_i and g
+near v_j, and only on the derivative orders of `_orders` (not on f and g
+themselves for type II and the control).  So per grid line one small Gram
+of [R's partials; R], and one GEMM against a basis extended by a unit
+column, give J.T @ J and J.T @ r together.  The final statistics come from
+the last evaluation, the record of the point the last stage returns.
 
 Each stage damps its steps by the gain ratio, the actual cost decrease over
 the decrease the linear model predicts, and ends for one of STOP_REASONS
@@ -51,6 +53,9 @@ SMOOTHING_WEIGHTS = (30.0, 3.0, 0.3, 0.03, 0.0)
 REL_TOL = 1e-12
 CHECK_GRID = 101
 N_INTERIOR = 12
+
+# The partials of R w.r.t. f, f', f'' and g, g', g'', as `_evaluate` keys them.
+_F_PARTIALS, _G_PARTIALS = ("f", "fp", "fpp"), ("g", "gp", "gpp")
 
 # Why an LM stage ended; see `_lm_stage`.
 STOP_REASONS = ("rel_tol", "model", "noop_step", "damping_cap", "budget")
@@ -136,18 +141,37 @@ def random_ansatz(
 
 # -- basis design matrices (coefficient-independent, cached) -----------
 
-# (f_domain, g_domain, mf, mg, grid) -> (xs, vs, bf, bg), read-only
-_DESIGN_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+# (f_domain, g_domain, mf, mg, grid, lowest order) -> (xs, vs, bf, bg, fx, gx), read-only
+_DESIGN_CACHE: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+
+def _orders(ansatz: SplineAnsatz, cfg: SearchConfig) -> tuple[int, ...]:
+    """The derivative orders of f and g that R depends on: type-I H also
+    depends on f+g, type-II H and the control's S do not."""
+    return (0, 1, 2) if ansatz.kind is Kind.TYPE_I and not cfg.euclidean_control else (1, 2)
+
+
+def _extended(basis: np.ndarray, one_first: bool) -> np.ndarray:
+    """The stacked basis (K, n, m) as (n, K+1, m+1): per point the block
+    diagonal of its K basis rows and a 1, the 1 first or last."""
+    k, n, m = basis.shape
+    ext = np.zeros((n, k + 1, m + 1))
+    ext[:, :k, :m] = basis.transpose(1, 0, 2)
+    ext[:, k, m] = 1.0
+    return np.roll(ext, 1, axis=1) if one_first else ext
 
 
 def _bases(ansatz: SplineAnsatz, cfg: SearchConfig):
-    """Grid (xs, vs) and stacked bases bf (3, nx, mf), bg (3, nz, mg).
+    """Grid (xs, vs), stacked bases bf (3, nx, mf), bg (3, nz, mg), and the
+    extended bases fx (nx, K+1, mf+1), gx (nz, K+1, mg+1) of `_assemble`
+    for the K orders R depends on (`_orders`), the 1 last in fx, first in gx.
 
-    Cached per ansatz shape and grid.  Every later evaluation shares the
-    arrays, so they are read-only.
+    Cached per ansatz shape, grid and orders.  Every later evaluation
+    shares the arrays, so they are read-only.
     """
     mf, mg = len(ansatz.f_coeffs), len(ansatz.g_coeffs)
-    key = (ansatz.f_domain, ansatz.g_domain, mf, mg, cfg.grid)
+    lo = _orders(ansatz, cfg)[0]
+    key = (ansatz.f_domain, ansatz.g_domain, mf, mg, cfg.grid, lo)
     hit = _DESIGN_CACHE.get(key)
     if hit is None:
         nx, nz = cfg.grid
@@ -155,7 +179,7 @@ def _bases(ansatz: SplineAnsatz, cfg: SearchConfig):
         vs = np.linspace(*ansatz.g_domain, nz)
         bf = surfaces.spline_basis(ansatz.f_domain, mf, xs)
         bg = surfaces.spline_basis(ansatz.g_domain, mg, vs)
-        hit = (xs, vs, bf, bg)
+        hit = (xs, vs, bf, bg, _extended(bf[lo:], False), _extended(bg[lo:], True))
         for array in hit:
             array.flags.writeable = False
         _DESIGN_CACHE[key] = hit
@@ -170,20 +194,18 @@ def _spline_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 def _euclidean_residual(fp, fpp, gp, gpp):
     """The Euclidean type-I minimality expression S = (1+g'^2) f'' + (1+f'^2) g'',
-    returned as `surfaces.translation_mean_curvature` returns H: (S, partials)."""
+    returned as `surfaces.translation_mean_curvature` returns type-II H:
+    (S, partials), with no f and g partials."""
     P = 1.0 + fp ** 2
     Q = 1.0 + gp ** 2
     S = Q * fpp + P * gpp
 
     def partials() -> dict:
-        zeros = np.zeros(S.shape)
         return {
-            "f": zeros,
-            "fp": 2.0 * fp * gpp + zeros,
-            "fpp": Q + zeros,
-            "g": zeros,
-            "gp": 2.0 * gp * fpp + zeros,
-            "gpp": P + zeros,
+            "fp": 2.0 * fp * gpp,
+            "fpp": Q.repeat(len(fp), axis=0),
+            "gp": 2.0 * gp * fpp,
+            "gpp": P.repeat(len(gp.T), axis=1),
         }
 
     return S, partials
@@ -195,8 +217,9 @@ def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
     `cfg.euclidean_control` the Euclidean type-I minimality expression.
 
     Returns (R, dR) of one `_evaluate` record, with R of shape (nx, nz) and
-    dR a dict of same-shape arrays keyed by f, fp, fpp, g, gp, gpp; a
-    non-finite R raises NonFiniteResidualError.
+    dR a dict of same-shape arrays keyed by fp, fpp, gp, gpp, and for type I
+    outside the control also f and g (`_orders`); a non-finite R raises
+    NonFiniteResidualError.
     """
     ev = _evaluate(ansatz, cfg, 0.0, 0.0, ansatz.packed())
     return ev.R, ev.partials()
@@ -205,9 +228,9 @@ def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
 def _slab(cfg: SearchConfig, barrier_weight: float, f0, g0):
     """The type-I barrier block (slack, sign), or None when it is off.
 
-    slack = sqrt(w) * (max(0, zFloor - (f+g)) - max(0, (f+g) - zCeil)) and
-    sign is its derivative w.r.t. f+g.  `minimize_residual` turns the
-    barrier on (w > 0) only for type I outside the Euclidean control.
+    slack = sqrt(w) * (clip(f+g, zFloor, zCeil) - (f+g)) and sign is its
+    derivative w.r.t. f+g.  `minimize_residual` turns the barrier on (w > 0)
+    only for type I outside the Euclidean control.
     """
     if barrier_weight <= 0.0:
         return None
@@ -217,11 +240,8 @@ def _slab(cfg: SearchConfig, barrier_weight: float, f0, g0):
     # degenerately).
     zv = f0[:, None] + g0[None, :]
     w = math.sqrt(barrier_weight)
-    deficit = np.maximum(0.0, cfg.z_floor - zv)
-    excess = np.maximum(0.0, zv - cfg.z_ceil)
-    slack = w * (deficit - excess)
-    sign = -w * ((deficit > 0.0) | (excess > 0.0)).astype(float)
-    return slack, sign
+    slack = w * (np.clip(zv, cfg.z_floor, cfg.z_ceil) - zv)
+    return slack, -w * (slack != 0.0)
 
 
 def _residual_vector(R, slab, smoothing_weight: float, f, g) -> np.ndarray:
@@ -247,23 +267,15 @@ def residual_and_jacobian(
     optimizer never forms J, and `_assemble` gives the same J.T @ J and
     J.T @ r from the record alone.
     """
-    _, _, bf, bg = _bases(ansatz, cfg)
-    (Bf, Bf1, Bf2), (Bg, Bg1, Bg2) = bf, bg
+    _, _, bf, bg, _, _ = _bases(ansatz, cfg)
+    (Bf, _, Bf2), (Bg, _, Bg2) = bf, bg
     ev = _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed())
     dR = ev.partials()
     nx, nz = ev.R.shape
     mf, mg = Bf.shape[1], Bg.shape[1]
-    Jf = (
-        np.einsum("ij,ik->ijk", dR["f"], Bf)
-        + np.einsum("ij,ik->ijk", dR["fp"], Bf1)
-        + np.einsum("ij,ik->ijk", dR["fpp"], Bf2)
-    ).reshape(nx * nz, mf)
-    Jg = (
-        np.einsum("ij,jk->ijk", dR["g"], Bg)
-        + np.einsum("ij,jk->ijk", dR["gp"], Bg1)
-        + np.einsum("ij,jk->ijk", dR["gpp"], Bg2)
-    ).reshape(nx * nz, mg)
-    J_blocks = [np.hstack([Jf, Jg])]
+    Jf = sum(np.einsum("ij,ik->ijk", dR[n], B) for n, B in zip(_F_PARTIALS, bf) if n in dR)
+    Jg = sum(np.einsum("ij,jk->ijk", dR[n], C) for n, C in zip(_G_PARTIALS, bg) if n in dR)
+    J_blocks = [np.hstack([Jf.reshape(nx * nz, mf), Jg.reshape(nx * nz, mg)])]
 
     if ev.slab is not None:
         sign = ev.slab[1]
@@ -302,7 +314,7 @@ def _evaluate(
     """Evaluate the problem of `residual_and_jacobian` at the packed
     coefficients x; ansatz supplies only the kind, the domains and the sizes.
     The only place the spline rows and R are computed."""
-    _, vs, bf, bg = _bases(ansatz, cfg)
+    _, vs, bf, bg, _, _ = _bases(ansatz, cfg)
     mf = bf.shape[2]
     f, g = _spline_values(bf, x[:mf]), _spline_values(bg, x[mf:])
     fp, fpp, gp, gpp = f[1][:, None], f[2][:, None], g[1][None, :], g[2][None, :]
@@ -313,65 +325,63 @@ def _evaluate(
         R, partials = surfaces.translation_mean_curvature(ansatz.kind, height, fp, fpp, gp, gpp)
     slab = _slab(cfg, barrier_weight, f[0], g[0])
     r = _residual_vector(R, slab, smoothing_weight, f, g)
-    if not np.all(np.isfinite(r)):
+    cost = float(r @ r)  # a sum of squares: finite only if every entry of r is
+    if not math.isfinite(cost) and not np.all(np.isfinite(r)):
         raise NonFiniteResidualError("non-finite residual during optimization")
-    return _Evaluation(float(r @ r), f, g, R, slab, partials)
+    return _Evaluation(cost, f, g, R, slab, partials)
 
 
-def _basis_gram(basis: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """sum_kl B_k^T diag(S[:, k, l]) B_l for stacked bases B (3, n, m) and S (n, 3, 3)."""
-    _, n, m = basis.shape
-    weighted = (S @ basis.transpose(1, 0, 2)).transpose(1, 0, 2).reshape(3 * n, m)
-    return basis.reshape(3 * n, m).T @ weighted
+def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float):
+    """A = J.T @ J and g = J.T @ r at the point of the evaluation `ev`, from
+    the cached `_bases`; only R's partials are computed here.
 
+    R(i, j) depends only on f at x_i and g at v_j, and only on the K orders
+    of `_orders`.  Write D_k = dR/df^(k) and E_l = dR/dg^(l) for those
+    orders, and B_k, C_l for the bases of f^(k), g^(l) on the grid.  Then
 
-def _assemble(ev: _Evaluation, bf: np.ndarray, bg: np.ndarray, smoothing_weight: float):
-    """A = J.T @ J and g = J.T @ r at the point of the evaluation `ev`, for
-    the stacked bases bf, bg of `_bases`; only R's partials are computed here.
-
-    R(i, j) depends only on f at x_i and g at v_j.  Write D_k = dR/df^(k) and
-    E_l = dR/dg^(l) for the value and first two derivatives (k, l = 0, 1, 2),
-    and B_k, C_l for the bases of f^(k), g^(l) on the grid.  Then
-
-        A_ff = sum_kl B_k^T diag(sum_j D_k*D_l) B_l
+        A_ff = sum_kl B_k^T diag(sum_j D_k*D_l) B_l,  g_f = sum_k B_k^T (sum_j D_k*R)
         A_fg = sum_kl B_k^T (D_k*E_l) C_l
-        A_gg = sum_kl C_k^T diag(sum_i E_k*E_l) C_l
+        A_gg = sum_kl C_k^T diag(sum_i E_k*E_l) C_l,  g_g = sum_l C_l^T (sum_i E_l*R)
 
-    The slab barrier adds to the k = l = 0 terms and the smoothing penalty
-    to the k = l = 2 terms.  Each sum over (k, l) is one matmul over the
-    (3n, m) stacked bases.
+    One batched matmul over the stack [D; R] gives, per x_i, the (K+1)^2
+    Gram of sum_j D_k*D_l and sum_j D_k*R; one over [R; E] gives the same
+    per v_j.  The slab barrier adds to the order-0 entries of these blocks
+    and the smoothing penalty to the order-2 entries.  The extended basis fx
+    is diag(B(x_i), 1) per point, so one GEMM gives [A_ff, g_f] from the
+    Grams, and gx likewise [A_gg, g_g].  A_fg is one product over the
+    (K n, m) stacked bases.
     """
+    _, _, bf, bg, fx, gx = bases
+    k = fx.shape[1] - 1  # R depends on the last k orders
     _, nx, mf = bf.shape
     _, nz, mg = bg.shape
     f, g, R, dR = ev.f, ev.g, ev.R, ev.partials()
-    D = np.stack([dR["f"], dR["fp"], dR["fpp"]])  # (3, nx, nz)
-    E = np.stack([dR["g"], dR["gp"], dR["gpp"]])
-    Sf = D.transpose(1, 0, 2) @ D.transpose(1, 2, 0)  # (nx, 3, 3): sum_j D_k*D_l
-    Sg = E.transpose(2, 0, 1) @ E.transpose(2, 1, 0)  # (nz, 3, 3): sum_i E_k*E_l
-    DE = (D[:, :, None, :] * E.transpose(1, 0, 2)[None]).reshape(3 * nx, 3 * nz)
-    rf = (D * R).sum(axis=2)  # (3, nx): sum_j D_k*R
-    rg = (E * R).sum(axis=1)  # (3, nz): sum_i E_l*R
-    if ev.slab is not None:
+    X = np.array([*(dR[n] for n in _F_PARTIALS[3 - k :]), R, *(dR[n] for n in _G_PARTIALS[3 - k :])])
+    DR, RE = X[: k + 1], X[k:]  # [D; R] and [R; E]
+    Gf = DR.transpose(1, 0, 2) @ DR.transpose(1, 2, 0)  # (nx, k+1, k+1)
+    Gg = RE.transpose(2, 0, 1) @ RE.transpose(2, 1, 0)  # (nz, k+1, k+1)
+    DE = (X[:k, :, None, :] * X[k + 1 :].transpose(1, 0, 2)[None]).reshape(k * nx, k * nz)
+    if ev.slab is not None:  # order 0: row 0 of [D; R], row 1 of [R; E]
         slack, sign = ev.slab
-        sign2 = sign * sign
-        Sf[:, 0, 0] += sign2.sum(axis=1)
-        Sg[:, 0, 0] += sign2.sum(axis=0)
+        sign2, push = sign * sign, sign * slack
+        Gf[:, 0, 0] += sign2.sum(axis=1)
+        Gf[:, 0, k] += push.sum(axis=1)
+        Gg[:, 1, 1] += sign2.sum(axis=0)
+        Gg[:, 1, 0] += push.sum(axis=0)
         DE[:nx, :nz] += sign2
-        rf[0] += (sign * slack).sum(axis=1)
-        rg[0] += (sign * slack).sum(axis=0)
-    if smoothing_weight > 0.0:
-        Sf[:, 2, 2] += smoothing_weight
-        Sg[:, 2, 2] += smoothing_weight
-        rf[2] += smoothing_weight * f[2]
-        rg[2] += smoothing_weight * g[2]
-    Bm = bf.reshape(3 * nx, mf)
-    Cm = bg.reshape(3 * nz, mg)
+    if smoothing_weight > 0.0:  # order 2: row k-1 of [D; R], row k of [R; E]
+        Gf[:, k - 1, k - 1] += smoothing_weight
+        Gf[:, k - 1, k] += smoothing_weight * f[2]
+        Gg[:, k, k] += smoothing_weight
+        Gg[:, k, 0] += smoothing_weight * g[2]
+    Ff = fx.reshape(-1, mf + 1).T @ (Gf @ fx).reshape(-1, mf + 1)  # sum_i fx_i^T Gf_i fx_i
+    Fg = gx.reshape(-1, mg + 1).T @ (Gg @ gx).reshape(-1, mg + 1)
     A = np.empty((mf + mg, mf + mg))
-    A[:mf, :mf] = _basis_gram(bf, Sf)
-    A[mf:, mf:] = _basis_gram(bg, Sg)
-    A[:mf, mf:] = Bm.T @ DE @ Cm
+    A[:mf, :mf] = Ff[:mf, :mf]
+    A[mf:, mf:] = Fg[:mg, :mg]
+    A[:mf, mf:] = bf[3 - k :].reshape(k * nx, mf).T @ DE @ bg[3 - k :].reshape(k * nz, mg)
     A[mf:, :mf] = A[:mf, mf:].T
-    return A, np.concatenate([Bm.T @ rf.reshape(-1), Cm.T @ rg.reshape(-1)])
+    return A, np.concatenate([Ff[:mf, mf], Fg[:mg, mg]])
 
 
 # -- damped least squares with continuation ---------------------------
@@ -431,15 +441,15 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
     def stop(reason):
         return ansatz.with_coeffs(x), nfev, reason, tuple(trace), here
 
-    _, _, bf, bg = _bases(ansatz, cfg)
+    bases = _bases(ansatz, cfg)
     x = ansatz.packed()
     here = evaluate(x)
     trace = [here.cost]
     nfev = 1
     mu, nu = 1e-3, 2.0
     while nfev < budget:
-        A, g = _assemble(here, bf, bg, smoothing_weight)
-        d = np.maximum(np.diag(A), 1e-12)
+        A, g = _assemble(here, bases, smoothing_weight)
+        d = np.maximum(A.diagonal(), 1e-12)
         while True:
             if nfev >= budget:
                 return stop("budget")

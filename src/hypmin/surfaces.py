@@ -239,7 +239,8 @@ def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp):
     dict of the partials of H w.r.t. f, f', f'', g, g', g'' (keys f, fp,
     fpp, g, gp, gpp), built on demand from the P, Q, S, W^2, W and W^3 that
     produced H.  A caller that needs H alone never pays for them, and one
-    that needs both later evaluates the formula once.
+    that needs both later evaluates the formula once.  Type-II H does not
+    depend on f or g, so its dict has no f and g keys.
     """
     P = 1.0 + fp ** 2
     Q = 1.0 + gp ** 2
@@ -265,12 +266,9 @@ def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp):
                 "gp": gp * (height * (fpp - T) - 1.0) / W3,
                 "gpp": height * P / (2.0 * W3),
             }
-        zeros = np.zeros(H.shape)
         return {
-            "f": zeros,
             "fp": fp * (height * (T - gpp) - gp) / W3,
             "fpp": -height * Q / (2.0 * W3),
-            "g": zeros,
             "gp": (gp * height * (T - fpp) + P) / W3,
             "gpp": -height * P / (2.0 * W3),
         }

@@ -319,6 +319,29 @@ def test_curvature_csv_matches_repr_of_the_grid(tmp_path):
     assert (outs[0] / "curvature.csv").read_bytes() == (outs[1] / "curvature.csv").read_bytes()
 
 
+@pytest.mark.parametrize("block_points", [1, 210])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_curvature_kernel_blocks_give_the_one_block_bytes(tmp_path, monkeypatch, capsys, block_points, fmt):
+    # grid 70 is one kernel block by default; 1 and 210 points give blocks
+    # of 1 row and of 3 rows, the last of 1
+    texts = {
+        "spline": "kind = type1\ndomain = -1 1 -1 1\nf = spline -1 1 1.4 1.6 1.3 1.7 1.5\ng = spline -1 1 0.1 -0.2 0.3 0.0\n",
+        "hemisphere": "kind = hemisphere\nradius = 2 0.5 -0.25\n",
+    }
+    for name, text in texts.items():
+        surf = tmp_path / f"{name}.txt"
+        surf.write_text(text)
+        runs = []
+        for out in (tmp_path / f"{name}-one", tmp_path / f"{name}-blocks"):
+            if out.name.endswith("blocks"):
+                monkeypatch.setattr(cli, "KERNEL_BLOCK_POINTS", block_points)
+            assert main(["curvature", "--surface", str(surf), "--grid", "70", "--format", fmt, "--out", str(out)]) == 0
+            runs.append(((out / f"curvature.{fmt}").read_bytes(), capsys.readouterr().out))
+            monkeypatch.undo()
+        assert runs[0] == runs[1]
+        assert "over 4900 points" in runs[0][1]
+
+
 def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
     # grid 70: 4900 rows in two ranges; the error is raised in the worker
     # that formats the second, on the rows whose u is the largest theta

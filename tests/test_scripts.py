@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from hypmin import search
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -38,3 +40,24 @@ def test_ode_branch_experiments_usage_errors(capsys, argv, fragment):
     captured = capsys.readouterr()
     assert fragment in captured.err
     assert captured.out == ""
+
+
+def test_lm_layers_prints_every_kind_and_layer(capsys):
+    assert _load("lm_layers").main(["--grid", "9", "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "grid 9x9, generator seed 3; median us per call"
+    assert lines[1].split() == ["kind", "nfev", "evaluate", "assemble", "damped_step"]
+    assert [line.split()[0] for line in lines[2:]] == ["type2", "type1", "control"]
+    for line in lines[2:]:
+        nfev, *us = line.split()[1:]
+        assert int(nfev) >= len(search.SMOOTHING_WEIGHTS)  # one evaluation per stage at least
+        assert all(float(u) > 0.0 for u in us)
+    layers = ("_evaluate", "_assemble", "_damped_step")
+    assert [getattr(search, layer).__name__ for layer in layers] == list(layers)  # wrappers removed
+
+
+def test_lm_layers_rejects_a_grid_below_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load("lm_layers").main(["--grid", "1"])
+    assert exc.value.code == 2
+    assert "--grid must be at least 2" in capsys.readouterr().err

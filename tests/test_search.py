@@ -10,6 +10,7 @@ from hypmin.algebra import build_named
 from hypmin.kernel import hyperbolic_curvature
 from hypmin.search import (
     InfeasibleSeedError,
+    NonFiniteResidualError,
     SearchConfig,
     SplineAnsatz,
     generate_seeds,
@@ -64,6 +65,36 @@ def test_infeasible_type1_seed_rejected():
     bad = SplineAnsatz(Kind.TYPE_I, np.full(m, -1.0), np.zeros(m), (-1, 1), (-1, 1))
     with pytest.raises(InfeasibleSeedError):
         minimize_residual(bad, SearchConfig())
+
+
+@pytest.mark.parametrize("kind,g_domain,control", [
+    (Kind.TYPE_II, (1, 2), False),
+    (Kind.TYPE_I, (-1, 1), False),
+    (Kind.TYPE_I, (-1, 1), True),
+])
+def test_nan_coefficient_raises_non_finite_residual(kind, g_domain, control):
+    cfg = replace(FAST, euclidean_control=control)
+    (seed,) = generate_seeds(1, kind, 3, (-1, 1), g_domain, euclidean_control=control)
+    for index in (5, len(seed.packed()) - 3):  # one f and one g coefficient
+        x = seed.packed()
+        x[index] = np.nan
+        bad = seed.with_coeffs(x)
+        with pytest.raises(NonFiniteResidualError, match="non-finite residual"):
+            minimize_residual(bad, cfg)
+        with pytest.raises(NonFiniteResidualError):
+            search.residual_grid(bad, cfg)
+
+
+def test_overflowing_cost_of_a_finite_residual_does_not_raise():
+    # f = 1e160: W^3 overflows, so R = 1/W stays finite, while the square of
+    # the finite slab slack overflows the cost; the trial is rejected, not an error
+    (seed,) = generate_seeds(1, Kind.TYPE_I, 3, (-1, 1), (-1, 1))
+    x = seed.packed()
+    x[: len(seed.f_coeffs)] = 1e160
+    with np.errstate(over="ignore"):
+        ev = search._evaluate(seed, FAST, 10.0, 0.0, x)
+    assert ev.cost == math.inf
+    assert np.all(np.isfinite(ev.R)) and np.all(np.isfinite(ev.slab[0]))
 
 
 def test_stage_traces_monotone():
@@ -137,30 +168,42 @@ def test_barrier_jacobian_matches_finite_differences():
         assert np.max(np.abs(J[:, idx] - fd) / scale) < 1e-5
 
 
+def _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing, grid=(7, 9)):
+    """A random ansatz and its dense (r, J); with a z_slab, both slab sides are active."""
+    rng = np.random.default_rng(29)
+    cfg = SearchConfig(grid=grid, euclidean_control=control)
+    lift = 0.0
+    if z_slab is not None:
+        cfg = replace(cfg, z_floor=z_slab[0], z_ceil=z_slab[1])
+        lift = 1.75
+    ansatz = search.random_ansatz(rng, kind, (-1, 1), g_domain, lift=lift)
+    r, J = residual_and_jacobian(ansatz, cfg, barrier, smoothing)
+    if z_slab is not None:
+        n = grid[0] * grid[1]
+        slack = r[n : 2 * n]
+        assert np.any(slack > 0.0) and np.any(slack < 0.0)
+    return ansatz, cfg, r, J
+
+
+# (7, 9) keeps the grid lines of f and g apart; (33, 33) is the campaigns' grid.
+DENSE_GRIDS = ((7, 9), SearchConfig().grid)
+
+
 @pytest.mark.parametrize("kind,g_domain,control,z_slab,barrier", [
     (Kind.TYPE_II, (1, 2), False, None, 0.0),
     (Kind.TYPE_I, (-1, 1), False, (1.6, 1.9), 4.0),  # both slab sides active
     (Kind.TYPE_I, (-1, 1), True, None, 0.0),
 ])
 def test_normal_equations_match_dense_jacobian(kind, g_domain, control, z_slab, barrier):
-    rng = np.random.default_rng(29)
-    cfg = SearchConfig(grid=(7, 9), euclidean_control=control)
-    lift = 0.0
-    if z_slab is not None:
-        cfg = replace(cfg, z_floor=z_slab[0], z_ceil=z_slab[1])
-        lift = 1.75
-    ansatz = search.random_ansatz(rng, kind, (-1, 1), g_domain, lift=lift)
-    r, J = residual_and_jacobian(ansatz, cfg, barrier, 0.5)
-    if z_slab is not None:
-        slack = r[63:126]
-        assert np.any(slack > 0.0) and np.any(slack < 0.0)
-    _, _, bf, bg = search._bases(ansatz, cfg)
-    ev = search._evaluate(ansatz, cfg, barrier, 0.5, ansatz.packed())
-    A, g = search._assemble(ev, bf, bg, 0.5)
-    A_ref, g_ref = J.T @ J, J.T @ r
-    assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
-    assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
-    assert ev.cost == float(r @ r)
+    for grid in DENSE_GRIDS:
+        for smoothing in (0.0, 0.5):
+            ansatz, cfg, r, J = _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing, grid)
+            ev = search._evaluate(ansatz, cfg, barrier, smoothing, ansatz.packed())
+            A, g = search._assemble(ev, search._bases(ansatz, cfg), smoothing)
+            A_ref, g_ref = J.T @ J, J.T @ r
+            assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+            assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
+            assert ev.cost == float(r @ r)
 
 
 @pytest.mark.parametrize("kind,g_domain,control", [
@@ -196,24 +239,16 @@ def test_lm_stops_when_every_solve_fails(monkeypatch):
 ])
 @pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
 def test_predicted_decrease_matches_dense_model(kind, g_domain, control, z_slab, barrier, smoothing, mu):
-    rng = np.random.default_rng(29)
-    cfg = SearchConfig(grid=(7, 9), euclidean_control=control)
-    lift = 0.0
-    if z_slab is not None:
-        cfg = replace(cfg, z_floor=z_slab[0], z_ceil=z_slab[1])
-        lift = 1.75
-    ansatz = search.random_ansatz(rng, kind, (-1, 1), g_domain, lift=lift)
-    r, J = residual_and_jacobian(ansatz, cfg, barrier, smoothing)
-    if z_slab is not None:
-        slack = r[63:126]
-        assert np.any(slack > 0.0) and np.any(slack < 0.0)
-    _, _, bf, bg = search._bases(ansatz, cfg)
-    A, g = search._assemble(search._evaluate(ansatz, cfg, barrier, smoothing, ansatz.packed()), bf, bg, smoothing)
-    delta, pred = search._damped_step(A, g, np.maximum(np.diag(A), 1e-12), mu)
-    model = r + J @ delta
-    dense = r @ r - model @ model
-    assert dense > 0.0
-    assert abs(pred - dense) <= 1e-12 * dense
+    for grid in DENSE_GRIDS:
+        for weight in (smoothing, 0.0 if smoothing else 0.3):  # with and without smoothing
+            ansatz, cfg, r, J = _dense_problem(kind, g_domain, control, z_slab, barrier, weight, grid)
+            ev = search._evaluate(ansatz, cfg, barrier, weight, ansatz.packed())
+            A, g = search._assemble(ev, search._bases(ansatz, cfg), weight)
+            delta, pred = search._damped_step(A, g, np.maximum(np.diag(A), 1e-12), mu)
+            model = r + J @ delta
+            dense = r @ r - model @ model
+            assert dense > 0.0
+            assert abs(pred - dense) <= 1e-12 * dense
 
 
 @pytest.mark.parametrize("kind,g_domain,control", [
@@ -281,13 +316,7 @@ def test_one_evaluation_per_counted_nfev(monkeypatch, kind, g_domain):
     (Kind.TYPE_I, (-1, 1), True, None, 0.0, 0.5),
 ])
 def test_reused_record_equals_fresh_normal_equations(monkeypatch, kind, g_domain, control, z_slab, barrier, smoothing):
-    rng = np.random.default_rng(29)
-    cfg = SearchConfig(grid=(7, 9), euclidean_control=control)
-    lift = 0.0
-    if z_slab is not None:
-        cfg = replace(cfg, z_floor=z_slab[0], z_ceil=z_slab[1])
-        lift = 1.75
-    ansatz = search.random_ansatz(rng, kind, (-1, 1), g_domain, lift=lift)
+    ansatz, cfg, _, _ = _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing)
     evaluate, assemble = search._evaluate, search._assemble
     points = {}  # id of a record -> (record, its x); holding the record keeps its id unique
     built = []  # (x, A, g) for every build in the stage
@@ -297,8 +326,8 @@ def test_reused_record_equals_fresh_normal_equations(monkeypatch, kind, g_domain
         points[id(ev)] = (ev, x.copy())
         return ev
 
-    def recording_assemble(ev, bf, bg, smoothing_weight):
-        A, g = assemble(ev, bf, bg, smoothing_weight)
+    def recording_assemble(ev, bases, smoothing_weight):
+        A, g = assemble(ev, bases, smoothing_weight)
         built.append((ev, points[id(ev)][1], A, g))
         return A, g
 
@@ -306,13 +335,13 @@ def test_reused_record_equals_fresh_normal_equations(monkeypatch, kind, g_domain
     monkeypatch.setattr(search, "_assemble", recording_assemble)
     search._lm_stage(ansatz, cfg, barrier, smoothing, 12)
     monkeypatch.undo()
-    _, _, bf, bg = search._bases(ansatz, cfg)
+    bases = search._bases(ansatz, cfg)
     assert len(built) >= 3  # the start and at least two accepted trials
     for ev, x, A, g in built[1:]:
         if z_slab is not None:
             slack = ev.slab[0]
             assert np.any(slack > 0.0) and np.any(slack < 0.0)
-        A_fresh, g_fresh = search._assemble(search._evaluate(ansatz, cfg, barrier, smoothing, x), bf, bg, smoothing)
+        A_fresh, g_fresh = search._assemble(search._evaluate(ansatz, cfg, barrier, smoothing, x), bases, smoothing)
         assert np.array_equal(A, A_fresh) and np.array_equal(g, g_fresh)
 
 
@@ -372,7 +401,7 @@ def test_residual_grid_is_the_kernel_H(kind, g_domain, lift):
     ansatz = search.random_ansatz(np.random.default_rng(31), kind, (-1, 1), g_domain, lift=lift)
     cfg = SearchConfig()
     R, _ = search.residual_grid(ansatz, cfg)
-    xs, vs, _, _ = search._bases(ansatz, cfg)
+    xs, vs, *_ = search._bases(ansatz, cfg)
     H = hyperbolic_curvature(ansatz.surface().jet(xs[:, None], vs[None, :])).H
     assert R.shape == H.shape == cfg.grid
     assert np.max(np.abs(R - H) / np.abs(H)) <= 1e-10
@@ -392,19 +421,42 @@ def _scipy_basis(domain, m, ts):
 @pytest.mark.parametrize("cfg", [SearchConfig(), FAST])
 def test_bases_equal_scipy_design_matrices(kind, g_domain, cfg):
     (seed,) = generate_seeds(1, kind, 3, (-1.0, 1.0), g_domain)
-    xs, vs, bf, bg = search._bases(seed, cfg)
+    xs, vs, bf, bg, _, _ = search._bases(seed, cfg)
     assert np.array_equal(bf, _scipy_basis(seed.f_domain, len(seed.f_coeffs), xs))
     assert np.array_equal(bg, _scipy_basis(seed.g_domain, len(seed.g_coeffs), vs))
 
 
+@pytest.mark.parametrize("kind,g_domain,control,orders", [
+    (Kind.TYPE_II, (1, 2), False, (1, 2)),
+    (Kind.TYPE_I, (-1, 1), False, (0, 1, 2)),
+    (Kind.TYPE_I, (-1, 1), True, (1, 2)),
+])
+def test_extended_bases_hold_the_orders_R_depends_on(kind, g_domain, control, orders):
+    cfg = replace(FAST, euclidean_control=control)
+    (seed,) = generate_seeds(1, kind, 3, (-1, 1), g_domain, euclidean_control=control)
+    _, _, bf, bg, fx, gx = search._bases(seed, cfg)
+    k, (_, nx, mf), (_, nz, mg) = len(orders), bf.shape, bg.shape
+    assert fx.shape == (nx, k + 1, mf + 1) and gx.shape == (nz, k + 1, mg + 1)
+    assert np.array_equal(fx[:, :k, :mf], bf[list(orders)].transpose(1, 0, 2))  # the 1 last
+    assert np.array_equal(gx[:, 1:, :mg], bg[list(orders)].transpose(1, 0, 2))  # the 1 first
+    assert np.all(fx[:, k, mf] == 1.0) and np.all(gx[:, 0, mg] == 1.0)
+    assert np.count_nonzero(fx[:, :, mf]) == nx and np.count_nonzero(fx[:, k, :]) == nx
+    assert np.count_nonzero(gx[:, :, mg]) == nz and np.count_nonzero(gx[:, 0, :]) == nz
+    ev = search._evaluate(seed, cfg, 0.0, 0.0, seed.packed())
+    assert set(ev.partials()) == {name + "p" * n for n in orders for name in "fg"}
+
+
 def test_cached_bases_are_read_only():
-    (seed,) = generate_seeds(1, Kind.TYPE_II, 3, (-1, 1), (1, 2))
-    xs, vs, bf, bg = search._bases(seed, FAST)
-    for array in (xs, vs, bf, bg):
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-    with pytest.raises(ValueError):
-        bf[0][1, 2] = 1.0  # a view keeps the flag
+    for kind, g_domain in ((Kind.TYPE_II, (1, 2)), (Kind.TYPE_I, (-1, 1))):
+        (seed,) = generate_seeds(1, kind, 3, (-1, 1), g_domain)
+        bases = search._bases(seed, FAST)
+        assert len(bases) == 6  # xs, vs, bf, bg and the extended fx, gx
+        for array in bases:
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        for stacked in bases[2:]:
+            with pytest.raises(ValueError):
+                stacked[0][1, 2] = 1.0  # a view keeps the flag
 
 
 # -- ODE experiments ---------------------------------------------------
