@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Cost of one Levenberg-Marquardt step, layer by layer.
 
-For each search kind (type2, type1 and the Euclidean control) this runs
+For each campaign of `search.CAMPAIGNS` (type1, type2, control) this runs
 `minimize_residual` on one generated seed and prints nfev, and the median
 time per call, in microseconds, of the three layers of an LM step:
 
@@ -21,15 +21,8 @@ import statistics
 import time
 
 from hypmin import search
-from hypmin.search import SearchConfig, generate_seeds, minimize_residual
-from hypmin.surfaces import Kind
+from hypmin.search import CAMPAIGNS, SearchConfig, minimize_residual
 
-# kind -> (surface kind, g domain, Euclidean control); f's domain is (-1, 1)
-KINDS = {
-    "type2": (Kind.TYPE_II, (1.0, 2.0), False),
-    "type1": (Kind.TYPE_I, (-1.0, 1.0), False),
-    "control": (Kind.TYPE_I, (-1.0, 1.0), True),
-}
 LAYERS = ("_evaluate", "_assemble", "_damped_step")
 
 
@@ -45,10 +38,10 @@ def _timed(samples: list, fn):
 
 
 def measure(name: str, grid: int, seed: int):
-    """(nfev, {layer: median us per call}) of one seed of the kind `name`."""
-    kind, g_domain, control = KINDS[name]
-    cfg = SearchConfig(grid=(grid, grid), euclidean_control=control)
-    (ansatz,) = generate_seeds(1, kind, seed, (-1.0, 1.0), g_domain, euclidean_control=control)
+    """(nfev, {layer: median us per call}) of one seed of the campaign `name`."""
+    campaign = CAMPAIGNS[name]
+    cfg = SearchConfig(grid=(grid, grid), euclidean_control=campaign.euclidean_control)
+    (ansatz,) = campaign.seeds(1, seed)
     minimize_residual(ansatz, cfg)
     samples = {layer: [] for layer in LAYERS}
     originals = {layer: getattr(search, layer) for layer in LAYERS}
@@ -64,14 +57,14 @@ def measure(name: str, grid: int, seed: int):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seed", type=int, default=6421, help="generator seed of the one seed per kind")
+    ap.add_argument("--seed", type=int, default=6421, help="generator seed of the one seed per campaign")
     ap.add_argument("--grid", type=int, default=SearchConfig().grid[0], help="grid side (default: SearchConfig's)")
     args = ap.parse_args(argv)
     if args.grid < 2:
         ap.error(f"--grid must be at least 2, got {args.grid}")
     print(f"grid {args.grid}x{args.grid}, generator seed {args.seed}; median us per call")
     print(f"{'kind':8s} {'nfev':>6s} {'evaluate':>10s} {'assemble':>10s} {'damped_step':>12s}")
-    for name in KINDS:
+    for name in CAMPAIGNS:
         nfev, us = measure(name, args.grid, args.seed)
         print(f"{name:8s} {nfev:6d} {us['_evaluate']:10.1f} {us['_assemble']:10.1f} {us['_damped_step']:12.1f}")
     return 0

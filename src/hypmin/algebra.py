@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Rational
 from operator import add
-from typing import Iterable, Mapping
+from typing import Mapping
 
 DEFAULT_VARS = ("a", "b", "z", "X")
 MAX_DEGREE = 16
@@ -583,17 +583,3 @@ def run_all_verifications() -> list[ProofReport]:
     _, _, x_report, final_report = solve_X_and_eliminate(q1, q3, final7)
     reports.extend([x_report, final_report])
     return reports
-
-
-def random_rational_points(n: int, rng, names: Iterable[str]) -> list[dict]:
-    """Deterministic sample of exact rational points for spot checks."""
-    names = tuple(names)
-    out = []
-    for _ in range(n):
-        out.append(
-            {
-                name: Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 20)))
-                for name in names
-            }
-        )
-    return out

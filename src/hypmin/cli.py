@@ -23,8 +23,7 @@ from . import algebra, search, surfaces
 from .descriptors import SurfaceFileError, load_surface
 from .kernel import ImmersionJet, hyperbolic_curvature
 from .kernel import euclidean_mean_curvature, fundamental_forms
-from .search import STOP_REASONS, SearchConfig, generate_seeds, run_seeds
-from .surfaces import Kind
+from .search import CAMPAIGNS, STOP_REASONS, SearchConfig, run_seeds
 
 # after the package, whose `search` module imports it first: importing it
 # ahead of the package changes the heap layout left by start-up, which
@@ -296,18 +295,10 @@ def cmd_scherk(args) -> int:
     return 0
 
 
-_SEARCH_SETUPS = {
-    "type1": (Kind.TYPE_I, (-1.0, 1.0), (-1.0, 1.0), False),
-    "type2": (Kind.TYPE_II, (-1.0, 1.0), (1.0, 2.0), False),
-    "control": (Kind.TYPE_I, (-1.0, 1.0), (-1.0, 1.0), True),
-}
-
-
 def cmd_search(args) -> int:
-    kind, f_dom, g_dom, control = _SEARCH_SETUPS[args.kind]
-    cfg = SearchConfig(euclidean_control=control)
-    seeds = generate_seeds(args.seeds, kind, args.seed, f_dom, g_dom, euclidean_control=control)
-    results = run_seeds(seeds, cfg, workers=args.workers)
+    campaign = CAMPAIGNS[args.kind]
+    cfg = SearchConfig(euclidean_control=campaign.euclidean_control)
+    results = run_seeds(campaign.seeds(args.seeds, args.seed), cfg, workers=args.workers)
     columns = [
         np.arange(len(results)),
         np.array([r.sup_residual for r in results]),
@@ -393,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_scherk)
 
     p = sub.add_parser("search", help="least-squares falsification run")
-    p.add_argument("--kind", choices=tuple(_SEARCH_SETUPS), required=True)
+    p.add_argument("--kind", choices=tuple(CAMPAIGNS), required=True)
     p.add_argument("--seeds", type=positive_int, default=20)
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--workers", type=positive_int, default=1)

@@ -7,7 +7,8 @@ f'' and g'' so rough random seeds are pulled into the smooth basin before
 the unregularized final stage.  For type II the optimizer collapses onto
 the geodesic-plane family; for type I a positive residual floor remains.
 A Euclidean control objective (which does have solutions) demonstrates
-that the harness finds them when they exist.
+that the harness finds them when they exist.  The campaigns are defined in
+CAMPAIGNS; a type-II control and a type-II z-range reaching z <= 0 are rejected.
 
 `_evaluate` is the one place that computes the spline rows and the
 residual grid R: at a coefficient vector it gives R, the slab block and the
@@ -17,8 +18,8 @@ residual vector r and Jacobian J that define the least-squares problem, and
 forms J and evaluates each point once.  When a step is accepted, `_assemble`
 builds J.T @ J and J.T @ r from the trial's record and the cached bases,
 computing anew only R's partials.  R(i, j) depends only on f near x_i and g
-near v_j, and only on the derivative orders of `_orders` (not on f and g
-themselves for type II and the control).  So per grid line one small Gram
+near v_j, and only on the derivative orders f', f'', g', g'', and for
+type-I H also on f and g themselves.  So per grid line one small Gram
 of [R's partials; R], and one GEMM against a basis extended by a unit
 column, give J.T @ J and J.T @ r together.  The final statistics come from
 the last evaluation, the record of the point the last stage returns.
@@ -36,11 +37,12 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import surfaces
+from .kernel import HalfSpaceError
 from .surfaces import Kind, TranslationSurface, n_coeffs
 
 # Fixed in every campaign: the type-I slab barrier weight of the first
@@ -102,6 +104,37 @@ class SearchConfig:
     euclidean_control: bool = False
 
 
+class Campaign(NamedTuple):
+    kind: Kind
+    f_domain: tuple[float, float]
+    g_domain: tuple[float, float]
+    euclidean_control: bool  # R is the Euclidean control's S, not H
+
+    def seeds(self, n: int, generator_seed: int) -> list[SplineAnsatz]:
+        return generate_seeds(n, self.kind, generator_seed, self.f_domain, self.g_domain, self.euclidean_control)
+
+
+# The search campaigns, `hypmin search --kind`'s choices in the order of its help text.
+CAMPAIGNS = {
+    "type1": Campaign(Kind.TYPE_I, (-1.0, 1.0), (-1.0, 1.0), False),
+    "type2": Campaign(Kind.TYPE_II, (-1.0, 1.0), (1.0, 2.0), False),
+    "control": Campaign(Kind.TYPE_I, (-1.0, 1.0), (-1.0, 1.0), True),
+}
+
+
+def _type1_h(kind: Kind, euclidean_control: bool, g_domain: tuple[float, float]) -> bool:
+    """Whether R is type-I H, the one R that depends on f+g, with the slab,
+    the seed feasibility check and the seed lift on.  Rejects a type-II
+    ansatz under the control (ValueError) or on a z-range reaching z <= 0."""
+    if kind is Kind.TYPE_II:
+        if euclidean_control:
+            raise ValueError("the Euclidean control fits a type-I ansatz, got type II")
+        if min(g_domain) <= 0.0:
+            raise HalfSpaceError(f"type II parameter z = {min(g_domain)} <= 0 in the g domain {g_domain}")
+        return False
+    return not euclidean_control
+
+
 @dataclass(frozen=True)
 class SearchResult:
     ansatz: SplineAnsatz
@@ -141,14 +174,8 @@ def random_ansatz(
 
 # -- basis design matrices (coefficient-independent, cached) -----------
 
-# (f_domain, g_domain, mf, mg, grid, lowest order) -> (xs, vs, bf, bg, fx, gx), read-only
+# (f_domain, g_domain, mf, mg, grid, kind, control) -> (xs, vs, bf, bg, fx, gx), read-only
 _DESIGN_CACHE: dict[tuple, tuple[np.ndarray, ...]] = {}
-
-
-def _orders(ansatz: SplineAnsatz, cfg: SearchConfig) -> tuple[int, ...]:
-    """The derivative orders of f and g that R depends on: type-I H also
-    depends on f+g, type-II H and the control's S do not."""
-    return (0, 1, 2) if ansatz.kind is Kind.TYPE_I and not cfg.euclidean_control else (1, 2)
 
 
 def _extended(basis: np.ndarray, one_first: bool) -> np.ndarray:
@@ -164,16 +191,16 @@ def _extended(basis: np.ndarray, one_first: bool) -> np.ndarray:
 def _bases(ansatz: SplineAnsatz, cfg: SearchConfig):
     """Grid (xs, vs), stacked bases bf (3, nx, mf), bg (3, nz, mg), and the
     extended bases fx (nx, K+1, mf+1), gx (nz, K+1, mg+1) of `_assemble`
-    for the K orders R depends on (`_orders`), the 1 last in fx, first in gx.
-
-    Cached per ansatz shape, grid and orders.  Every later evaluation
-    shares the arrays, so they are read-only.
+    for the K orders R depends on (0, 1, 2 for type-I H, else 1, 2), the 1
+    last in fx, first in gx.  Cached per ansatz shape, grid, kind and
+    control, so `_type1_h` checks a problem before its first evaluation;
+    every later evaluation shares the arrays, so they are read-only.
     """
     mf, mg = len(ansatz.f_coeffs), len(ansatz.g_coeffs)
-    lo = _orders(ansatz, cfg)[0]
-    key = (ansatz.f_domain, ansatz.g_domain, mf, mg, cfg.grid, lo)
+    key = (ansatz.f_domain, ansatz.g_domain, mf, mg, cfg.grid, ansatz.kind, cfg.euclidean_control)
     hit = _DESIGN_CACHE.get(key)
     if hit is None:
+        lo = 0 if _type1_h(ansatz.kind, cfg.euclidean_control, ansatz.g_domain) else 1
         nx, nz = cfg.grid
         xs = np.linspace(*ansatz.f_domain, nx)
         vs = np.linspace(*ansatz.g_domain, nz)
@@ -217,8 +244,8 @@ def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
     `cfg.euclidean_control` the Euclidean type-I minimality expression.
 
     Returns (R, dR) of one `_evaluate` record, with R of shape (nx, nz) and
-    dR a dict of same-shape arrays keyed by fp, fpp, gp, gpp, and for type I
-    outside the control also f and g (`_orders`); a non-finite R raises
+    dR a dict of same-shape arrays keyed by fp, fpp, gp, gpp, and for type-I
+    H also f and g (`_type1_h`); a non-finite R raises
     NonFiniteResidualError.
     """
     ev = _evaluate(ansatz, cfg, 0.0, 0.0, ansatz.packed())
@@ -230,7 +257,7 @@ def _slab(cfg: SearchConfig, barrier_weight: float, f0, g0):
 
     slack = sqrt(w) * (clip(f+g, zFloor, zCeil) - (f+g)) and sign is its
     derivative w.r.t. f+g.  `minimize_residual` turns the barrier on (w > 0)
-    only for type I outside the Euclidean control.
+    only for type-I H (`_type1_h`).
     """
     if barrier_weight <= 0.0:
         return None
@@ -336,7 +363,7 @@ def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float):
     the cached `_bases`; only R's partials are computed here.
 
     R(i, j) depends only on f at x_i and g at v_j, and only on the K orders
-    of `_orders`.  Write D_k = dR/df^(k) and E_l = dR/dg^(l) for those
+    of `_bases`.  Write D_k = dR/df^(k) and E_l = dR/dg^(l) for those
     orders, and B_k, C_l for the bases of f^(k), g^(l) on the grid.  Then
 
         A_ff = sum_kl B_k^T diag(sum_j D_k*D_l) B_l,  g_f = sum_k B_k^T (sum_j D_k*R)
@@ -497,10 +524,10 @@ def _check_feasible(ansatz: SplineAnsatz, cfg: SearchConfig) -> None:
 def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) -> SearchResult:
     """Optimize the ansatz; deterministic given (seed, cfg).  The slab
     barrier, and with it the feasibility check of the seed, is on only for
-    type I outside the Euclidean control.  sup|R| and mean R^2 come from the
-    last stage's record of the final point."""
+    type-I H (`_type1_h`).  sup|R| and mean R^2 come from the last stage's
+    record of the final point."""
     current, nfevs, reasons, traces = seed, [], [], []
-    barrier = BARRIER_WEIGHT if seed.kind is Kind.TYPE_I and not cfg.euclidean_control else 0.0
+    barrier = BARRIER_WEIGHT if _type1_h(seed.kind, cfg.euclidean_control, seed.g_domain) else 0.0
     if barrier > 0.0:
         _check_feasible(seed, cfg)
     for smooth_w in SMOOTHING_WEIGHTS:
@@ -512,7 +539,7 @@ def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) ->
             barrier *= BARRIER_RAMP
     sup_r, msr = float(np.max(np.abs(last.R))), float(np.mean(last.R ** 2))
     plane_d = None
-    if current.kind is Kind.TYPE_II and not cfg.euclidean_control:
+    if current.kind is Kind.TYPE_II:
         plane_d = surfaces.plane_family_distance(current.surface())
     return SearchResult(current, sup_r, msr, plane_d, tuple(nfevs), tuple(reasons), tuple(traces))
 
@@ -529,7 +556,7 @@ def generate_seeds(
     euclidean_control: bool = False,
 ) -> list[SplineAnsatz]:
     rng = np.random.default_rng(generator_seed)
-    lift = 1.5 if kind is Kind.TYPE_I and not euclidean_control else 0.0
+    lift = 1.5 if _type1_h(kind, euclidean_control, g_domain) else 0.0
     return [random_ansatz(rng, kind, f_domain, g_domain, lift=lift) for _ in range(n)]
 
 

@@ -80,7 +80,7 @@ def test_x_expression_value():
 def test_x_satisfies_cubic_at_random_rationals():
     # eqg2(X(z), z) need not vanish; but q1(X(z)) * den^2 must equal final7
     rng = np.random.default_rng(17)
-    pts = algebra.random_rational_points(25, rng, ("a", "b", "z"))
+    pts = [{v: Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 20))) for v in "abz"} for _ in range(25)]
     x_expr, computed, _, _ = solve_X_and_eliminate()
     q1 = build_named("q1")
     for pt in pts:

@@ -599,6 +599,13 @@ def test_search_workers_match_sequential(tmp_path):
     assert (a / "search_type2.csv").read_bytes() == (b / "search_type2.csv").read_bytes()
 
 
+def test_search_kinds_are_the_campaigns():
+    (commands,) = (a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    assert commands.choices["search"]._option_string_actions["--kind"].choices == tuple(search.CAMPAIGNS)
+    type2 = [c.g_domain for c in search.CAMPAIGNS.values() if c.kind is Kind.TYPE_II]
+    assert type2 and all(min(z_range) > 0.0 for z_range in type2)  # z lies in the half-space
+
+
 def test_usage_error_exits_1():
     assert main(["search", "--kind", "torus"]) == 1
     assert main(["no-such-command"]) == 1

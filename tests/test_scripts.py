@@ -47,7 +47,7 @@ def test_lm_layers_prints_every_kind_and_layer(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "grid 9x9, generator seed 3; median us per call"
     assert lines[1].split() == ["kind", "nfev", "evaluate", "assemble", "damped_step"]
-    assert [line.split()[0] for line in lines[2:]] == ["type2", "type1", "control"]
+    assert [line.split()[0] for line in lines[2:]] == list(search.CAMPAIGNS)
     for line in lines[2:]:
         nfev, *us = line.split()[1:]
         assert int(nfev) >= len(search.SMOOTHING_WEIGHTS)  # one evaluation per stage at least

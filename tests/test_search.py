@@ -7,8 +7,9 @@ import pytest
 
 from hypmin import experiments, search
 from hypmin.algebra import build_named
-from hypmin.kernel import hyperbolic_curvature
+from hypmin.kernel import HalfSpaceError, hyperbolic_curvature
 from hypmin.search import (
+    CAMPAIGNS,
     InfeasibleSeedError,
     NonFiniteResidualError,
     SearchConfig,
@@ -37,6 +38,19 @@ def plane_ansatz(m=2.0, n=0.0, p=1.0, f_domain=(-1, 1), g_domain=(1, 2)):
 
 FAST = SearchConfig(grid=(17, 17), max_iterations=400)
 
+# Per-campaign extras: the type-I slab (z_floor, z_ceil), both sides active, and its barrier weight.
+Z_SLAB = {"type1": (1.6, 1.9), "type2": None, "control": None}
+BARRIER = {"type1": 4.0, "type2": 0.0, "control": 0.0}
+
+
+def campaigns(*names, control=True, **extras):
+    """`parametrize` arguments over the named campaigns, in order: kind, g_domain
+    and (if `control`) control from search.CAMPAIGNS, then each extra's entry."""
+    k = 3 if control else 2
+    heads = {n: (c.kind, c.g_domain, c.euclidean_control)[:k] for n, c in CAMPAIGNS.items()}
+    rows = [heads[n] + tuple(extra[n] for extra in extras.values()) for n in names]
+    return ",".join(["kind", "g_domain", "control"][:k] + list(extras)), rows
+
 
 def test_exact_plane_seed_is_fixed_point():
     res = minimize_residual(plane_ansatz(), FAST)
@@ -46,7 +60,7 @@ def test_exact_plane_seed_is_fixed_point():
 
 
 def test_type2_random_seed_collapses():
-    (seed,) = generate_seeds(1, Kind.TYPE_II, 42, (-1, 1), (1, 2))
+    (seed,) = CAMPAIGNS["type2"].seeds(1, 42)
     res = minimize_residual(seed, SearchConfig())
     assert res.converged
     assert res.sup_residual < 1e-6
@@ -55,7 +69,7 @@ def test_type2_random_seed_collapses():
 
 def test_euclidean_control_converges():
     cfg = SearchConfig(euclidean_control=True)
-    (seed,) = generate_seeds(1, Kind.TYPE_I, 7, (-1, 1), (-1, 1), euclidean_control=True)
+    (seed,) = CAMPAIGNS["control"].seeds(1, 7)
     res = minimize_residual(seed, cfg)
     assert res.sup_residual < 1e-6
 
@@ -67,11 +81,25 @@ def test_infeasible_type1_seed_rejected():
         minimize_residual(bad, SearchConfig())
 
 
-@pytest.mark.parametrize("kind,g_domain,control", [
-    (Kind.TYPE_II, (1, 2), False),
-    (Kind.TYPE_I, (-1, 1), False),
-    (Kind.TYPE_I, (-1, 1), True),
-])
+@pytest.mark.parametrize("g_domain,control,error,match", [
+    ((1.0, 2.0), True, ValueError, "Euclidean control"),
+    ((-1.0, 1.0), False, HalfSpaceError, r"type II parameter z = -1.0 <= 0"),
+    ((0.0, 1.0), False, HalfSpaceError, r"type II parameter z = 0.0 <= 0"),
+], ids=["control", "z-from-minus-1", "z-from-0"])
+def test_type2_control_and_z_range_below_zero_are_rejected(monkeypatch, g_domain, control, error, match):
+    monkeypatch.setattr(search, "_spline_values", None)  # evaluating would raise TypeError
+    with pytest.raises(error, match=match):
+        generate_seeds(1, Kind.TYPE_II, 3, (-1, 1), g_domain, euclidean_control=control)
+    seed = search.random_ansatz(np.random.default_rng(3), Kind.TYPE_II, (-1, 1), g_domain)
+    for run in (minimize_residual, search.residual_grid, residual_and_jacobian):
+        with pytest.raises(error, match=match):
+            run(seed, replace(FAST, euclidean_control=control))
+    monkeypatch.undo()  # the same ansatz on z in [1, 2], outside the control, runs
+    res = minimize_residual(replace(seed, g_domain=(1.0, 2.0)), replace(FAST, max_iterations=20))
+    assert math.isfinite(res.sup_residual)
+
+
+@pytest.mark.parametrize(*campaigns("type2", "type1", "control"))
 def test_nan_coefficient_raises_non_finite_residual(kind, g_domain, control):
     cfg = replace(FAST, euclidean_control=control)
     (seed,) = generate_seeds(1, kind, 3, (-1, 1), g_domain, euclidean_control=control)
@@ -88,7 +116,7 @@ def test_nan_coefficient_raises_non_finite_residual(kind, g_domain, control):
 def test_overflowing_cost_of_a_finite_residual_does_not_raise():
     # f = 1e160: W^3 overflows, so R = 1/W stays finite, while the square of
     # the finite slab slack overflows the cost; the trial is rejected, not an error
-    (seed,) = generate_seeds(1, Kind.TYPE_I, 3, (-1, 1), (-1, 1))
+    (seed,) = CAMPAIGNS["type1"].seeds(1, 3)
     x = seed.packed()
     x[: len(seed.f_coeffs)] = 1e160
     with np.errstate(over="ignore"):
@@ -98,7 +126,7 @@ def test_overflowing_cost_of_a_finite_residual_does_not_raise():
 
 
 def test_stage_traces_monotone():
-    (seed,) = generate_seeds(1, Kind.TYPE_II, 3, (-1, 1), (1, 2))
+    (seed,) = CAMPAIGNS["type2"].seeds(1, 3)
     res = minimize_residual(seed, SearchConfig())
     assert res.stage_costs  # one trace per continuation stage
     for trace in res.stage_costs:
@@ -107,7 +135,7 @@ def test_stage_traces_monotone():
 
 
 def test_determinism_bit_identical():
-    (seed,) = generate_seeds(1, Kind.TYPE_II, 9, (-1, 1), (1, 2))
+    (seed,) = CAMPAIGNS["type2"].seeds(1, 9)
     r1 = minimize_residual(seed, SearchConfig())
     r2 = minimize_residual(seed, SearchConfig())
     assert r1.sup_residual == r2.sup_residual
@@ -117,18 +145,14 @@ def test_determinism_bit_identical():
 
 
 def test_run_seeds_order_is_stable():
-    seeds = generate_seeds(3, Kind.TYPE_II, 5, (-1, 1), (1, 2))
+    seeds = CAMPAIGNS["type2"].seeds(3, 5)
     results = run_seeds(seeds, FAST)
     singles = [minimize_residual(s, FAST) for s in seeds]
     for r, s in zip(results, singles):
         assert r.sup_residual == s.sup_residual
 
 
-@pytest.mark.parametrize("kind,g_domain,control", [
-    (Kind.TYPE_II, (1, 2), False),
-    (Kind.TYPE_I, (-1, 1), False),
-    (Kind.TYPE_I, (-1, 1), True),
-])
+@pytest.mark.parametrize(*campaigns("type2", "type1", "control"))
 def test_jacobian_matches_finite_differences(kind, g_domain, control):
     rng = np.random.default_rng(13)
     cfg = SearchConfig(grid=(7, 7), euclidean_control=control)
@@ -189,11 +213,7 @@ def _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing, grid=(7,
 DENSE_GRIDS = ((7, 9), SearchConfig().grid)
 
 
-@pytest.mark.parametrize("kind,g_domain,control,z_slab,barrier", [
-    (Kind.TYPE_II, (1, 2), False, None, 0.0),
-    (Kind.TYPE_I, (-1, 1), False, (1.6, 1.9), 4.0),  # both slab sides active
-    (Kind.TYPE_I, (-1, 1), True, None, 0.0),
-])
+@pytest.mark.parametrize(*campaigns("type2", "type1", "control", z_slab=Z_SLAB, barrier=BARRIER))
 def test_normal_equations_match_dense_jacobian(kind, g_domain, control, z_slab, barrier):
     for grid in DENSE_GRIDS:
         for smoothing in (0.0, 0.5):
@@ -206,11 +226,7 @@ def test_normal_equations_match_dense_jacobian(kind, g_domain, control, z_slab, 
             assert ev.cost == float(r @ r)
 
 
-@pytest.mark.parametrize("kind,g_domain,control", [
-    (Kind.TYPE_I, (-1, 1), False),
-    (Kind.TYPE_II, (1, 2), False),
-    (Kind.TYPE_I, (-1, 1), True),
-])
+@pytest.mark.parametrize(*campaigns("type1", "type2", "control"))
 def test_final_statistics_are_those_of_the_final_point(kind, g_domain, control):
     cfg = replace(FAST, euclidean_control=control)
     (seed,) = generate_seeds(1, kind, 1234, (-1, 1), g_domain, euclidean_control=control)
@@ -225,18 +241,16 @@ def test_lm_stops_when_every_solve_fails(monkeypatch):
         raise np.linalg.LinAlgError("singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    (seed,) = generate_seeds(1, Kind.TYPE_I, 7, (-1, 1), (-1, 1), euclidean_control=True)
+    (seed,) = CAMPAIGNS["control"].seeds(1, 7)
     cfg = SearchConfig(grid=(9, 9), euclidean_control=True)
     res = minimize_residual(seed, cfg)
     assert res.iterations == len(search.SMOOTHING_WEIGHTS)  # one evaluation per stage, no trials
     assert np.array_equal(res.ansatz.packed(), seed.packed())
 
 
-@pytest.mark.parametrize("kind,g_domain,control,z_slab,barrier,smoothing", [
-    (Kind.TYPE_I, (-1, 1), False, (1.6, 1.9), 4.0, 0.3),  # both slab sides active
-    (Kind.TYPE_II, (1, 2), False, None, 0.0, 0.0),
-    (Kind.TYPE_I, (-1, 1), True, None, 0.0, 0.0),
-])
+@pytest.mark.parametrize(*campaigns(
+    "type1", "type2", "control", z_slab=Z_SLAB, barrier=BARRIER, smoothing={"type1": 0.3, "type2": 0.0, "control": 0.0}
+))
 @pytest.mark.parametrize("mu", [1e-3, 1.0, 1e3])
 def test_predicted_decrease_matches_dense_model(kind, g_domain, control, z_slab, barrier, smoothing, mu):
     for grid in DENSE_GRIDS:
@@ -251,10 +265,7 @@ def test_predicted_decrease_matches_dense_model(kind, g_domain, control, z_slab,
             assert abs(pred - dense) <= 1e-12 * dense
 
 
-@pytest.mark.parametrize("kind,g_domain,control", [
-    (Kind.TYPE_II, (1, 2), False),
-    (Kind.TYPE_I, (-1, 1), True),
-])
+@pytest.mark.parametrize(*campaigns("type2", "control"))
 def test_restart_at_optimum_spends_few_evaluations(kind, g_domain, control):
     cfg = SearchConfig(euclidean_control=control)
     (seed,) = generate_seeds(1, kind, 1234, (-1, 1), g_domain, euclidean_control=control)
@@ -266,8 +277,8 @@ def test_restart_at_optimum_spends_few_evaluations(kind, g_domain, control):
 
 
 def test_every_stop_reason_occurs(monkeypatch):
-    (type1,) = generate_seeds(1, Kind.TYPE_I, 1234, (-1, 1), (-1, 1))
-    (type2,) = generate_seeds(1, Kind.TYPE_II, 1234, (-1, 1), (1, 2))
+    (type1,) = CAMPAIGNS["type1"].seeds(1, 1234)
+    (type2,) = CAMPAIGNS["type2"].seeds(1, 1234)
     runs = [
         minimize_residual(type1, FAST),
         minimize_residual(type2, FAST),
@@ -289,7 +300,7 @@ def test_every_stop_reason_occurs(monkeypatch):
     assert seen == set(search.STOP_REASONS)
 
 
-@pytest.mark.parametrize("kind,g_domain", [(Kind.TYPE_I, (-1, 1)), (Kind.TYPE_II, (1, 2))])
+@pytest.mark.parametrize(*campaigns("type1", "type2", control=False))
 def test_one_evaluation_per_counted_nfev(monkeypatch, kind, g_domain):
     (seed,) = generate_seeds(1, kind, 1234, (-1, 1), g_domain)
     evaluate, with_coeffs = search._evaluate, SplineAnsatz.with_coeffs
@@ -310,11 +321,9 @@ def test_one_evaluation_per_counted_nfev(monkeypatch, kind, g_domain):
     assert calls["with_coeffs"] == len(search.SMOOTHING_WEIGHTS)  # once per stage, when it returns
 
 
-@pytest.mark.parametrize("kind,g_domain,control,z_slab,barrier,smoothing", [
-    (Kind.TYPE_I, (-1, 1), False, (1.6, 1.9), 4.0, 0.5),  # both slab sides active
-    (Kind.TYPE_II, (1, 2), False, None, 0.0, 0.0),
-    (Kind.TYPE_I, (-1, 1), True, None, 0.0, 0.5),
-])
+@pytest.mark.parametrize(*campaigns(
+    "type1", "type2", "control", z_slab=Z_SLAB, barrier=BARRIER, smoothing={"type1": 0.5, "type2": 0.0, "control": 0.5}
+))
 def test_reused_record_equals_fresh_normal_equations(monkeypatch, kind, g_domain, control, z_slab, barrier, smoothing):
     ansatz, cfg, _, _ = _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing)
     evaluate, assemble = search._evaluate, search._assemble
@@ -366,7 +375,7 @@ class _InlinePool:
 def test_worker_pool_is_bounded(monkeypatch):
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
-    seeds = generate_seeds(4, Kind.TYPE_II, 5, (-1, 1), (1, 2))
+    seeds = CAMPAIGNS["type2"].seeds(4, 5)
     want = [minimize_residual(s, FAST).sup_residual for s in seeds]
 
     def sups(n, workers):
@@ -396,7 +405,7 @@ def test_search_command_bounds_the_pool(monkeypatch, tmp_path):
         assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "seq" / name).read_bytes()
 
 
-@pytest.mark.parametrize("kind,g_domain,lift", [(Kind.TYPE_I, (-1, 1), 1.5), (Kind.TYPE_II, (1, 2), 0.0)])
+@pytest.mark.parametrize(*campaigns("type1", "type2", control=False, lift={"type1": 1.5, "type2": 0.0}))
 def test_residual_grid_is_the_kernel_H(kind, g_domain, lift):
     ansatz = search.random_ansatz(np.random.default_rng(31), kind, (-1, 1), g_domain, lift=lift)
     cfg = SearchConfig()
@@ -417,7 +426,7 @@ def _scipy_basis(domain, m, ts):
     return np.stack([spline(ts), spline.derivative(1)(ts), spline.derivative(2)(ts)])
 
 
-@pytest.mark.parametrize("kind,g_domain", [(Kind.TYPE_I, (-1.0, 1.0)), (Kind.TYPE_II, (1.0, 2.0))])
+@pytest.mark.parametrize(*campaigns("type1", "type2", control=False))
 @pytest.mark.parametrize("cfg", [SearchConfig(), FAST])
 def test_bases_equal_scipy_design_matrices(kind, g_domain, cfg):
     (seed,) = generate_seeds(1, kind, 3, (-1.0, 1.0), g_domain)
@@ -426,11 +435,9 @@ def test_bases_equal_scipy_design_matrices(kind, g_domain, cfg):
     assert np.array_equal(bg, _scipy_basis(seed.g_domain, len(seed.g_coeffs), vs))
 
 
-@pytest.mark.parametrize("kind,g_domain,control,orders", [
-    (Kind.TYPE_II, (1, 2), False, (1, 2)),
-    (Kind.TYPE_I, (-1, 1), False, (0, 1, 2)),
-    (Kind.TYPE_I, (-1, 1), True, (1, 2)),
-])
+@pytest.mark.parametrize(*campaigns(
+    "type2", "type1", "control", orders={"type1": (0, 1, 2), "type2": (1, 2), "control": (1, 2)}
+))
 def test_extended_bases_hold_the_orders_R_depends_on(kind, g_domain, control, orders):
     cfg = replace(FAST, euclidean_control=control)
     (seed,) = generate_seeds(1, kind, 3, (-1, 1), g_domain, euclidean_control=control)
@@ -447,8 +454,8 @@ def test_extended_bases_hold_the_orders_R_depends_on(kind, g_domain, control, or
 
 
 def test_cached_bases_are_read_only():
-    for kind, g_domain in ((Kind.TYPE_II, (1, 2)), (Kind.TYPE_I, (-1, 1))):
-        (seed,) = generate_seeds(1, kind, 3, (-1, 1), g_domain)
+    for name in ("type2", "type1"):
+        (seed,) = CAMPAIGNS[name].seeds(1, 3)
         bases = search._bases(seed, FAST)
         assert len(bases) == 6  # xs, vs, bf, bg and the extended fx, gx
         for array in bases:
