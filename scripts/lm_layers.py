@@ -2,8 +2,9 @@
 """Cost of one Levenberg-Marquardt step, layer by layer.
 
 For each campaign of `search.CAMPAIGNS` (type1, type2, control) this runs
-`minimize_residual` on one generated seed and prints nfev, and the median
-time per call, in microseconds, of the three layers of an LM step:
+`minimize_residual` on one generated seed and prints nfev, the number of
+`_assemble` calls (accepted points), and the median time per call, in
+microseconds, of the three layers of an LM step:
 
 - `_evaluate`: spline rows, residual grid, slab block and cost at a trial;
 - `_assemble`: J.T @ J and J.T @ r at an accepted point;
@@ -38,7 +39,7 @@ def _timed(samples: list, fn):
 
 
 def measure(name: str, grid: int, seed: int):
-    """(nfev, {layer: median us per call}) of one seed of the campaign `name`."""
+    """(nfev, _assemble calls, {layer: median us per call}) of one seed of the campaign `name`."""
     campaign = CAMPAIGNS[name]
     cfg = SearchConfig(grid=(grid, grid), euclidean_control=campaign.euclidean_control)
     (ansatz,) = campaign.seeds(1, seed)
@@ -52,7 +53,8 @@ def measure(name: str, grid: int, seed: int):
     finally:
         for layer, fn in originals.items():
             setattr(search, layer, fn)
-    return result.iterations, {layer: 1e6 * statistics.median(s) for layer, s in samples.items()}
+    medians = {layer: 1e6 * statistics.median(s) for layer, s in samples.items()}
+    return result.iterations, len(samples["_assemble"]), medians
 
 
 def main(argv=None) -> int:
@@ -63,10 +65,11 @@ def main(argv=None) -> int:
     if args.grid < 2:
         ap.error(f"--grid must be at least 2, got {args.grid}")
     print(f"grid {args.grid}x{args.grid}, generator seed {args.seed}; median us per call")
-    print(f"{'kind':8s} {'nfev':>6s} {'evaluate':>10s} {'assemble':>10s} {'damped_step':>12s}")
+    print(f"{'kind':8s} {'nfev':>6s} {'assembles':>9s} {'evaluate':>10s} {'assemble':>10s} {'damped_step':>12s}")
     for name in CAMPAIGNS:
-        nfev, us = measure(name, args.grid, args.seed)
-        print(f"{name:8s} {nfev:6d} {us['_evaluate']:10.1f} {us['_assemble']:10.1f} {us['_damped_step']:12.1f}")
+        nfev, assembles, us = measure(name, args.grid, args.seed)
+        times = f"{us['_evaluate']:10.1f} {us['_assemble']:10.1f} {us['_damped_step']:12.1f}"
+        print(f"{name:8s} {nfev:6d} {assembles:9d} {times}")
     return 0
 
 

@@ -167,15 +167,15 @@ class MultiPoly:
         when self**n itself exceeds MAX_DEGREE."""
         if n < 0:
             raise ValueError("negative power")
-        out = self._coerce(1)
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
+                out = base if out is None else out * base
             n >>= 1
             if n:
                 base = base * base
-        return out
+        return self._coerce(1) if out is None else out
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):

@@ -14,15 +14,14 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import algebra, search, surfaces
 from .descriptors import SurfaceFileError, load_surface
-from .kernel import ImmersionJet, hyperbolic_curvature
-from .kernel import euclidean_mean_curvature, fundamental_forms
+from .kernel import euclidean_mean_curvature, fundamental_forms, hyperbolic_curvature, restrict_to_halfspace
 from .search import CAMPAIGNS, STOP_REASONS, SearchConfig, run_seeds
 
 # after the package, whose `search` module imports it first: importing it
@@ -264,6 +263,9 @@ def cmd_scherk(args) -> int:
         print("error: --a must be nonzero", file=sys.stderr)
         return 1
     half = math.pi / (2.0 * abs(a))
+    if not math.isfinite(2.0 * half):
+        print(f"error: --a = {a!r} is too small: the patch width pi/|a| overflows", file=sys.stderr)
+        return 1
     if not 0.0 < margin < half:
         print(f"error: --margin must lie in (0, pi/(2|a|)) = (0, {half!r}), got {margin!r}", file=sys.stderr)
         return 1
@@ -273,11 +275,7 @@ def cmd_scherk(args) -> int:
     jet = surfaces.patch_jet(s, us, vs, check_halfspace=False)
     max_he = float(np.max(np.abs(euclidean_mean_curvature(fundamental_forms(jet)))))
     # H is defined only above the ideal boundary: take it at the points with z > 0
-    above = jet.X[..., 2] > 0.0
-    max_h = 0.0
-    if np.any(above):
-        jet_above = ImmersionJet(*(getattr(jet, f.name)[above] for f in fields(ImmersionJet)))
-        max_h = float(np.max(np.abs(hyperbolic_curvature(jet_above).H)))
+    max_h = float(np.max(np.abs(hyperbolic_curvature(restrict_to_halfspace(jet)).H), initial=0.0))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(

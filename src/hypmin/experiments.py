@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import build_named
+from .kernel import HalfSpaceError
 
 BLOW_UP_LIMIT = 1e6
 ODE_SAMPLES = 2001
@@ -113,8 +114,8 @@ def trace_type2_branch(
     jointly along it."""
     if a == 0.0:
         raise ValueError("trace_type2_branch requires a != 0")
-    if z_range[0] <= 0.0:
-        raise ValueError("z range must stay in z > 0")
+    if min(z_range) <= 0.0:
+        raise HalfSpaceError(f"type II parameter z = {min(z_range)} <= 0 in the z range {z_range}")
     if b_values is None:
         b_values = np.arange(-2.0, 2.0 + 1e-9, 0.1)
     b_values = np.asarray(b_values, dtype=float)

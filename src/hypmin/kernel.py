@@ -9,7 +9,7 @@ where N3 is the third component of the Euclidean unit normal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,6 +60,28 @@ class CurvatureReport:
     kappaE: tuple[np.ndarray, np.ndarray]
     kappaH: tuple[np.ndarray, np.ndarray]
     z: np.ndarray
+
+
+def first_where(mask: np.ndarray, *coords) -> tuple:
+    """The coordinates of the first point, in row-major order, where `mask` holds."""
+    i = int(np.argmax(mask))
+    return tuple(np.broadcast_to(c, np.shape(mask)).flat[i] for c in coords)
+
+
+def require_halfspace(what: str, height, u, v) -> None:
+    """Raise HalfSpaceError naming the first point (u, v) where the height,
+    called `what` in the message, is not positive.  All three broadcast."""
+    below = np.broadcast_to(height <= 0.0, np.broadcast(u, v, height).shape)
+    if np.any(below):
+        x, y, h = first_where(below, u, v, height)
+        raise HalfSpaceError(f"{what} = {h} <= 0 at ({x}, {y})")
+
+
+def restrict_to_halfspace(jet: ImmersionJet) -> ImmersionJet:
+    """The points of the jet with z > 0, along one axis; possibly none."""
+    parts = np.broadcast_arrays(*(getattr(jet, f.name) for f in fields(ImmersionJet)))
+    above = parts[0][..., 2] > 0.0
+    return ImmersionJet(*(part[above] for part in parts))
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,10 +154,9 @@ def _principal_curvatures(forms: FundamentalForms, he: np.ndarray) -> tuple[np.n
 
 def hyperbolic_curvature(jet: ImmersionJet) -> CurvatureReport:
     """Curvature report with the conformal lift H = z*He + N3, at every
-    point of the jet; raises if any point has z <= 0."""
+    point of the jet; raises HalfSpaceError at the first point with z <= 0."""
     z = jet.X[..., 2]
-    if np.any(z <= 0.0):
-        raise HalfSpaceError(f"point has z = {np.min(z)} <= 0, outside the half-space")
+    require_halfspace("z", z, jet.X[..., 0], jet.X[..., 1])
     n = unit_normal(jet)
     forms = _forms(jet, n)
     n3 = n[..., 2]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jets
 from .jets import Jet3
-from .kernel import HalfSpaceError, ImmersionJet
+from .kernel import HalfSpaceError, ImmersionJet, first_where, require_halfspace
 
 
 class SingularLocusError(ValueError):
@@ -40,10 +40,8 @@ class Kind(enum.Enum):
     TYPE_II = "type2"
 
 
-def _first_where(mask: np.ndarray, *coords) -> tuple:
-    """The coordinates of the first point where `mask` holds."""
-    i = int(np.argmax(mask))
-    return tuple(np.broadcast_to(c, np.shape(mask)).flat[i] for c in coords)
+# what a HalfSpaceError calls the height of each kind: f+g for type I, z for type II
+_HEIGHT = {Kind.TYPE_I: "type I graph height f+g", Kind.TYPE_II: "type II parameter z"}
 
 
 def _vectors(*components) -> np.ndarray:
@@ -65,7 +63,7 @@ class FunctionCurve:
         lo, hi = self.domain
         outside = np.logical_not((lo <= t) & (t <= hi))
         if np.any(outside):
-            (bad,) = _first_where(outside, t)
+            (bad,) = first_where(outside, t)
             raise DomainError(f"t = {bad} outside function domain [{lo}, {hi}]")
         return self.eval(t)
 
@@ -184,18 +182,8 @@ def _check_domain(domain, u, v, what: str = "surface") -> None:
     (u0, u1), (v0, v1) = domain
     outside = np.logical_not((u0 <= u) & (u <= u1) & (v0 <= v) & (v <= v1))
     if np.any(outside):
-        bad = _first_where(outside, u, v)
+        bad = first_where(outside, u, v)
         raise DomainError(f"({bad[0]}, {bad[1]}) outside {what} domain {domain}")
-
-
-def _check_halfspace(kind: Kind, u, v, height) -> None:
-    """Raise HalfSpaceError naming the first point where the height (f+g for
-    type I, the parameter z for type II) is not positive."""
-    below = np.broadcast_to(height <= 0.0, np.broadcast(u, v, height).shape)
-    if np.any(below):
-        x, y, h = _first_where(below, u, v, height)
-        what = "type I graph height f+g" if kind is Kind.TYPE_I else "type II parameter z"
-        raise HalfSpaceError(f"{what} = {h} <= 0 at ({x}, {y})")
 
 
 def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True) -> ImmersionJet:
@@ -211,7 +199,7 @@ def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True) -> Imme
     fj, gj = s.f(u), s.g(v)
     h = fj.v0 + gj.v0
     if check_halfspace:
-        _check_halfspace(s.kind, u, v, h if s.kind is Kind.TYPE_I else v)
+        require_halfspace(_HEIGHT[s.kind], h if s.kind is Kind.TYPE_I else v, u, v)
 
     def field(a, b, c):  # components in the (x, y, z) order of type I
         # type II is the graph y = h(x, z): the same fields with y and z swapped
@@ -283,7 +271,7 @@ def _minimality_residual(s: TranslationSurface, kind: Kind, u, v):
     _check_domain(s.domain, u, v)
     fj, gj = s.f(u), s.g(v)
     height = fj.v0 + gj.v0 if kind is Kind.TYPE_I else v
-    _check_halfspace(kind, u, v, height)
+    require_halfspace(_HEIGHT[kind], height, u, v)
     H, _ = translation_mean_curvature(kind, height, fj.v1, fj.v2, gj.v1, gj.v2)
     P, Q = 1.0 + fj.v1 ** 2, 1.0 + gj.v1 ** 2
     W2 = P + gj.v1 ** 2
@@ -324,7 +312,7 @@ def type1_reduction_residual(s: TranslationSurface, x, y):
     shape = np.broadcast(x, y, fj.v1, gj.v1).shape
     singular = np.broadcast_to((fj.v1 == 0.0) | (gj.v1 == 0.0), shape)
     if np.any(singular):
-        bx, by, fp, gp = _first_where(singular, x, y, fj.v1, gj.v1)
+        bx, by, fp, gp = first_where(singular, x, y, fj.v1, gj.v1)
         raise SingularLocusError(f"f'({bx}) = {fp}, g'({by}) = {gp}: the equation divides by f'g'")
     P = 1.0 + fj.v1 ** 2
     Q = 1.0 + gj.v1 ** 2

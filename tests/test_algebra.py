@@ -205,6 +205,22 @@ def test_power_equals_repeated_product(n):
     assert {e: type(c) for e, c in power.terms.items()} == {e: type(c) for e, c in product.terms.items()}
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 11, 15, MAX_DEGREE])
+def test_power_makes_no_product_by_one(monkeypatch, n):
+    # floor(log2 n) squarings and popcount(n) - 1 further products, none with the constant 1
+    products = []
+    mul = MultiPoly.__mul__
+
+    def counted(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    z = MultiPoly.var("z")
+    assert z ** n == MultiPoly({(0, 0, n, 0): 1})
+    assert len(products) == (n.bit_length() - 1 + n.bit_count() - 1 if n else 0)
+
+
 def test_var_const_zero_match_the_validating_constructor():
     for vars in (algebra.DEFAULT_VARS, algebra.ODE_VARS, ("t",), ["x", "y"]):
         n = len(vars)

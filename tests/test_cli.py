@@ -531,6 +531,12 @@ def test_scherk_zero_a_exits_1(tmp_path):
     assert main(["scherk", "--a", "0", "--out", str(tmp_path)]) == 1
 
 
+def test_scherk_grid_of_one_boundary_point_reports_zero_H(tmp_path):
+    # the one node (lo, lo) lies on the diagonal x = y, where Scherk's z = log(cos x / cos y) is 0
+    assert main(["scherk", "--a", "1", "--grid", "1", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "scherk_report.json").read_text())["max_abs_H"] == 0.0
+
+
 @pytest.mark.parametrize(
     "argv,fragment",
     [
@@ -543,8 +549,13 @@ def test_scherk_zero_a_exits_1(tmp_path):
         (["--a", "1", "--margin", "inf"], "argument --margin: must be finite"),
         (["--a", "nan"], "argument --a: must be finite"),
         (["--a=-inf"], "argument --a: must be finite"),
+        # pi/(2|a|) overflows at 1e-320; at 1e-308 it is finite but the patch width pi/|a| is not
+        (["--a", "1e-320"], "--a = 1e-320 is too small"),
+        (["--a=-1e-320"], "--a = -1e-320 is too small"),
+        (["--a", "1e-308"], "--a = 1e-308 is too small"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # rejected before numpy builds a grid
 def test_scherk_rejects_a_margin_that_empties_the_grid(tmp_path, capsys, argv, fragment):
     out = tmp_path / "out"
     assert main(["scherk", *argv, "--grid", "5", "--out", str(out)]) == 1

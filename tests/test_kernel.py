@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,8 @@ from hypmin.kernel import (
     euclidean_principal_curvatures,
     fundamental_forms,
     hyperbolic_curvature,
+    require_halfspace,
+    restrict_to_halfspace,
     unit_normal,
 )
 from hypmin.surfaces import Kind, TranslationSurface
@@ -128,6 +130,45 @@ def test_halfspace_violation_rejected():
         hyperbolic_curvature(plane_jet(z=-0.5))
 
 
+def test_halfspace_check_names_the_row_major_first_bad_point():
+    # two heights <= 0; the later one in row-major order is the lower, so naming the minimum would be wrong
+    us, vs = np.array([0.0, 1.0, 2.0])[:, None], np.array([10.0, 20.0, 30.0])[None, :]
+    height = np.ones((3, 3))
+    height[0, 2], height[2, 0] = -0.5, -1.0
+    with pytest.raises(HalfSpaceError, match=r"^h = -0\.5 <= 0 at \(0\.0, 30\.0\)$"):
+        require_halfspace("h", height, us, vs)
+    require_halfspace("h", np.abs(height), us, vs)
+    # the same through a jet: x and y name the point, partials broadcast against the grid
+    X = np.stack(np.broadcast_arrays(us, vs, height), axis=-1)
+    plane = plane_jet()
+    jet = ImmersionJet(X, plane.Xu, plane.Xv, plane.Xuu, plane.Xuv, plane.Xvv)
+    with pytest.raises(HalfSpaceError, match=r"^z = -0\.5 <= 0 at \(0\.0, 30\.0\)$"):
+        hyperbolic_curvature(jet)
+    # restricting it spreads the (3,) partials over the 7 points kept
+    above = restrict_to_halfspace(jet)
+    assert above.X.shape == above.Xu.shape == above.Xuv.shape == (7, 3)
+    assert np.all(hyperbolic_curvature(above).H == 1.0)  # horizontal planes are horospheres
+
+
+@pytest.mark.parametrize("signs", ["++++++", "+-+0-+", "--0---"], ids=["all-above", "mixed", "all-below"])
+def test_restrict_to_halfspace_keeps_the_points_with_z_above_zero(signs):
+    # a 2 x 3 grid of random points, z made negative at "-" and zero at "0"
+    rng = np.random.default_rng(7)
+    points = [_random_jet(rng) for _ in signs]
+    zs = [p.X[2] * {"+": 1.0, "-": -1.0, "0": 0.0}[c] for p, c in zip(points, signs)]
+    points = [replace(p, X=np.array([*p.X[:2], z])) for p, z in zip(points, zs)]
+    grid = _stacked(points)
+    grid = ImmersionJet(*(getattr(grid, f.name).reshape(2, 3, 3) for f in fields(ImmersionJet)))
+    above = restrict_to_halfspace(grid)
+    kept = [p for p, c in zip(points, signs) if c == "+"]
+    for f in fields(ImmersionJet):
+        assert np.array_equal(getattr(above, f.name), np.reshape([getattr(p, f.name) for p in kept], (-1, 3)))
+    H = hyperbolic_curvature(above).H
+    assert H.shape == (len(kept),)
+    if kept:
+        assert H.tobytes() == hyperbolic_curvature(_stacked(kept)).H.tobytes()
+
+
 def _random_jet(rng):
     while True:
         Xu = rng.normal(size=3)
@@ -142,6 +183,11 @@ def _random_jet(rng):
         Xuv=rng.normal(size=3),
         Xvv=rng.normal(size=3),
     )
+
+
+def _stacked(points):
+    """One jet holding the single-point jets `points` along a leading axis."""
+    return ImmersionJet(*(np.stack([getattr(p, f.name) for p in points]) for f in fields(ImmersionJet)))
 
 
 def test_conformal_lift_consistency():
@@ -161,8 +207,7 @@ def test_conformal_lift_consistency():
 def test_report_kappa_e_is_bit_identical_to_euclidean_principal_curvatures():
     # a grid of random points with the umbilic plane and pole among them
     rng = np.random.default_rng(5)
-    points = [_random_jet(rng) for _ in range(200)] + [plane_jet(), hemisphere_pole_jet()]
-    jet = ImmersionJet(*(np.stack([getattr(p, f.name) for p in points]) for f in fields(ImmersionJet)))
+    jet = _stacked([_random_jet(rng) for _ in range(200)] + [plane_jet(), hemisphere_pole_jet()])
     got = hyperbolic_curvature(jet).kappaE
     want = euclidean_principal_curvatures(fundamental_forms(jet))
     for g, w in zip(got, want):

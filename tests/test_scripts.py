@@ -46,11 +46,12 @@ def test_lm_layers_prints_every_kind_and_layer(capsys):
     assert _load("lm_layers").main(["--grid", "9", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "grid 9x9, generator seed 3; median us per call"
-    assert lines[1].split() == ["kind", "nfev", "evaluate", "assemble", "damped_step"]
+    assert lines[1].split() == ["kind", "nfev", "assembles", "evaluate", "assemble", "damped_step"]
     assert [line.split()[0] for line in lines[2:]] == list(search.CAMPAIGNS)
     for line in lines[2:]:
-        nfev, *us = line.split()[1:]
+        nfev, assembles, *us = line.split()[1:]
         assert int(nfev) >= len(search.SMOOTHING_WEIGHTS)  # one evaluation per stage at least
+        assert 1 <= int(assembles) <= int(nfev)
         assert all(float(u) > 0.0 for u in us)
     layers = ("_evaluate", "_assemble", "_damped_step")
     assert [getattr(search, layer).__name__ for layer in layers] == list(layers)  # wrappers removed

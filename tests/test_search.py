@@ -567,3 +567,7 @@ def test_branch_rejects_bad_arguments():
         experiments.trace_type2_branch(0.0, (0.5, 2.0))
     with pytest.raises(ValueError):
         experiments.trace_type2_branch(1.0, (-0.5, 2.0))
+    # the lower end of the z range, at either position, must lie in z > 0
+    for z_range in ((0.0, 2.0), (2.0, -1.0)):
+        with pytest.raises(HalfSpaceError, match=rf"^type II parameter z = {min(z_range)} <= 0 in the z range "):
+            experiments.trace_type2_branch(1.0, z_range)
