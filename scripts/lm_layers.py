@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Cost of one Levenberg-Marquardt step, layer by layer.
+"""Cost of one Levenberg-Marquardt step, layer by layer, per seed.
 
 For each campaign of `search.CAMPAIGNS` (type1, type2, control) this runs
-`minimize_residual` on one generated seed and prints nfev, the number of
-`_assemble` calls (accepted points), and the median time per call, in
-microseconds, of the three layers of an LM step:
+one block of generated seeds through `search._minimize_block`, twice: a
+block of one seed, and a block as large as the largest block of a 20-seed
+campaign (`search._blocks`).  For each it prints the block size, nfev and
+the number of assembled points summed over the block's seeds, and the median
+time per seed of the three stacked layers of an LM step, in microseconds:
 
-- `_evaluate`: spline rows, residual grid, slab block and cost at a trial;
-- `_assemble`: J.T @ J and J.T @ r at an accepted point;
-- `_damped_step`: the damped solve and the predicted decrease.
+- `_evaluate`: spline rows, residual grid, slab block and cost at the trials;
+- `_assemble`: J.T @ J and J.T @ r at the accepted points;
+- `_damped_step`: the damped solves and the predicted decreases.
 
-The layers are timed by wrapping the module's functions during a second
-run of the same seed; the first, untimed, fills the basis cache.  Compare
-medians only with medians taken on the same machine.
+A call's time per seed is its time over the rows it handles, so the two
+block sizes show how much of a layer's cost a block shares.  The layers are
+timed by wrapping the module's functions during a second run of the same
+block; the first, untimed, fills the basis cache.  Compare medians only
+with medians taken on the same machine.
 
     PYTHONPATH=src python scripts/lm_layers.py [--seed N] [--grid N]
 """
@@ -22,54 +26,64 @@ import statistics
 import time
 
 from hypmin import search
-from hypmin.search import CAMPAIGNS, SearchConfig, minimize_residual
+from hypmin.search import CAMPAIGNS, SearchConfig
 
-LAYERS = ("_evaluate", "_assemble", "_damped_step")
+# the layers, each with the number of rows (seeds) of one call's result
+LAYERS = {
+    "_evaluate": lambda ev: len(ev.cost),
+    "_assemble": lambda normal: len(normal[0]),
+    "_damped_step": lambda step: len(step[0]),
+}
 
 
-def _timed(samples: list, fn):
+def _timed(samples: list, rows, fn):
     def wrapper(*args, **kwargs):
         start = time.perf_counter()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            samples.append(time.perf_counter() - start)
+        result = fn(*args, **kwargs)
+        samples.append((time.perf_counter() - start, rows(result)))
+        return result
 
     return wrapper
 
 
-def measure(name: str, grid: int, seed: int):
-    """(nfev, _assemble calls, {layer: median us per call}) of one seed of the campaign `name`."""
+def measure(name: str, grid: int, seed: int, block: int):
+    """(nfev, assembled points, {layer: median us per seed}) of one block of
+    the first `block` seeds of the campaign `name`."""
     campaign = CAMPAIGNS[name]
     cfg = SearchConfig(grid=(grid, grid), euclidean_control=campaign.euclidean_control)
-    (ansatz,) = campaign.seeds(1, seed)
-    minimize_residual(ansatz, cfg)
+    seeds = campaign.seeds(block, seed)
+    search._minimize_block(seeds, cfg)
     samples = {layer: [] for layer in LAYERS}
     originals = {layer: getattr(search, layer) for layer in LAYERS}
     for layer, fn in originals.items():
-        setattr(search, layer, _timed(samples[layer], fn))
+        setattr(search, layer, _timed(samples[layer], LAYERS[layer], fn))
     try:
-        result = minimize_residual(ansatz, cfg)
+        results = search._minimize_block(seeds, cfg)
     finally:
         for layer, fn in originals.items():
             setattr(search, layer, fn)
-    medians = {layer: 1e6 * statistics.median(s) for layer, s in samples.items()}
-    return result.iterations, len(samples["_assemble"]), medians
+    medians = {layer: 1e6 * statistics.median(t / rows for t, rows in s) for layer, s in samples.items()}
+    assembled = sum(rows for _, rows in samples["_assemble"])
+    return sum(r.iterations for r in results), assembled, medians
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--seed", type=int, default=6421, help="generator seed of the one seed per campaign")
+    ap.add_argument("--seed", type=int, default=6421, help="generator seed of the campaigns' seeds")
     ap.add_argument("--grid", type=int, default=SearchConfig().grid[0], help="grid side (default: SearchConfig's)")
     args = ap.parse_args(argv)
     if args.grid < 2:
         ap.error(f"--grid must be at least 2, got {args.grid}")
-    print(f"grid {args.grid}x{args.grid}, generator seed {args.seed}; median us per call")
-    print(f"{'kind':8s} {'nfev':>6s} {'assembles':>9s} {'evaluate':>10s} {'assemble':>10s} {'damped_step':>12s}")
-    for name in CAMPAIGNS:
-        nfev, assembles, us = measure(name, args.grid, args.seed)
-        times = f"{us['_evaluate']:10.1f} {us['_assemble']:10.1f} {us['_damped_step']:12.1f}"
-        print(f"{name:8s} {nfev:6d} {assembles:9d} {times}")
+    print(f"grid {args.grid}x{args.grid}, generator seed {args.seed}; median us per seed and call")
+    header = ("block", "nfev", "assembles", "evaluate", "assemble", "damped_step")
+    print(f"{'kind':8s} {header[0]:>5s} {header[1]:>6s} {header[2]:>9s} {header[3]:>10s} {header[4]:>10s} {header[5]:>12s}")
+    for name, campaign in CAMPAIGNS.items():
+        cfg = SearchConfig(grid=(args.grid, args.grid), euclidean_control=campaign.euclidean_control)
+        largest = max(len(block) for block in search._blocks(campaign.seeds(20, args.seed), cfg, 1))
+        for block in sorted({1, largest}):
+            nfev, assembles, us = measure(name, args.grid, args.seed, block)
+            times = f"{us['_evaluate']:10.1f} {us['_assemble']:10.1f} {us['_damped_step']:12.1f}"
+            print(f"{name:8s} {block:5d} {nfev:6d} {assembles:9d} {times}")
     return 0
 
 

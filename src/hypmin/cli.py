@@ -238,9 +238,10 @@ def cmd_curvature(args) -> int:
     us, vs = _grid_axes(patch.domain, args.grid)
     columns = [np.empty((us.size, vs.size)) for _ in CURVATURE_COLUMNS]
     step = max(1, KERNEL_BLOCK_POINTS // vs.size)
+    jet_of = patch.rows_jet(vs)  # the v curve, evaluated once per table
     for start in range(0, us.size, step):
         rows = us[start : start + step]
-        jet = patch.jet(rows, vs)
+        jet = jet_of(rows)
         rep = hyperbolic_curvature(jet)
         block = (rows, vs, jet.X[..., 0], jet.X[..., 1], jet.X[..., 2], rep.He, rep.N3, rep.H)
         for column, values in zip(columns, block):

@@ -40,16 +40,16 @@ class ImmersionJet:
 
 @dataclass(frozen=True)
 class FundamentalForms:
+    """E, F, G and L, M, N per point, and det_first = EG - F^2 taken as
+    |Xu x Xv|^2, which does not cancel to 0 when the partials are large."""
+
     E: np.ndarray
     F: np.ndarray
     G: np.ndarray
     L: np.ndarray
     M: np.ndarray
     N: np.ndarray
-
-    @property
-    def det_first(self) -> np.ndarray:
-        return self.E * self.G - self.F * self.F
+    det_first: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
 
 
-def unit_normal(jet: ImmersionJet) -> np.ndarray:
-    """(Xu x Xv)/|Xu x Xv|, shape (..., 3); raises if any point is degenerate."""
+def _cross(jet: ImmersionJet) -> np.ndarray:
+    """Xu x Xv, shape (..., 3)."""
     # the products and differences of np.cross, bit for bit, without its
     # per-call overhead; (3,) partials broadcast against grids
     a, b = jet.Xu, jet.Xv
-    cross = np.stack(
+    return np.stack(
         (
             a[..., 1] * b[..., 2] - a[..., 2] * b[..., 1],
             a[..., 2] * b[..., 0] - a[..., 0] * b[..., 2],
@@ -102,6 +102,11 @@ def unit_normal(jet: ImmersionJet) -> np.ndarray:
         ),
         axis=-1,
     )
+
+
+def unit_normal(jet: ImmersionJet) -> np.ndarray:
+    """(Xu x Xv)/|Xu x Xv|, shape (..., 3); raises if any point is degenerate."""
+    cross = _cross(jet)
     norm = np.sqrt(_dot(cross, cross))
     if np.any(norm <= DEGENERACY_THRESHOLD):
         raise DegenerateImmersionError(
@@ -122,6 +127,7 @@ def fundamental_forms(jet: ImmersionJet) -> FundamentalForms:
 
 
 def _forms(jet: ImmersionJet, n: np.ndarray) -> FundamentalForms:
+    cross = _cross(jet)
     return FundamentalForms(
         E=_dot(jet.Xu, jet.Xu),
         F=_dot(jet.Xu, jet.Xv),
@@ -129,6 +135,7 @@ def _forms(jet: ImmersionJet, n: np.ndarray) -> FundamentalForms:
         L=_dot(jet.Xuu, n),
         M=_dot(jet.Xuv, n),
         N=_dot(jet.Xvv, n),
+        det_first=_dot(cross, cross),
     )
 
 

@@ -10,8 +10,17 @@ A Euclidean control objective (which does have solutions) demonstrates
 that the harness finds them when they exist.  The campaigns are defined in
 CAMPAIGNS; a type-II control and a type-II z-range reaching z <= 0 are rejected.
 
+One LM advances a block of seeds in lockstep (`_minimize_block`, one
+`_lm_stage` per continuation stage); `minimize_residual` is a block of one,
+and `run_seeds` runs contiguous blocks of at most LM_BLOCK_POINTS grid
+points.  Each layer works on a stack of b coefficient vectors, one row per
+seed, and does per row the arithmetic a stack of one does: GEMV, dot, GEMM
+and gesv calls of a single row's shape, elementwise operations and
+same-axis reductions.  So results do not depend on the block, its size or
+the worker it runs in, bit for bit.
+
 `_evaluate` is the one place that computes the spline rows and the
-residual grid R: at a coefficient vector it gives R, the slab block and the
+residual grid R: at the rows of x it gives R, the slab block and the
 cost r @ r that tests a trial step.  `residual_and_jacobian`, the dense
 residual vector r and Jacobian J that define the least-squares problem, and
 `residual_grid` are each built from one such record.  The optimizer never
@@ -22,7 +31,7 @@ near v_j, and only on the derivative orders f', f'', g', g'', and for
 type-I H also on f and g themselves.  So per grid line one small Gram
 of [R's partials; R], and one GEMM against a basis extended by a unit
 column, give J.T @ J and J.T @ r together.  The final statistics come from
-the last evaluation, the record of the point the last stage returns.
+R at the point the last stage returns.
 
 Each stage damps its steps by the gain ratio, the actual cost decrease over
 the decrease the linear model predicts, and ends for one of STOP_REASONS
@@ -33,11 +42,12 @@ floor ends in a few evaluations instead of raising the damping to its cap.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -55,6 +65,10 @@ SMOOTHING_WEIGHTS = (30.0, 3.0, 0.3, 0.03, 0.0)
 REL_TOL = 1e-12
 CHECK_GRID = 101
 N_INTERIOR = 12
+# Grid points per block of seeds that one Levenberg-Marquardt advances in
+# lockstep (`_minimize_block`): about 7 seeds at the campaigns' 33 x 33 grid.
+# Each stacked temporary spans the block, so this bounds their memory.
+LM_BLOCK_POINTS = 8192
 
 # The partials of R w.r.t. f, f', f'' and g, g', g'', as `_evaluate` keys them.
 _F_PARTIALS, _G_PARTIALS = ("f", "fp", "fpp"), ("g", "gp", "gpp")
@@ -214,26 +228,26 @@ def _bases(ansatz: SplineAnsatz, cfg: SearchConfig):
 
 
 def _spline_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Rows: the spline, its first and its second derivative on the grid."""
+    """Per row of coeffs (b, m): the spline, its first and its second
+    derivative on the grid, shape (b, 3, n); one GEMV per row."""
     _, n, m = basis.shape
-    return (basis.reshape(3 * n, m) @ coeffs).reshape(3, n)
+    return (basis.reshape(3 * n, m) @ coeffs[:, :, None]).reshape(len(coeffs), 3, n)
 
 
 def _euclidean_residual(fp, fpp, gp, gpp):
     """The Euclidean type-I minimality expression S = (1+g'^2) f'' + (1+f'^2) g'',
     returned as `surfaces.translation_mean_curvature` returns type-II H:
-    (S, partials), with no f and g partials."""
+    (S, partials), with no f and g partials.  The f'' and g'' partials do not
+    vary along one grid axis and are not broadcast to the grid."""
     P = 1.0 + fp ** 2
     Q = 1.0 + gp ** 2
     S = Q * fpp + P * gpp
 
-    def partials() -> dict:
-        return {
-            "fp": 2.0 * fp * gpp,
-            "fpp": Q.repeat(len(fp), axis=0),
-            "gp": 2.0 * gp * fpp,
-            "gpp": P.repeat(len(gp.T), axis=1),
-        }
+    def partials():
+        yield "fp", 2.0 * fp * gpp
+        yield "fpp", Q
+        yield "gp", 2.0 * gp * fpp
+        yield "gpp", P
 
     return S, partials
 
@@ -244,19 +258,20 @@ def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
     `cfg.euclidean_control` the Euclidean type-I minimality expression.
 
     Returns (R, dR) of one `_evaluate` record, with R of shape (nx, nz) and
-    dR a dict of same-shape arrays keyed by fp, fpp, gp, gpp, and for type-I
-    H also f and g (`_type1_h`); a non-finite R raises
+    dR a dict of arrays that broadcast to R, keyed by fp, fpp, gp, gpp, and
+    for type-I H also f and g (`_type1_h`); a non-finite R raises
     NonFiniteResidualError.
     """
-    ev = _evaluate(ansatz, cfg, 0.0, 0.0, ansatz.packed())
-    return ev.R, ev.partials()
+    ev = _evaluate(ansatz, cfg, 0.0, 0.0, ansatz.packed()[None])
+    return ev.R[0], {name: partial[0] for name, partial in ev.partials()}
 
 
 def _slab(cfg: SearchConfig, barrier_weight: float, f0, g0):
-    """The type-I barrier block (slack, sign), or None when it is off.
+    """The type-I barrier block (slack, sign) per row of f0 (b, nx) and g0
+    (b, nz), or None when it is off.
 
     slack = sqrt(w) * (clip(f+g, zFloor, zCeil) - (f+g)) and sign is its
-    derivative w.r.t. f+g.  `minimize_residual` turns the barrier on (w > 0)
+    derivative w.r.t. f+g.  `_minimize_block` turns the barrier on (w > 0)
     only for type-I H (`_type1_h`).
     """
     if barrier_weight <= 0.0:
@@ -265,21 +280,23 @@ def _slab(cfg: SearchConfig, barrier_weight: float, f0, g0):
     # the half-space, the ceiling compactifies the search (otherwise the
     # optimizer escapes toward the vertical-plane limit, where H -> 0
     # degenerately).
-    zv = f0[:, None] + g0[None, :]
+    zv = f0[:, :, None] + g0[:, None, :]
     w = math.sqrt(barrier_weight)
     slack = w * (np.clip(zv, cfg.z_floor, cfg.z_ceil) - zv)
     return slack, -w * (slack != 0.0)
 
 
 def _residual_vector(R, slab, smoothing_weight: float, f, g) -> np.ndarray:
-    """r: R, then the slab slack, then the smoothing penalty, each if present."""
-    blocks = [R.reshape(-1)]
+    """r per row, shape (b, L): R, then the slab slack, then the smoothing
+    penalty, each if present."""
+    b = len(R)
+    blocks = [R.reshape(b, -1)]
     if slab is not None:
-        blocks.append(slab[0].reshape(-1))
+        blocks.append(slab[0].reshape(b, -1))
     if smoothing_weight > 0.0:
         sw = math.sqrt(smoothing_weight)
-        blocks += [sw * f[2], sw * g[2]]
-    return np.concatenate(blocks)
+        blocks += [sw * f[:, 2], sw * g[:, 2]]
+    return np.concatenate(blocks, axis=1)
 
 
 def residual_and_jacobian(
@@ -296,16 +313,16 @@ def residual_and_jacobian(
     """
     _, _, bf, bg, _, _ = _bases(ansatz, cfg)
     (Bf, _, Bf2), (Bg, _, Bg2) = bf, bg
-    ev = _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed())
-    dR = ev.partials()
-    nx, nz = ev.R.shape
+    ev = _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed()[None])
+    dR = {name: partial[0] for name, partial in ev.partials()}
+    nx, nz = ev.R.shape[1:]
     mf, mg = Bf.shape[1], Bg.shape[1]
     Jf = sum(np.einsum("ij,ik->ijk", dR[n], B) for n, B in zip(_F_PARTIALS, bf) if n in dR)
     Jg = sum(np.einsum("ij,jk->ijk", dR[n], C) for n, C in zip(_G_PARTIALS, bg) if n in dR)
     J_blocks = [np.hstack([Jf.reshape(nx * nz, mf), Jg.reshape(nx * nz, mg)])]
 
     if ev.slab is not None:
-        sign = ev.slab[1]
+        sign = ev.slab[1][0]
         Jbf = np.einsum("ij,ik->ijk", sign, Bf).reshape(nx * nz, mf)
         Jbg = np.einsum("ij,jk->ijk", sign, Bg).reshape(nx * nz, mg)
         J_blocks.append(np.hstack([Jbf, Jbg]))
@@ -317,50 +334,65 @@ def residual_and_jacobian(
         Js[nx:, mf:] = sw * Bg2
         J_blocks.append(Js)
 
-    return _residual_vector(ev.R, ev.slab, smoothing_weight, ev.f, ev.g), np.vstack(J_blocks)
+    return _residual_vector(ev.R, ev.slab, smoothing_weight, ev.f, ev.g)[0], np.vstack(J_blocks)
 
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """The least-squares problem of one stage at one coefficient vector x:
-    the cost r @ r and what `_assemble` builds the normal equations from,
-    the spline rows f, g, the residual grid R, the slab block and R's
-    partials, which come on demand from the intermediates that gave R."""
+    """The least-squares problem of one stage at a stack of b coefficient
+    vectors, one per row: the costs r @ r (b,) and what `_assemble` builds
+    the normal equations from, the spline rows f (b, 3, nx), g (b, 3, nz),
+    the residual grids R (b, nx, nz), the slab block and R's partials, which
+    partials() yields on demand from the intermediates that gave R."""
 
-    cost: float
+    cost: np.ndarray
     f: np.ndarray
     g: np.ndarray
     R: np.ndarray
     slab: tuple[np.ndarray, np.ndarray] | None
-    partials: Callable[[], dict]
+    partials: Callable[[], Iterator[tuple[str, np.ndarray]]]
 
 
 def _evaluate(
-    ansatz: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float, x: np.ndarray
+    problem: SplineAnsatz, cfg: SearchConfig, barrier_weight: float, smoothing_weight: float, x: np.ndarray
 ) -> _Evaluation:
-    """Evaluate the problem of `residual_and_jacobian` at the packed
-    coefficients x; ansatz supplies only the kind, the domains and the sizes.
-    The only place the spline rows and R are computed."""
-    _, vs, bf, bg, _, _ = _bases(ansatz, cfg)
+    """Evaluate the problem of `residual_and_jacobian` at each row of x, a
+    (b, n) stack of packed coefficient vectors; `problem` supplies only the
+    kind, the domains and the sizes.  The only place the spline rows and R
+    are computed.  Each row's arithmetic is that of a stack of one: the
+    spline rows are one GEMV and the cost one dot product per row, the rest
+    is elementwise."""
+    _, vs, bf, bg, _, _ = _bases(problem, cfg)
     mf = bf.shape[2]
-    f, g = _spline_values(bf, x[:mf]), _spline_values(bg, x[mf:])
-    fp, fpp, gp, gpp = f[1][:, None], f[2][:, None], g[1][None, :], g[2][None, :]
+    f, g = _spline_values(bf, x[:, :mf]), _spline_values(bg, x[:, mf:])
+    fp, fpp, gp, gpp = f[:, 1, :, None], f[:, 2, :, None], g[:, 1, None, :], g[:, 2, None, :]
     if cfg.euclidean_control:
         R, partials = _euclidean_residual(fp, fpp, gp, gpp)
     else:
-        height = f[0][:, None] + g[0][None, :] if ansatz.kind is Kind.TYPE_I else vs[None, :]
-        R, partials = surfaces.translation_mean_curvature(ansatz.kind, height, fp, fpp, gp, gpp)
-    slab = _slab(cfg, barrier_weight, f[0], g[0])
+        height = f[:, 0, :, None] + g[:, 0, None, :] if problem.kind is Kind.TYPE_I else vs
+        R, partials = surfaces.translation_mean_curvature(problem.kind, height, fp, fpp, gp, gpp)
+    slab = _slab(cfg, barrier_weight, f[:, 0], g[:, 0])
     r = _residual_vector(R, slab, smoothing_weight, f, g)
-    cost = float(r @ r)  # a sum of squares: finite only if every entry of r is
-    if not math.isfinite(cost) and not np.all(np.isfinite(r)):
+    cost = (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    infinite = ~np.isfinite(cost)  # a sum of squares: finite only if every entry of its r is
+    if infinite.any() and not np.all(np.isfinite(r[infinite])):
         raise NonFiniteResidualError("non-finite residual during optimization")
     return _Evaluation(cost, f, g, R, slab, partials)
 
 
-def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float):
-    """A = J.T @ J and g = J.T @ r at the point of the evaluation `ev`, from
-    the cached `_bases`; only R's partials are computed here.
+def _workspace(bases: tuple, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stack [D; R; E] of `_assemble` for up to b rows and its DE of one
+    row, allocated once per block: fresh arrays of this size each call would
+    be mapped and faulted in anew."""
+    _, _, _, _, fx, gx = bases
+    k, (nx, _, _), (nz, _, _) = fx.shape[1] - 1, fx.shape, gx.shape
+    return np.empty((b, 2 * k + 1, nx, nz)), np.empty((k * nx, k * nz))
+
+
+def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float, rows=slice(None), work=None):
+    """A = J.T @ J (b, n, n) and g = J.T @ r (b, n) at the points of the
+    given rows of the evaluation `ev`, from the cached `_bases`; only R's
+    partials are computed here, into `work` (`_workspace`) if given.
 
     R(i, j) depends only on f at x_i and g at v_j, and only on the K orders
     of `_bases`.  Write D_k = dR/df^(k) and E_l = dR/dg^(l) for those
@@ -376,77 +408,128 @@ def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float):
     and the smoothing penalty to the order-2 entries.  The extended basis fx
     is diag(B(x_i), 1) per point, so one GEMM gives [A_ff, g_f] from the
     Grams, and gx likewise [A_gg, g_g].  A_fg is one product over the
-    (K n, m) stacked bases.
+    (K n, m) stacked bases.  The Grams and [A_ff, g_f], [A_gg, g_g] are
+    batched over the rows, one GEMM per row of the shape a single row would
+    use; DE = [D_k*E_l] and A_fg are formed one row at a time, so DE spans
+    K^2 grids, not K^2 per row.
     """
     _, _, bf, bg, fx, gx = bases
     k = fx.shape[1] - 1  # R depends on the last k orders
     _, nx, mf = bf.shape
     _, nz, mg = bg.shape
-    f, g, R, dR = ev.f, ev.g, ev.R, ev.partials()
-    X = np.array([*(dR[n] for n in _F_PARTIALS[3 - k :]), R, *(dR[n] for n in _G_PARTIALS[3 - k :])])
-    DR, RE = X[: k + 1], X[k:]  # [D; R] and [R; E]
-    Gf = DR.transpose(1, 0, 2) @ DR.transpose(1, 2, 0)  # (nx, k+1, k+1)
-    Gg = RE.transpose(2, 0, 1) @ RE.transpose(2, 1, 0)  # (nz, k+1, k+1)
-    DE = (X[:k, :, None, :] * X[k + 1 :].transpose(1, 0, 2)[None]).reshape(k * nx, k * nz)
+    f, g, R = ev.f[rows], ev.g[rows], ev.R[rows]
+    b = len(R)
+    X, DE = _workspace(bases, b) if work is None else (work[0][:b], work[1])
+    stack = (*_F_PARTIALS[3 - k :], "R", *_G_PARTIALS[3 - k :])  # [D; R; E]
+    X[:, k] = R
+    for name, partial in ev.partials():
+        X[:, stack.index(name)] = partial[rows]
+    del partial
+    DR, RE = X[:, : k + 1], X[:, k:]  # [D; R] and [R; E]
+    Gf = DR.transpose(0, 2, 1, 3) @ DR.transpose(0, 2, 3, 1)  # (b, nx, k+1, k+1)
+    Gg = RE.transpose(0, 3, 1, 2) @ RE.transpose(0, 3, 2, 1)  # (b, nz, k+1, k+1)
+    sign2 = None
     if ev.slab is not None:  # order 0: row 0 of [D; R], row 1 of [R; E]
-        slack, sign = ev.slab
-        sign2, push = sign * sign, sign * slack
-        Gf[:, 0, 0] += sign2.sum(axis=1)
-        Gf[:, 0, k] += push.sum(axis=1)
-        Gg[:, 1, 1] += sign2.sum(axis=0)
-        Gg[:, 1, 0] += push.sum(axis=0)
-        DE[:nx, :nz] += sign2
+        slack, sign = ev.slab[0][rows], ev.slab[1][rows]
+        sign2 = sign * sign
+        Gf[:, :, 0, 0] += sign2.sum(axis=2)
+        Gg[:, :, 1, 1] += sign2.sum(axis=1)
+        push = sign * slack
+        Gf[:, :, 0, k] += push.sum(axis=2)
+        Gg[:, :, 1, 0] += push.sum(axis=1)
+        del push
     if smoothing_weight > 0.0:  # order 2: row k-1 of [D; R], row k of [R; E]
-        Gf[:, k - 1, k - 1] += smoothing_weight
-        Gf[:, k - 1, k] += smoothing_weight * f[2]
-        Gg[:, k, k] += smoothing_weight
-        Gg[:, k, 0] += smoothing_weight * g[2]
-    Ff = fx.reshape(-1, mf + 1).T @ (Gf @ fx).reshape(-1, mf + 1)  # sum_i fx_i^T Gf_i fx_i
-    Fg = gx.reshape(-1, mg + 1).T @ (Gg @ gx).reshape(-1, mg + 1)
-    A = np.empty((mf + mg, mf + mg))
-    A[:mf, :mf] = Ff[:mf, :mf]
-    A[mf:, mf:] = Fg[:mg, :mg]
-    A[:mf, mf:] = bf[3 - k :].reshape(k * nx, mf).T @ DE @ bg[3 - k :].reshape(k * nz, mg)
-    A[mf:, :mf] = A[:mf, mf:].T
-    return A, np.concatenate([Ff[:mf, mf], Fg[:mg, mg]])
+        Gf[:, :, k - 1, k - 1] += smoothing_weight
+        Gf[:, :, k - 1, k] += smoothing_weight * f[:, 2]
+        Gg[:, :, k, k] += smoothing_weight
+        Gg[:, :, k, 0] += smoothing_weight * g[:, 2]
+    Ff = fx.reshape(-1, mf + 1).T @ (Gf @ fx).reshape(b, -1, mf + 1)  # sum_i fx_i^T Gf_i fx_i
+    Fg = gx.reshape(-1, mg + 1).T @ (Gg @ gx).reshape(b, -1, mg + 1)
+    A = np.empty((b, mf + mg, mf + mg))
+    A[:, :mf, :mf] = Ff[:, :mf, :mf]
+    A[:, mf:, mf:] = Fg[:, :mg, :mg]
+    bk, ck = bf[3 - k :].reshape(k * nx, mf).T, bg[3 - k :].reshape(k * nz, mg)
+    for row in range(b):  # DE, k^2 grids, one row at a time
+        np.multiply(X[row, :k, :, None, :], X[row, k + 1 :].transpose(1, 0, 2)[None], out=DE.reshape(k, nx, k, nz))
+        if sign2 is not None:
+            DE[:nx, :nz] += sign2[row]
+        A[row, :mf, mf:] = bk @ DE @ ck
+    A[:, mf:, :mf] = A[:, :mf, mf:].transpose(0, 2, 1)
+    return A, np.concatenate([Ff[:, :mf, mf], Fg[:, :mg, mg]], axis=1)
 
 
 # -- damped least squares with continuation ---------------------------
 
 
-def _damped_step(A: np.ndarray, g: np.ndarray, d: np.ndarray, mu: float):
-    """The step delta solving (A + mu*diag(d)) delta = -g, and the decrease
+def _damped_step(A: np.ndarray, g: np.ndarray, d: np.ndarray, mu: np.ndarray):
+    """Per row of the stacks A (b, n, n), g (b, n), d (b, n) and mu (b,): the
+    step delta solving (A + mu*diag(d)) delta = -g, and the decrease
     pred = -g.delta + mu * delta.diag(d).delta that the linear model predicts.
 
     With A = J.T @ J and g = J.T @ r this is |r|^2 - |r + J delta|^2, exactly
-    in exact arithmetic, so pred >= 0.  Raises `np.linalg.LinAlgError` when
-    the damped system is singular.
+    in exact arithmetic, so pred >= 0.  One stacked solve (LAPACK gesv per
+    row) and one dot product per row and term.  Raises
+    `np.linalg.LinAlgError` when any row's damped system is singular.
     """
-    delta = np.linalg.solve(A + mu * np.diag(d), -g)
-    return delta, float(-g @ delta + mu * (delta @ (d * delta)))
+    damped = A + mu[:, None, None] * (d[:, :, None] * np.eye(A.shape[-1]))
+    minus_g = -g
+    delta = np.linalg.solve(damped, minus_g[:, :, None])[:, :, 0]
+    curvature = (delta[:, None, :] @ (d * delta)[:, :, None])[:, 0, 0]
+    return delta, (minus_g[:, None, :] @ delta[:, :, None])[:, 0, 0] + mu * curvature
 
 
-def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
-    """One continuation stage: damped least squares on the normal equations.
+def _steps(A, g, d, mu: list, live: list, reasons: list):
+    """(seeds, delta, pred) of the damped steps of the live seeds, one
+    stacked solve.  If that raises, each live seed solves alone, and a seed
+    whose system is singular raises its mu tenfold until a solve succeeds
+    or mu reaches its cap, which stops it (damping_cap)."""
+    try:
+        delta, pred = _damped_step(A[live], g[live], d[live], np.array([mu[i] for i in live]))
+        return live, delta, pred.tolist()
+    except np.linalg.LinAlgError:
+        pass
+    solved = []
+    for i in live:
+        while reasons[i] is None:
+            try:
+                (delta,), (pred,) = _damped_step(A[i : i + 1], g[i : i + 1], d[i : i + 1], np.array([mu[i]]))
+            except np.linalg.LinAlgError:
+                mu[i] = min(mu[i] * 10.0, 1e15)
+                if mu[i] >= 1e15:
+                    reasons[i] = "damping_cap"
+                continue
+            solved.append((i, delta, float(pred)))
+            break
+    seeds = [i for i, _, _ in solved]
+    return seeds, np.reshape([delta for _, delta, _ in solved], (len(seeds), A.shape[-1])), [pred for *_, pred in solved]
+
+
+def _lm_stage(problem: SplineAnsatz, cfg: SearchConfig, barrier_weight, smoothing_weight, budget, x, work=None):
+    """One continuation stage for a block of seeds in lockstep: damped least
+    squares on the normal equations, from the packed coefficients x (b, n),
+    one row per seed.
 
     Hand-rolled Levenberg-Marquardt (diagonal-scaled damping) so every
     arithmetic step is plain numpy and runs are bit-for-bit reproducible
-    across processes.  The stage iterates on the packed coefficients x.  A
-    trial step costs one evaluation (`_evaluate`): the spline rows, R and
-    the slab block at x + delta, and the cost.  A rejected trial's record is
-    dropped at once; an accepted one becomes the current point, and its
-    record builds the normal equations A = J.T @ J, g = J.T @ r
-    (`_assemble`), which adds only R's partials from the record's own
-    intermediates.  The dense Jacobian is never formed, no point is
-    evaluated twice, and a `SplineAnsatz` is built only when the stage
-    returns.  nfev counts every evaluation, trial steps included.
+    across processes.  Each seed keeps its own x, cost, mu, nu, nfev, stop
+    reason and cost trace.  One round does, in order: `_assemble` the normal
+    equations A = J.T @ J, g = J.T @ r of the seeds whose trial was accepted
+    in the last round (all seeds in the first), from the rows of that
+    round's record; take one damped step for every live seed (`_steps`);
+    stop the seeds the checks below stop; and evaluate all trials with one
+    `_evaluate`, then accept or reject each.  Every stacked call does per
+    row what a stack of one does, so a seed's result does not depend on the
+    block it runs in.  A rejected trial's rows are dropped with the round's
+    record; only an accepted point's R is kept.  The dense Jacobian is never
+    formed, no point is evaluated twice, and nfev counts every evaluation,
+    trial steps included.
 
     The damping follows the gain ratio rho = (actual decrease) / pred of
     `_damped_step` (Madsen, Nielsen & Tingleff, "Methods for non-linear
     least squares problems", 2004, section 3.2): an accepted step scales mu
     by max(1/3, 1 - (2 rho - 1)^3) and resets nu to 2; a rejected one scales
     mu by nu and doubles nu.  A singular damped system raises mu tenfold.
-    mu stays in [1e-15, 1e15].  The stage ends for one of STOP_REASONS:
+    mu stays in [1e-15, 1e15].  A seed's stage ends for one of STOP_REASONS:
 
     - rel_tol: an accepted step lowers the cost by no more than REL_TOL
       relative;
@@ -457,56 +540,73 @@ def _lm_stage(ansatz, cfg, barrier_weight, smoothing_weight, budget):
     - damping_cap: mu reaches its cap without a descent;
     - budget: `budget` evaluations are spent.
 
-    Returns (ansatz, nfev, stop_reason, cost_trace, record): the trace
-    records accepted costs only, so it is non-increasing by construction,
-    and the record is the `_evaluate` record of the returned point.
+    Returns (x, nfev, stop_reasons, cost_traces, R): per seed the point the
+    stage ends at, its evaluations, why it stopped, the accepted costs (so
+    the trace is non-increasing by construction) and R (b, nx, nz) there.
     """
 
-    def evaluate(x):
-        return _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x)
+    def evaluate(points):
+        return _evaluate(problem, cfg, barrier_weight, smoothing_weight, points)
 
-    def stop(reason):
-        return ansatz.with_coeffs(x), nfev, reason, tuple(trace), here
-
-    bases = _bases(ansatz, cfg)
-    x = ansatz.packed()
-    here = evaluate(x)
-    trace = [here.cost]
-    nfev = 1
-    mu, nu = 1e-3, 2.0
-    while nfev < budget:
-        A, g = _assemble(here, bases, smoothing_weight)
-        d = np.maximum(A.diagonal(), 1e-12)
-        while True:
-            if nfev >= budget:
-                return stop("budget")
-            if mu >= 1e15:
-                return stop("damping_cap")
-            try:
-                delta, pred = _damped_step(A, g, d, mu)
-            except np.linalg.LinAlgError:
-                mu = min(mu * 10.0, 1e15)
-                continue
-            if pred <= REL_TOL * max(here.cost, 1e-300):
-                return stop("model")
-            x_new = x + delta
-            if np.array_equal(x_new, x):
-                return stop("noop_step")
-            trial = evaluate(x_new)
-            nfev += 1
-            if trial.cost < here.cost:
-                rho = (here.cost - trial.cost) / pred
-                mu = max(mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
-                nu = 2.0
-                break
-            del trial  # a rejected trial's record is not kept
-            mu = min(mu * nu, 1e15)
-            nu *= 2.0
-        x, here = x_new, trial
-        trace.append(here.cost)
-        if trace[-2] - trace[-1] <= REL_TOL * max(here.cost, 1e-300):
-            return stop("rel_tol")
-    return stop("budget")
+    b, n = x.shape
+    bases = _bases(problem, cfg)
+    x = x.copy()
+    ev = evaluate(x)
+    R = ev.R.copy()
+    cost = ev.cost.tolist()
+    traces = [[c] for c in cost]
+    nfev, mu, nu, reasons = [1] * b, [1e-3] * b, [2.0] * b, [None] * b
+    A, g, d = np.empty((b, n, n)), np.empty((b, n)), np.empty((b, n))
+    live, fresh = list(range(b)), list(enumerate(range(b)))  # fresh: (seed, its row of ev) to assemble
+    while True:
+        for i in live:
+            if nfev[i] >= budget:
+                reasons[i] = "budget"
+            elif mu[i] >= 1e15:
+                reasons[i] = "damping_cap"
+        live = [i for i in live if reasons[i] is None]
+        fresh = [(i, row) for i, row in fresh if reasons[i] is None]
+        if fresh:
+            seeds, rows = map(list, zip(*fresh))
+            rows = slice(None) if len(rows) == len(ev.R) else rows
+            A[seeds], g[seeds] = _assemble(ev, bases, smoothing_weight, rows, work)
+            d[seeds] = np.maximum(A[seeds].diagonal(axis1=1, axis2=2), 1e-12)
+        ev = None  # the last round's record, dropped before the next evaluation
+        if not live:
+            break
+        seeds, delta, pred = _steps(A, g, d, mu, live, reasons)
+        x_step = x[seeds] + delta
+        same = np.all(x_step == x[seeds], axis=1).tolist()
+        trying = []
+        for j, i in enumerate(seeds):
+            if pred[j] <= REL_TOL * max(cost[i], 1e-300):
+                reasons[i] = "model"
+            elif same[j]:
+                reasons[i] = "noop_step"
+            else:
+                trying.append(j)
+        fresh = []
+        if not trying:
+            continue
+        ev = evaluate(x_step if len(trying) == len(seeds) else x_step[trying])
+        trial_cost = ev.cost.tolist()
+        for row, j in enumerate(trying):
+            i = seeds[j]
+            nfev[i] += 1
+            if trial_cost[row] < cost[i]:
+                rho = (cost[i] - trial_cost[row]) / pred[j]
+                mu[i] = max(mu[i] * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
+                nu[i] = 2.0
+                x[i], cost[i], R[i] = x_step[j], trial_cost[row], ev.R[row]
+                traces[i].append(cost[i])
+                if traces[i][-2] - traces[i][-1] <= REL_TOL * max(cost[i], 1e-300):
+                    reasons[i] = "rel_tol"
+                else:
+                    fresh.append((i, row))
+            else:
+                mu[i] = min(mu[i] * nu[i], 1e15)
+                nu[i] *= 2.0
+    return x, nfev, reasons, [tuple(t) for t in traces], R
 
 
 def _check_feasible(ansatz: SplineAnsatz, cfg: SearchConfig) -> None:
@@ -521,27 +621,47 @@ def _check_feasible(ansatz: SplineAnsatz, cfg: SearchConfig) -> None:
         )
 
 
-def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) -> SearchResult:
-    """Optimize the ansatz; deterministic given (seed, cfg).  The slab
-    barrier, and with it the feasibility check of the seed, is on only for
-    type-I H (`_type1_h`).  sup|R| and mean R^2 come from the last stage's
-    record of the final point."""
-    current, nfevs, reasons, traces = seed, [], [], []
-    barrier = BARRIER_WEIGHT if _type1_h(seed.kind, cfg.euclidean_control, seed.g_domain) else 0.0
+def _problem(ansatz: SplineAnsatz) -> tuple:
+    """What the seeds of one block share: the kind, the domains and the sizes."""
+    return ansatz.kind, ansatz.f_domain, ansatz.g_domain, len(ansatz.f_coeffs), len(ansatz.g_coeffs)
+
+
+def _minimize_block(seeds: list[SplineAnsatz], cfg: SearchConfig) -> list[SearchResult]:
+    """Optimize a block of seeds that share one `_problem`, in lockstep, one
+    `_lm_stage` per continuation stage; each result is the one the seed
+    would get alone.  The slab barrier, and with it the feasibility check of
+    every seed, is on only for type-I H (`_type1_h`).  sup|R| and mean R^2
+    come from the last stage's R at the final point."""
+    problem = seeds[0]
+    if any(_problem(seed) != _problem(problem) for seed in seeds):
+        raise ValueError("the seeds of a block must share the kind, the domains and the sizes")
+    barrier = BARRIER_WEIGHT if _type1_h(problem.kind, cfg.euclidean_control, problem.g_domain) else 0.0
     if barrier > 0.0:
-        _check_feasible(seed, cfg)
+        for seed in seeds:
+            _check_feasible(seed, cfg)
+    x = np.array([seed.packed() for seed in seeds])
+    work = _workspace(_bases(problem, cfg), len(seeds))
+    stages = []
     for smooth_w in SMOOTHING_WEIGHTS:
-        current, nfev, reason, trace, last = _lm_stage(current, cfg, barrier, smooth_w, cfg.max_iterations)
-        nfevs.append(nfev)
-        reasons.append(reason)
-        traces.append(trace)
+        x, nfev, reasons, traces, R = _lm_stage(problem, cfg, barrier, smooth_w, cfg.max_iterations, x, work)
+        stages.append((nfev, reasons, traces))
         if barrier > 0.0:
             barrier *= BARRIER_RAMP
-    sup_r, msr = float(np.max(np.abs(last.R))), float(np.mean(last.R ** 2))
-    plane_d = None
-    if current.kind is Kind.TYPE_II:
-        plane_d = surfaces.plane_family_distance(current.surface())
-    return SearchResult(current, sup_r, msr, plane_d, tuple(nfevs), tuple(reasons), tuple(traces))
+    results = []
+    for i, seed in enumerate(seeds):
+        ansatz = seed.with_coeffs(x[i])
+        nfevs, reasons, traces = (tuple(stage[i] for stage in column) for column in zip(*stages))
+        plane_d = surfaces.plane_family_distance(ansatz.surface()) if ansatz.kind is Kind.TYPE_II else None
+        sup_r, msr = float(np.max(np.abs(R[i]))), float(np.mean(R[i] ** 2))
+        results.append(SearchResult(ansatz, sup_r, msr, plane_d, nfevs, reasons, traces))
+    return results
+
+
+def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) -> SearchResult:
+    """Optimize the ansatz; deterministic given (seed, cfg).  A block of one
+    (`_minimize_block`)."""
+    (result,) = _minimize_block([seed], cfg)
+    return result
 
 
 # -- seed fan-out ------------------------------------------------------
@@ -560,9 +680,25 @@ def generate_seeds(
     return [random_ansatz(rng, kind, f_domain, g_domain, lift=lift) for _ in range(n)]
 
 
-def _run_one(args) -> SearchResult:
-    seed, cfg = args
-    return minimize_residual(seed, cfg)
+def _run_block(args) -> list[SearchResult]:
+    block, cfg = args
+    return _minimize_block(block, cfg)
+
+
+def _blocks(seeds: list[SplineAnsatz], cfg: SearchConfig, workers: int) -> list[list[SplineAnsatz]]:
+    """Contiguous blocks of seeds that share one `_problem`, of near-equal
+    sizes: per run of such seeds, the fewest blocks of at most
+    LM_BLOCK_POINTS grid points (one seed at least) that is a multiple of
+    `workers`, so the pool's processes get equal shares, and at most one
+    block per seed."""
+    size = max(1, LM_BLOCK_POINTS // (cfg.grid[0] * cfg.grid[1]))
+    blocks = []
+    for _, run in itertools.groupby(seeds, _problem):
+        run = list(run)
+        count = min(len(run), workers * -(-len(run) // (size * workers)))
+        bounds = [len(run) * j // count for j in range(count + 1)]
+        blocks += [run[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return blocks
 
 
 def usable_cpus() -> int:
@@ -578,12 +714,16 @@ def run_seeds(
 ) -> list[SearchResult]:
     """Run all seeds; results are merged in seed order regardless of workers.
 
+    The seeds run in contiguous blocks (`_blocks`), each one `_minimize_block`;
+    a seed's result does not depend on the block or the process it runs in.
     At most min(workers, len(seeds), usable_cpus()) processes start, and
     none when that is 1: a fork-started pool launches all of its processes
-    up front, so an unbounded `workers` would fork that many.
+    up front, so an unbounded `workers` would fork that many.  The pool gets
+    whole blocks.
     """
     workers = min(workers, len(seeds), usable_cpus())
+    blocks = _blocks(seeds, cfg, max(workers, 1))
     if workers <= 1:
-        return [minimize_residual(s, cfg) for s in seeds]
+        return [result for block in blocks for result in _minimize_block(block, cfg)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, [(s, cfg) for s in seeds]))
+        return [result for results in pool.map(_run_block, [(block, cfg) for block in blocks]) for result in results]

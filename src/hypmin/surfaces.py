@@ -177,6 +177,11 @@ class TranslationSurface:
     def jet(self, u, v) -> ImmersionJet:
         return patch_jet(self, u, v)
 
+    def rows_jet(self, v) -> Callable[[np.ndarray], ImmersionJet]:
+        """u -> the jet at (u, v), with g evaluated at v once for every u."""
+        gj = self.g(v)
+        return lambda u: patch_jet(self, u, v, gj=gj)
+
 
 def _check_domain(domain, u, v, what: str = "surface") -> None:
     (u0, u1), (v0, v1) = domain
@@ -186,17 +191,18 @@ def _check_domain(domain, u, v, what: str = "surface") -> None:
         raise DomainError(f"({bad[0]}, {bad[1]}) outside {what} domain {domain}")
 
 
-def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True) -> ImmersionJet:
+def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True, gj: Jet3 | None = None) -> ImmersionJet:
     """Assemble the immersion jet of the patch at (u, v) from the jets of f and g.
 
     u and v are floats or arrays that broadcast together; the jet's fields have
     shape broadcast(u, v) + (3,), and on a grid u[:, None], v[None, :] f and g
-    are evaluated once per grid line.  Positivity of the type-I height f+g is
-    validated here, eagerly, at every point, because spline-backed curves may
-    dip below zero away from any construction-time check grid.
+    are evaluated once per grid line; gj, if given, is the jet of g at v.
+    Positivity of the type-I height f+g is validated here, eagerly, at every
+    point, because spline-backed curves may dip below zero away from any
+    construction-time check grid.
     """
     _check_domain(s.domain, u, v)
-    fj, gj = s.f(u), s.g(v)
+    fj, gj = s.f(u), s.g(v) if gj is None else gj
     h = fj.v0 + gj.v0
     if check_halfspace:
         require_halfspace(_HEIGHT[s.kind], h if s.kind is Kind.TYPE_I else v, u, v)
@@ -223,12 +229,13 @@ def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp):
         type I:   H = (f+g) S / (2 W^3) + 1/W
         type II:  H = -z S / (2 W^3) + g'/W
 
-    Returns (H, partials).  H is computed at once; partials() returns the
-    dict of the partials of H w.r.t. f, f', f'', g, g', g'' (keys f, fp,
+    Returns (H, partials).  H is computed at once; partials() yields the
+    (name, partial) pairs of H w.r.t. f, f', f'', g, g', g'' (names f, fp,
     fpp, g, gp, gpp), built on demand from the P, Q, S, W^2, W and W^3 that
-    produced H.  A caller that needs H alone never pays for them, and one
+    produced H, one at a time, so a caller that stores them elsewhere holds
+    one at once.  A caller that needs H alone never pays for them, and one
     that needs both later evaluates the formula once.  Type-II H does not
-    depend on f or g, so its dict has no f and g keys.
+    depend on f or g, so it yields no f and g partials.
     """
     P = 1.0 + fp ** 2
     Q = 1.0 + gp ** 2
@@ -242,24 +249,21 @@ def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp):
     else:
         H = -height * S / (2.0 * W3) + gp / W
 
-    def partials() -> dict:
+    def partials():
         T = 1.5 * S / W2
         if kind is Kind.TYPE_I:
             # dHe/df' = f' (g'' - T) / W^3 and dHe/dg' = g' (f'' - T) / W^3
-            return {
-                "f": He,
-                "fp": fp * (height * (gpp - T) - 1.0) / W3,
-                "fpp": height * Q / (2.0 * W3),
-                "g": He,
-                "gp": gp * (height * (fpp - T) - 1.0) / W3,
-                "gpp": height * P / (2.0 * W3),
-            }
-        return {
-            "fp": fp * (height * (T - gpp) - gp) / W3,
-            "fpp": -height * Q / (2.0 * W3),
-            "gp": (gp * height * (T - fpp) + P) / W3,
-            "gpp": -height * P / (2.0 * W3),
-        }
+            yield "f", He
+            yield "fp", fp * (height * (gpp - T) - 1.0) / W3
+            yield "fpp", height * Q / (2.0 * W3)
+            yield "g", He
+            yield "gp", gp * (height * (fpp - T) - 1.0) / W3
+            yield "gpp", height * P / (2.0 * W3)
+        else:
+            yield "fp", fp * (height * (T - gpp) - gp) / W3
+            yield "fpp", -height * Q / (2.0 * W3)
+            yield "gp", (gp * height * (T - fpp) + P) / W3
+            yield "gpp", -height * P / (2.0 * W3)
 
     return H, partials
 
@@ -385,6 +389,10 @@ class ParametricPatch:
         """The jet at the points (u, v), shaped as in `patch_jet`."""
         _check_domain(self.domain, u, v, "patch")
         return ImmersionJet(*np.broadcast_arrays(self.position(u, v), *self.partials(u, v)))
+
+    def rows_jet(self, v) -> Callable[[np.ndarray], ImmersionJet]:
+        """u -> the jet at (u, v), as `TranslationSurface.rows_jet`."""
+        return lambda u: self.jet(u, v)
 
 
 def horosphere(c: float, extent: float = 2.0) -> ParametricPatch:

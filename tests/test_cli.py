@@ -342,6 +342,25 @@ def test_curvature_kernel_blocks_give_the_one_block_bytes(tmp_path, monkeypatch,
         assert "over 4900 points" in runs[0][1]
 
 
+def test_curvature_evaluates_the_v_curve_once_per_table(tmp_path, monkeypatch):
+    # 210 points per block: 24 blocks of 3 rows at grid 70, and f once per block
+    surf = tmp_path / "spline.txt"
+    surf.write_text("kind = type2\ndomain = -1 1 1 2\nf = spline -1 1 0.2 -0.1 0.3 0.0\ng = spline 1 2 0.1 0.4 -0.2 0.3\n")
+    calls = []
+    curve_call = surfaces.FunctionCurve.__call__
+
+    def counted(curve, t):
+        calls.append(np.shape(t))
+        return curve_call(curve, t)
+
+    monkeypatch.setattr(surfaces.FunctionCurve, "__call__", counted)
+    monkeypatch.setattr(cli, "KERNEL_BLOCK_POINTS", 210)
+    assert main(["curvature", "--surface", str(surf), "--grid", "70", "--out", str(tmp_path)]) == 0
+    assert calls.count((1, 70)) == 1  # g on the v axis
+    assert calls.count((3, 1)) == 23 and calls.count((1, 1)) == 1  # f on each block's rows
+    assert len(calls) == 25
+
+
 def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
     # grid 70: 4900 rows in two ranges; the error is raised in the worker
     # that formats the second, on the rows whose u is the largest theta
@@ -535,6 +554,14 @@ def test_scherk_grid_of_one_boundary_point_reports_zero_H(tmp_path):
     # the one node (lo, lo) lies on the diagonal x = y, where Scherk's z = log(cos x / cos y) is 0
     assert main(["scherk", "--a", "1", "--grid", "1", "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "scherk_report.json").read_text())["max_abs_H"] == 0.0
+
+
+@pytest.mark.parametrize("a", ["1e-8", "-1e-8", "1e-300"])
+def test_scherk_tiny_a_runs_on_its_regular_patch(tmp_path, a):
+    # |f'| and |g'| reach about 1/(a margin) at the corners: EG - F^2 must not cancel to 0 there
+    assert main(["scherk", f"--a={a}", "--grid", "9", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "scherk_report.json").read_text())
+    assert math.isfinite(payload["max_abs_He"]) and 0.0 < payload["max_abs_H"] < 1.0
 
 
 @pytest.mark.parametrize(

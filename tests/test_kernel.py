@@ -67,6 +67,16 @@ def test_type1_patch_first_form():
     assert forms.G == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("slope", [1e9, 3e11, 1e12])
+def test_det_first_of_a_steep_graph_does_not_cancel(slope):
+    # z = slope*(u + v): EG - F^2 = 1 + 2 slope^2, while E*G - F*F cancels to 0
+    s = TranslationSurface(Kind.TYPE_I, surfaces.linear(slope, 1.0), surfaces.linear(slope, 0.0), ((-1, 1), (-1, 1)))
+    forms = fundamental_forms(surfaces.patch_jet(s, 0.5, 0.5))
+    assert forms.E * forms.G - forms.F * forms.F == 0.0
+    assert forms.det_first == pytest.approx(1.0 + 2.0 * slope * slope, rel=1e-15)
+    assert euclidean_mean_curvature(forms) == 0.0
+
+
 def test_horosphere_report():
     rep = hyperbolic_curvature(plane_jet(z=1.0))
     assert rep.He == 0.0
