@@ -219,7 +219,7 @@ def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True, gj: Jet
 # -- closed-form minimality residuals ---------------------------------
 
 
-def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp):
+def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp, grids=None, reuse=False):
     """Hyperbolic mean curvature H of a translation graph, in closed form.
 
     height is f+g for type I (z = f(x) + g(y)) and z for type II
@@ -229,41 +229,67 @@ def translation_mean_curvature(kind: Kind, height, fp, fpp, gp, gpp):
         type I:   H = (f+g) S / (2 W^3) + 1/W
         type II:  H = -z S / (2 W^3) + g'/W
 
-    Returns (H, partials).  H is computed at once; partials() yields the
-    (name, partial) pairs of H w.r.t. f, f', f'', g, g', g'' (names f, fp,
-    fpp, g, gp, gpp), built on demand from the P, Q, S, W^2, W and W^3 that
-    produced H, one at a time, so a caller that stores them elsewhere holds
-    one at once.  A caller that needs H alone never pays for them, and one
-    that needs both later evaluates the formula once.  Type-II H does not
-    depend on f or g, so it yields no f and g partials.
+    Returns (H, partials).  H is computed at once, in the first of `grids`:
+    five arrays of the broadcast shape that hold H, He = S / (2 W^3) (for
+    type II scratch), S, W^3 and W, fresh ones if none are given.  With
+    `reuse`, the grids hold He, S and W^3 of these arguments from an earlier
+    call, which is not repeated, and H's grid is left as it is.
+    partials(into) yields the (name, partial) pairs of H w.r.t. f, f', f'',
+    g, g', g'' (names f, fp, fpp, g, gp, gpp), built on demand from those
+    grids one at a time, each in into(name) if given, else a fresh array;
+    the f and g partials are He itself.  It overwrites the S and W grids, so
+    iterate it once; into("gp") may be S's grid, into("gpp") W^3's and
+    into("g") height, as no later partial reads them.  A caller that needs H
+    alone never pays for the partials, and one that needs both evaluates the
+    formula once.  Type-II H does not depend on f or g, so it yields no f and
+    g partials.
     """
+    shape = np.broadcast_shapes(*map(np.shape, (height, fp, fpp, gp, gpp)))
+    H, He, S, W3, W = [np.empty(shape) for _ in range(5)] if grids is None else grids
     P = 1.0 + fp ** 2
     Q = 1.0 + gp ** 2
-    S = Q * fpp + P * gpp
-    W2 = P + gp ** 2
-    W = np.sqrt(W2)
-    W3 = W2 * W
-    if kind is Kind.TYPE_I:
-        He = S / (2.0 * W3)
-        H = height * He + 1.0 / W
-    else:
-        H = -height * S / (2.0 * W3) + gp / W
+    if not reuse:
+        np.multiply(Q, fpp, out=S)
+        S += np.multiply(P, gpp, out=H)
+        np.add(P, gp ** 2, out=W3)  # W^2, until W^3
+        np.sqrt(W3, out=W)
+        W3 *= W
+        np.multiply(2.0, W3, out=He)
+        if kind is Kind.TYPE_I:
+            np.divide(S, He, out=He)
+            np.multiply(height, He, out=H)
+            H += np.divide(1.0, W, out=W)
+        else:
+            np.divide(np.multiply(-height, S, out=H), He, out=H)
+            H += np.divide(gp, W, out=W)
 
-    def partials():
-        T = 1.5 * S / W2
+    def partials(into=lambda name: np.empty(shape)):
+        T = np.multiply(1.5, S, out=S)
+        T /= np.add(P, gp ** 2, out=W)  # T = 1.5 S / W^2
+        W3x2 = np.multiply(2.0, W3, out=W)
+
+        def part(name, op, a, b, *steps):
+            """op(a, b) in into(name), then out = out op operand per step:
+            each value of the formula above, as * and + commute."""
+            out = op(a, b, out=into(name))
+            for op, operand in steps:
+                op(out, operand, out=out)
+            return name, out
+
+        mul, sub, add, div = np.multiply, np.subtract, np.add, np.divide
         if kind is Kind.TYPE_I:
             # dHe/df' = f' (g'' - T) / W^3 and dHe/dg' = g' (f'' - T) / W^3
             yield "f", He
-            yield "fp", fp * (height * (gpp - T) - 1.0) / W3
-            yield "fpp", height * Q / (2.0 * W3)
+            yield part("fp", sub, gpp, T, (mul, height), (sub, 1.0), (mul, fp), (div, W3))
+            yield part("fpp", mul, height, Q, (div, W3x2))
+            yield part("gp", sub, fpp, T, (mul, height), (sub, 1.0), (mul, gp), (div, W3))
+            yield part("gpp", mul, height, P, (div, W3x2))
             yield "g", He
-            yield "gp", gp * (height * (fpp - T) - 1.0) / W3
-            yield "gpp", height * P / (2.0 * W3)
         else:
-            yield "fp", fp * (height * (T - gpp) - gp) / W3
-            yield "fpp", -height * Q / (2.0 * W3)
-            yield "gp", (gp * height * (T - fpp) + P) / W3
-            yield "gpp", -height * P / (2.0 * W3)
+            yield part("fp", sub, T, gpp, (mul, height), (sub, gp), (mul, fp), (div, W3))
+            yield part("fpp", mul, -height, Q, (div, W3x2))
+            yield part("gp", sub, T, fpp, (mul, gp * height), (add, P), (div, W3))
+            yield part("gpp", mul, -height, P, (div, W3x2))
 
     return H, partials
 

@@ -45,15 +45,18 @@ def test_ode_branch_experiments_usage_errors(capsys, argv, fragment):
 def test_lm_layers_prints_every_kind_and_layer(capsys):
     assert _load("lm_layers").main(["--grid", "17", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "grid 17x17, generator seed 3; median us per seed and call"
-    assert lines[1].split() == ["kind", "block", "nfev", "assembles", "evaluate", "assemble", "damped_step"]
+    assert lines[0] == "grid 17x17, generator seed 3; median us per seed and call, traced heap peak"
+    assert lines[1].split() == ["kind", "block", "nfev", "assembles", "evaluate", "assemble", "damped_step", "peak_kb"]
     rows = [line.split() for line in lines[2:]]
     # a block of one and the largest block of a 20-seed campaign: all 20 at 17 x 17
     assert [(row[0], int(row[1])) for row in rows] == [(name, n) for name in search.CAMPAIGNS for n in (1, 20)]
-    for _, block, nfev, assembles, *us in rows:
+    peaks = {}
+    for name, block, nfev, assembles, *us, peak_kb in rows:
         assert int(nfev) >= int(block) * len(search.SMOOTHING_WEIGHTS)  # one evaluation per stage at least
         assert int(block) <= int(assembles) <= int(nfev)
         assert all(float(u) > 0.0 for u in us)
+        peaks[name, int(block)] = int(peak_kb)
+    assert all(peaks[name, 1] < peaks[name, 20] for name in search.CAMPAIGNS)  # the buffers grow with the block
     layers = ("_evaluate", "_assemble", "_damped_step")
     assert [getattr(search, layer).__name__ for layer in layers] == list(layers)  # wrappers removed
 

@@ -122,7 +122,7 @@ def test_overflowing_cost_of_a_finite_residual_does_not_raise():
     with np.errstate(over="ignore"):
         ev = search._evaluate(seed, FAST, 10.0, 0.0, x[None])
     assert ev.cost.tolist() == [math.inf]
-    assert np.all(np.isfinite(ev.R)) and np.all(np.isfinite(ev.slab[0]))
+    assert np.all(np.isfinite(ev.R)) and np.all(np.isfinite(ev.slack))
 
 
 def test_stage_traces_monotone():
@@ -181,7 +181,7 @@ def test_results_do_not_depend_on_the_block(monkeypatch, name):
 def test_a_singular_solve_in_a_block_moves_only_its_seed(monkeypatch):
     # one damped system of seed 2, taken mid-stage, is declared singular: in a
     # block the stacked solve raises, each seed solves alone, and only seed 2
-    # retries with ten times the damping
+    # retries with ten times the damping; alone, it retries at once
     seeds = CAMPAIGNS["type2"].seeds(5, 6421)
     clean = [_bits(minimize_residual(seed, FAST)) for seed in seeds]
     solve, seen, raised = np.linalg.solve, [], []
@@ -201,7 +201,7 @@ def test_a_singular_solve_in_a_block_moves_only_its_seed(monkeypatch):
     poisoned = seen[len(seen) // 2]
     monkeypatch.setattr(np.linalg, "solve", singular_at_poisoned)
     alone = [_bits(minimize_residual(seed, FAST)) for seed in seeds]
-    assert raised == [1, 1]  # the stack of one, then the seed alone
+    assert raised == [1]  # the stack of one is the seed's own system
     assert alone[2] != clean[2] and alone[:2] + alone[3:] == clean[:2] + clean[3:]
     raised.clear()
     assert [_bits(r) for r in search._minimize_block(seeds, FAST)] == alone
@@ -210,7 +210,8 @@ def test_a_singular_solve_in_a_block_moves_only_its_seed(monkeypatch):
 
 def test_campaign_blocks_are_contiguous_and_near_equal():
     seeds = CAMPAIGNS["type1"].seeds(20, 3)
-    for cfg, workers, sizes in ((SearchConfig(), 1, [6, 7, 7]), (SearchConfig(), 2, [5, 5, 5, 5]), (FAST, 1, [20])):
+    wide = SearchConfig(grid=(65, 65))  # the bound still splits a campaign
+    for cfg, workers, sizes in ((SearchConfig(), 1, [20]), (SearchConfig(), 2, [10, 10]), (FAST, 1, [20]), (wide, 1, [5] * 4)):
         blocks = search._blocks(seeds, cfg, workers)
         assert [len(block) for block in blocks] == sizes
         assert [seed for block in blocks for seed in block] == seeds
@@ -218,6 +219,21 @@ def test_campaign_blocks_are_contiguous_and_near_equal():
     assert [len(block) for block in search._blocks(mixed, SearchConfig(), 1)] == [3, 2, 1]
     with pytest.raises(ValueError, match="must share"):
         search._minimize_block(mixed, SearchConfig())
+
+
+@pytest.mark.parametrize("name", list(CAMPAIGNS))
+@pytest.mark.parametrize("side", [17, 33, 49, 65])
+def test_block_buffers_stay_within_the_bound(name, side):
+    campaign = CAMPAIGNS[name]
+    cfg = SearchConfig(grid=(side, side), euclidean_control=campaign.euclidean_control)
+    seeds = campaign.seeds(20, 3)
+    blocks, slab = search._blocks(seeds, cfg, 1), name == "type1"
+    work = search._workspace(seeds[0], cfg, max(map(len, blocks)), slab)
+    assert sum(buffer.nbytes for buffer in (work.stack, work.flat, work.DE)) <= search.LM_BLOCK_BYTES
+    if len(blocks) > 1:  # one block fewer would not fit
+        fewer = -(-len(seeds) // (len(blocks) - 1))
+        assert 8 * sum(search._workspace_sizes(seeds[0], cfg, fewer, slab)) > search.LM_BLOCK_BYTES
+    assert (len(blocks) == 1) == (side <= 33)
 
 
 @pytest.mark.parametrize(*campaigns("type2", "type1", "control"))
@@ -398,30 +414,28 @@ def test_reused_record_equals_fresh_normal_equations(monkeypatch, kind, g_domain
     ansatz, cfg, _, _ = _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing)
     evaluate, assemble = search._evaluate, search._assemble
     points = {}  # id of a record -> (record, its x); holding the record keeps its id unique
-    built = []  # (record, x, A, g) for the rows of every build in the stage
+    built = []  # per build in the stage: (its slab has both sides, it equals a fresh build)
 
-    def recording_evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x):
-        ev = evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x)
+    def recording_evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x, work=None):
+        ev = evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x, work)
         points[id(ev)] = (ev, x.copy())
         return ev
 
-    def recording_assemble(ev, bases, smoothing_weight, rows=slice(None), work=None):
-        A, g = assemble(ev, bases, smoothing_weight, rows, work)
-        built.append((ev, points[id(ev)][1][rows], A, g))
+    def recording_assemble(ev, bases, smoothing_weight, rows=None, out=None):
+        # compared when it is built: the stage's next evaluation reuses the record's buffers
+        x = points[id(ev)][1] if rows is None else points[id(ev)][1][rows]
+        sides = ev.slack is None or bool(np.any(ev.slack > 0.0) and np.any(ev.slack < 0.0))
+        fresh = assemble(evaluate(ansatz, cfg, barrier, smoothing, x), bases, smoothing)
+        A, g = assemble(ev, bases, smoothing_weight, rows, out)
+        at = slice(None) if out is None else out[2]
+        built.append((sides, all(np.array_equal(mine[at], theirs) for mine, theirs in zip((A, g), fresh))))
         return A, g
 
     monkeypatch.setattr(search, "_evaluate", recording_evaluate)
     monkeypatch.setattr(search, "_assemble", recording_assemble)
     search._lm_stage(ansatz, cfg, barrier, smoothing, 12, ansatz.packed()[None])
-    monkeypatch.undo()
-    bases = search._bases(ansatz, cfg)
     assert len(built) >= 3  # the start and at least two accepted trials
-    for ev, x, A, g in built[1:]:
-        if z_slab is not None:
-            slack = ev.slab[0]
-            assert np.any(slack > 0.0) and np.any(slack < 0.0)
-        A_fresh, g_fresh = search._assemble(search._evaluate(ansatz, cfg, barrier, smoothing, x), bases, smoothing)
-        assert np.array_equal(A, A_fresh) and np.array_equal(g, g_fresh)
+    assert built[1:] == [(True, True)] * (len(built) - 1)
 
 
 class _InlinePool:
