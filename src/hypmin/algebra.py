@@ -143,21 +143,31 @@ class MultiPoly:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "MultiPoly":
+        vars = self.vars
         if not isinstance(other, MultiPoly):
             factor = _rational(other, "coefficient")
-            return MultiPoly._make({e: c * factor for e, c in self.terms.items()}, self.vars)
-        o = self._coerce(other)
+            return MultiPoly._make({e: c * factor for e, c in self.terms.items()}, vars)
+        if other.vars != vars:
+            raise ValueError(f"variable mismatch: {vars} vs {other.vars}")
+        if len(self.terms) == 1 == len(other.terms):
+            # monomial x monomial, over half of a verify run's products
+            ((e1, c1),) = self.terms.items()
+            ((e2, c2),) = other.terms.items()
+            e = tuple(map(add, e1, e2))
+            if max(e) > MAX_DEGREE:
+                raise DegreeOverflowError(f"product exponent {e} exceeds {MAX_DEGREE}")
+            return MultiPoly._make({e: c1 * c2}, vars)
         # no product exponent can exceed the sum of the factors' largest
         # exponents; only when that bound does is every term checked
-        check = max(map(max, self.terms), default=0) + max(map(max, o.terms), default=0) > MAX_DEGREE
+        check = max(map(max, self.terms), default=0) + max(map(max, other.terms), default=0) > MAX_DEGREE
         terms: dict = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
+            for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
                 if check and max(e) > MAX_DEGREE:
                     raise DegreeOverflowError(f"product exponent {e} exceeds {MAX_DEGREE}")
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiPoly._make(terms, self.vars)
+        return MultiPoly._make(terms, vars)
 
     __rmul__ = __mul__
 

@@ -3,6 +3,12 @@
 Subcommands: curvature, scherk, verify, search, report.  All outputs are
 deterministic files (no timestamps); the JSON/CSV schemas carry a version
 field so downstream consumers can re-parse them.
+
+Each subcommand is defined once, in `SUBCOMMANDS`.  A command builds only
+the parser of the subcommand it names.  Help, a usage error and a missing or
+unknown subcommand go to the parser of every subcommand (`build_parser`),
+so every text printed and every exit code are that parser's.  `hypmin -h`
+shows the first two paragraphs above.
 """
 
 from __future__ import annotations
@@ -360,47 +366,94 @@ def cmd_report(args) -> int:
     return 0 if ok else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="hypmin", description=__doc__)
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+# name -> (help, {flag: add_argument keywords}, command): every subcommand,
+# from which both the full parser and a lone subcommand's parser are built
+SUBCOMMANDS = {
+    "verify": ("verify the exact elimination identities", {"--out": {"default": "out"}}, cmd_verify),
+    "curvature": (
+        "curvature grid over a surface file",
+        {
+            "--surface": {"required": True},
+            "--grid": {"type": positive_int, "default": 100},
+            "--out": {"default": "out"},
+            "--format": {"choices": ("csv", "json"), "default": "csv"},
+        },
+        cmd_curvature,
+    ),
+    "scherk": (
+        "Scherk-surface sanity report",
+        {
+            "--a": {"type": finite_float, "required": True},
+            "--grid": {"type": positive_int, "default": 50},
+            "--margin": {"type": finite_float, "default": 0.1},
+            "--out": {"default": "out"},
+        },
+        cmd_scherk,
+    ),
+    "search": (
+        "least-squares falsification run",
+        {
+            "--kind": {"choices": tuple(CAMPAIGNS), "required": True},
+            "--seeds": {"type": positive_int, "default": 20},
+            "--seed": {"type": int, "default": 0, "help": "generator seed"},
+            "--workers": {"type": positive_int, "default": 1},
+            "--out": {"default": "out"},
+        },
+        cmd_search,
+    ),
+    "report": ("combined verification + oracle summary", {"--out": {"default": "out"}}, cmd_report),
+}
 
-    p = sub.add_parser("verify", help="verify the exact elimination identities")
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("curvature", help="curvature grid over a surface file")
-    p.add_argument("--surface", required=True)
-    p.add_argument("--grid", type=positive_int, default=100)
-    p.add_argument("--out", default="out")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(fn=cmd_curvature)
-
-    p = sub.add_parser("scherk", help="Scherk-surface sanity report")
-    p.add_argument("--a", type=finite_float, required=True)
-    p.add_argument("--grid", type=positive_int, default=50)
-    p.add_argument("--margin", type=finite_float, default=0.1)
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_scherk)
-
-    p = sub.add_parser("search", help="least-squares falsification run")
-    p.add_argument("--kind", choices=tuple(CAMPAIGNS), required=True)
-    p.add_argument("--seeds", type=positive_int, default=20)
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--workers", type=positive_int, default=1)
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_search)
-
-    p = sub.add_parser("report", help="combined verification + oracle summary")
-    p.add_argument("--out", default="out")
-    p.set_defaults(fn=cmd_report)
-
+def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, arguments, command = SUBCOMMANDS[name]
+    for flag, options in arguments.items():
+        parser.add_argument(flag, **options)
+    parser.set_defaults(fn=command)
     return parser
 
 
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand: it prints the help and the usage errors."""
+    parser = _Parser(prog="hypmin", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (summary, _, _) in SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=summary), name)
+    return parser
+
+
+class _Defer(Exception):
+    """A lone subcommand's parser would print help or a usage error."""
+
+
+class _SubcommandParser(_Parser):
+    # prints nothing: the full parser prints its help and usage errors
+    def error(self, message):
+        raise _Defer
+
+    def print_help(self, file=None):
+        raise _Defer
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of build_parser().parse_args(argv), from the parser of
+    the subcommand that argv[0] names alone.  Where argv[0] names none, or
+    that parser would print help or a usage error, the full parser parses
+    argv, so that what is printed and the exit code are the full parser's."""
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _add_arguments(_SubcommandParser(prog=f"hypmin {argv[0]}"), argv[0])
+        try:
+            return parser.parse_args(argv[1:], argparse.Namespace(subcommand=argv[0]))
+        except _Defer:
+            pass
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:

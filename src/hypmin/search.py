@@ -562,16 +562,15 @@ def _damped_step(A: np.ndarray, g: np.ndarray, d: np.ndarray, mu: np.ndarray):
     pred = -g.delta + mu * delta.diag(d).delta that the linear model predicts.
 
     With A = J.T @ J and g = J.T @ r this is |r|^2 - |r + J delta|^2, exactly
-    in exact arithmetic, so pred >= 0.  mu*d is added to the diagonal of a
-    copy of A, then one stacked solve (LAPACK gesv per row) and one dot
-    product per row and term.  Raises `np.linalg.LinAlgError` when any row's
-    damped system is singular.
+    in exact arithmetic, so pred >= 0.  mu*d is added to the diagonal of A
+    in place, so the caller hands in a copy (contiguous), then one stacked
+    solve (LAPACK gesv per row) and one dot product per row and term.
+    Raises `np.linalg.LinAlgError` when any row's damped system is singular.
     """
     b, n, _ = A.shape
-    damped = A.copy()
-    damped.reshape(b, n * n)[:, :: n + 1] += mu[:, None] * d
+    A.reshape(b, n * n)[:, :: n + 1] += mu[:, None] * d
     minus_g = -g
-    delta = np.linalg.solve(damped, minus_g[:, :, None])[:, :, 0]
+    delta = np.linalg.solve(A, minus_g[:, :, None])[:, :, 0]
     curvature = (delta[:, None, :] @ (d * delta)[:, :, None])[:, 0, 0]
     return delta, (minus_g[:, None, :] @ delta[:, :, None])[:, 0, 0] + mu * curvature
 
@@ -581,10 +580,11 @@ def _steps(A, g, d, mu: list, live: list, reasons: list):
     stacked solve.  If that raises, each live seed solves alone, and a seed
     whose system is singular raises its mu tenfold until a solve succeeds
     or mu reaches its cap, which stops it (damping_cap).  A lone live seed's
-    system is the one that raised, so it raises its mu at once."""
-    rows = live if len(live) < len(A) else slice(None)
+    system is the one that raised, so it raises its mu at once.  Each
+    solve damps its own copy of the seeds' systems, A[live] or A[[i]]: A is
+    the next round's too, for a seed whose step is rejected."""
     try:
-        delta, pred = _damped_step(A[rows], g[rows], d[rows], np.array([mu[i] for i in live]))
+        delta, pred = _damped_step(A[live], g[live], d[live], np.array([mu[i] for i in live]))
         return live, delta, pred.tolist()
     except np.linalg.LinAlgError:
         solve = len(live) > 1
@@ -593,7 +593,7 @@ def _steps(A, g, d, mu: list, live: list, reasons: list):
         while reasons[i] is None:
             if solve:
                 try:
-                    (delta,), (pred,) = _damped_step(A[i : i + 1], g[i : i + 1], d[i : i + 1], np.array([mu[i]]))
+                    (delta,), (pred,) = _damped_step(A[[i]], g[[i]], d[[i]], np.array([mu[i]]))
                     solved.append((i, delta, float(pred)))
                     break
                 except np.linalg.LinAlgError:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from scipy.optimize import brentq
 
 from hypmin import algebra
@@ -244,8 +244,10 @@ def test_var_const_zero_match_the_validating_constructor():
 
 
 def test_variable_universe_mismatch():
-    with pytest.raises(ValueError):
-        MultiPoly.var("a") + MultiPoly.var("p", algebra.ODE_VARS)
+    a, p = MultiPoly.var("a"), MultiPoly.var("p", algebra.ODE_VARS)
+    for op in (lambda: a + p, lambda: a * p, lambda: (a + 1) * p, lambda: a * (p + 1)):
+        with pytest.raises(ValueError, match="variable mismatch"):
+            op()
 
 
 def test_rational_function_normalization():
@@ -322,7 +324,7 @@ def test_degree_overflow_from_ring_operations():
     z = MultiPoly.var("z")
     X = MultiPoly.var("X")
     assert z ** MAX_DEGREE == MultiPoly({(0, 0, MAX_DEGREE, 0): 1})
-    with pytest.raises(DegreeOverflowError):
+    with pytest.raises(DegreeOverflowError, match=r"^product exponent \(0, 0, 17, 0\) exceeds 16$"):
         z ** 9 * z ** 8
     with pytest.raises(DegreeOverflowError):
         (X ** 9).substitute("X", z ** 2)
@@ -359,6 +361,9 @@ def test_rational_inputs_become_canonical_coefficients():
     assert type(MultiPoly.const(np.int64(3)).terms[one]) is int
     assert type(MultiPoly.const(Fraction(6, 3)).terms[one]) is int
     assert MultiPoly.const(Fraction(1, 2)).terms[one] == Fraction(1, 2)
+    half_a = Fraction(1, 2) * MultiPoly.var("a")
+    for product in (half_a * 2, half_a * MultiPoly.const(2), 2 * half_a):
+        assert product.terms == {(1, 0, 0, 0): 1} and type(product.terms[(1, 0, 0, 0)]) is int
     assert type(build_named("q1").evaluate({k: np.int64(1) for k in ONES})) is Fraction
 
 
@@ -452,9 +457,14 @@ scalars = st.one_of(
 
 
 @given(canonical_polys, scalars)
+@example(MultiPoly({(1, 0, 2, 0): Fraction(-3, 4)}), np.int64(-4))
+@example(MultiPoly({(1, 0, 2, 0): 6}), Fraction(1, 6))
+@example(MultiPoly({(1, 0, 2, 0): 6, (0, 0, 0, 1): 1}), 0)
+@example(MultiPoly({(1, 0, 2, 0): 6}), 0)
 def test_scalar_product_equals_constant_product(p, c):
     want = p * MultiPoly.const(c)
-    for got in (p * c, c * p, p.scaled(c)):
+    assert want.is_zero() == (c == 0 or p.is_zero())
+    for got in (p * c, c * p, p.scaled(c), MultiPoly.const(c) * p):
         assert got == want
         assert {e: type(v) for e, v in got.terms.items()} == {e: type(v) for e, v in want.terms.items()}
 
@@ -475,6 +485,9 @@ near_bound_polys = st.dictionaries(
 
 
 @given(near_bound_polys, near_bound_polys)
+@example(MultiPoly({(0, 0, 9, 0): 1}), MultiPoly({(0, 0, 8, 0): 1}))
+@example(MultiPoly({(2, 16, 0, 1): -3}), MultiPoly({(0, 1, 0, 0): 2}))
+@example(MultiPoly({(2, 15, 0, 1): -3}), MultiPoly({(0, 1, 0, 0): 2}))
 def test_product_degree_check_matches_per_term_check(p, q):
     message = _first_overflow(p, q)
     if message is None:

@@ -650,6 +650,66 @@ def test_usage_error_exits_1():
     assert main([]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["bogus"],
+        ["verify", "-h"],
+        ["verify", "--bogus"],
+        ["verify", "x"],
+        ["curvature"],
+        ["search", "--kind", "torus"],
+        ["search", "--kind", "type1", "--seeds", "0"],
+        ["scherk", "--a", "nan"],
+    ],
+)
+def test_help_and_usage_errors_are_the_full_parsers(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    want = (exc.value.code or 0, *capsys.readouterr())
+    assert (main(argv), *capsys.readouterr()) == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["verify", "--ou=x"],
+        ["curvature", "--surface=-h", "--grid", "7", "--format", "json"],
+        ["scherk", "--a", "-2", "--margin", "0.2"],
+        ["search", "--kind", "type1", "--seed", "-5", "--work", "2", "--seeds", "3", "--seeds", "4"],
+        ["report", "--out", "a", "--out", "b"],
+    ],
+)
+def test_a_command_parses_as_the_full_parser_without_building_it(argv, monkeypatch):
+    want = cli.build_parser().parse_args(argv)
+
+    def full_parser():
+        raise AssertionError("built the parser of every subcommand")
+
+    monkeypatch.setattr(cli, "build_parser", full_parser)
+    assert cli._parse(argv) == want
+
+
+def test_module_entry_point_reads_sys_argv(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(hypmin.__file__).resolve().parents[1])}
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "hypmin", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+
+    proc = run("verify", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads((tmp_path / "verify_report.json").read_text())["identities"]) == 8
+    proc = run()
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("usage: hypmin")
+
+
 @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-2"), ("--workers", "0")])
 def test_search_rejects_counts_below_one(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
