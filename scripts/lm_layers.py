@@ -35,8 +35,8 @@ from hypmin.search import CAMPAIGNS, SearchConfig
 
 # the layers, each with the number of rows (seeds) one call handles, from its arguments
 LAYERS = {
-    "_evaluate": lambda problem, cfg, barrier, smoothing, x, *_: len(x),
-    "_assemble": lambda ev, bases, smoothing, rows=None, *_: len(ev.f if rows is None else rows),
+    "_evaluate": lambda problem, barrier, smoothing, x, *_: len(x),
+    "_assemble": lambda ev, rows=None, *_: len(ev.f if rows is None else rows),
     "_damped_step": lambda A, *_: len(A),
 }
 

@@ -239,8 +239,7 @@ def cmd_curvature(args) -> int:
     try:
         patch = load_surface(args.surface)
     except SurfaceFileError as exc:
-        print(f"error: {args.surface}: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.surface}: {exc}") from exc
     us, vs = _grid_axes(patch.domain, args.grid)
     columns = [np.empty((us.size, vs.size)) for _ in CURVATURE_COLUMNS]
     step = max(1, KERNEL_BLOCK_POINTS // vs.size)
@@ -267,15 +266,12 @@ def cmd_curvature(args) -> int:
 def cmd_scherk(args) -> int:
     a, margin = args.a, args.margin
     if a == 0.0:
-        print("error: --a must be nonzero", file=sys.stderr)
-        return 1
+        raise ValueError("--a must be nonzero")
     half = math.pi / (2.0 * abs(a))
     if not math.isfinite(2.0 * half):
-        print(f"error: --a = {a!r} is too small: the patch width pi/|a| overflows", file=sys.stderr)
-        return 1
+        raise ValueError(f"--a = {a!r} is too small: the patch width pi/|a| overflows")
     if not 0.0 < margin < half:
-        print(f"error: --margin must lie in (0, pi/(2|a|)) = (0, {half!r}), got {margin!r}", file=sys.stderr)
-        return 1
+        raise ValueError(f"--margin must lie in (0, pi/(2|a|)) = (0, {half!r}), got {margin!r}")
     s = surfaces.scherk(a)
     lo, hi = -half + margin, half - margin
     us, vs = _grid_axes(((lo, hi), (lo, hi)), args.grid)

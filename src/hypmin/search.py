@@ -13,13 +13,17 @@ CAMPAIGNS; a type-II control and a type-II z-range reaching z <= 0 are rejected.
 One LM advances a block of seeds in lockstep (`_minimize_block`, one
 `_lm_stage` per continuation stage); `minimize_residual` is a block of one,
 and `run_seeds` runs contiguous blocks whose buffers (`_workspace`) hold at
-most LM_BLOCK_BYTES: all 20 seeds of a campaign at the 33 x 33 grid.  Each
-layer works on a stack of b coefficient vectors, one row per seed, and does
-per row the arithmetic a stack of one does: GEMV, dot, GEMM and gesv calls
-of a single row's shape, elementwise operations and same-axis reductions.
-So results do not depend on the block, its size or the worker it runs in,
-bit for bit.  The layers work in the block's buffers, which every round
-reuses, and keep no grid that they can recompute exactly.
+most LM_BLOCK_BYTES: all 20 seeds of a campaign at the 33 x 33 grid.  The
+seeds of a block share one `_Problem`: the configuration, the grid, the
+cached bases and the buffer sizes, built once per kind, domains,
+coefficient counts and SearchConfig (`_problem`), which every layer reads.
+Only type-I H has the slab barrier.  Each layer works on a stack of b
+coefficient vectors, one row per seed, and does per row the arithmetic a
+stack of one does: GEMV, dot, GEMM and gesv calls of a single row's shape,
+elementwise operations and same-axis reductions.  So results do not depend
+on the block, its size or the worker it runs in, bit for bit.  The layers
+work in the block's buffers, which every round reuses, and keep no grid
+that they can recompute exactly.
 
 `_evaluate` computes the spline rows, the residual grid R (`_residual`),
 the slab block and the cost r @ r that tests a trial step.
@@ -44,6 +48,7 @@ floor ends in a few evaluations instead of raising the damping to its cap.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -189,10 +194,37 @@ def random_ansatz(
     return SplineAnsatz(kind, fc, gc, f_domain, g_domain)
 
 
-# -- basis design matrices (coefficient-independent, cached) -----------
+# -- the problem a block of seeds shares (coefficient-independent, cached) --
 
-# (f_domain, g_domain, mf, mg, grid, kind, control) -> (xs, vs, bf, bg, fx, gx), read-only
-_DESIGN_CACHE: dict[tuple, tuple[np.ndarray, ...]] = {}
+
+@dataclass(frozen=True, eq=False)
+class _Problem:
+    """What the seeds of one block share, built once by `_problem`: cfg; h,
+    whether R is type-I H; the grid (xs, vs), the bases bf (3, nx, mf),
+    bg (3, nz, mg) and `_assemble`'s extended bases fx (nx, k+1, mf+1),
+    gx (nz, k+1, mg+1) of the k orders R depends on (0, 1, 2 if h, else 1,
+    2), the 1 last in fx, first in gx, all read-only; the floats per row of
+    a `_workspace`'s stack and flat buffers.  Equal only to itself."""
+
+    cfg: SearchConfig
+    h: bool
+    xs: np.ndarray
+    vs: np.ndarray
+    bf: np.ndarray
+    bg: np.ndarray
+    fx: np.ndarray
+    gx: np.ndarray
+    k: int
+    nx: int
+    nz: int
+    mf: int
+    mg: int
+    stack: int
+    flat: int
+
+
+# (kind, f_domain, g_domain, mf, mg, cfg) -> its _Problem
+_PROBLEMS: dict[tuple, _Problem] = {}
 
 
 def _extended(basis: np.ndarray, one_first: bool) -> np.ndarray:
@@ -205,29 +237,30 @@ def _extended(basis: np.ndarray, one_first: bool) -> np.ndarray:
     return np.roll(ext, 1, axis=1) if one_first else ext
 
 
-def _bases(ansatz: SplineAnsatz, cfg: SearchConfig):
-    """Grid (xs, vs), stacked bases bf (3, nx, mf), bg (3, nz, mg), and the
-    extended bases fx (nx, K+1, mf+1), gx (nz, K+1, mg+1) of `_assemble`
-    for the K orders R depends on (0, 1, 2 for type-I H, else 1, 2), the 1
-    last in fx, first in gx.  Cached per ansatz shape, grid, kind and
-    control, so `_type1_h` checks a problem before its first evaluation;
-    every later evaluation shares the arrays, so they are read-only.
-    """
+def _problem(ansatz: SplineAnsatz, cfg: SearchConfig) -> _Problem:
+    """The `_Problem` of the ansatz's kind, domains and coefficient counts
+    under cfg, built on first use, so `_type1_h` checks a problem before its
+    first evaluation."""
     mf, mg = len(ansatz.f_coeffs), len(ansatz.g_coeffs)
-    key = (ansatz.f_domain, ansatz.g_domain, mf, mg, cfg.grid, ansatz.kind, cfg.euclidean_control)
-    hit = _DESIGN_CACHE.get(key)
-    if hit is None:
-        lo = 0 if _type1_h(ansatz.kind, cfg.euclidean_control, ansatz.g_domain) else 1
-        nx, nz = cfg.grid
+    key = (ansatz.kind, ansatz.f_domain, ansatz.g_domain, mf, mg, cfg)
+    problem = _PROBLEMS.get(key)
+    if problem is None:
+        h = _type1_h(ansatz.kind, cfg.euclidean_control, ansatz.g_domain)
+        k, (nx, nz) = 3 if h else 2, cfg.grid
         xs = np.linspace(*ansatz.f_domain, nx)
         vs = np.linspace(*ansatz.g_domain, nz)
         bf = surfaces.spline_basis(ansatz.f_domain, mf, xs)
         bg = surfaces.spline_basis(ansatz.g_domain, mg, vs)
-        hit = (xs, vs, bf, bg, _extended(bf[lo:], False), _extended(bg[lo:], True))
-        for array in hit:
+        arrays = (xs, vs, bf, bg, _extended(bf[3 - k :], False), _extended(bg[3 - k :], True))
+        for array in arrays:
             array.flags.writeable = False
-        _DESIGN_CACHE[key] = hit
-    return hit
+        n = nx * nz
+        stack = max((2 * k + 1) * n, (k + 1) * max(nx * (mf + 1), nz * (mg + 1)))
+        # per row, flat holds r (R, the slab slack under type-I H, the smoothing
+        # rows), then the slab's sign^2 and the partials' W grid, then sign^2 and the Grams
+        flat = max((2 if h else 1) * n + nx + nz, n + (nx + nz) * (k + 1) ** 2)
+        problem = _PROBLEMS[key] = _Problem(cfg, h, *arrays, k, nx, nz, mf, mg, stack, flat)
+    return problem
 
 
 def _spline_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -237,11 +270,9 @@ def _spline_values(basis: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return (basis.reshape(3 * n, m) @ coeffs[:, :, None]).reshape(len(coeffs), 3, n)
 
 
-def _spline_rows(problem: SplineAnsatz, cfg: SearchConfig, x: np.ndarray):
+def _spline_rows(problem: _Problem, x: np.ndarray):
     """The spline rows f (b, 3, nx) and g (b, 3, nz) at each row of x (b, n)."""
-    _, _, bf, bg, _, _ = _bases(problem, cfg)
-    mf = bf.shape[2]
-    return _spline_values(bf, x[:, :mf]), _spline_values(bg, x[:, mf:])
+    return _spline_values(problem.bf, x[:, : problem.mf]), _spline_values(problem.bg, x[:, problem.mf :])
 
 
 def _euclidean_residual(fp, fpp, gp, gpp, grids=None, reuse=False):
@@ -268,25 +299,23 @@ def _euclidean_residual(fp, fpp, gp, gpp, grids=None, reuse=False):
     return S, partials
 
 
-def _residual(problem: SplineAnsatz, cfg: SearchConfig, f, g, grids=None, reuse=False):
+def _residual(problem: _Problem, f, g, grids=None, reuse=False):
     """R on the search grid from the spline rows f (b, 3, nx), g (b, 3, nz):
-    (R, partials) of `surfaces.translation_mean_curvature`, or under
-    `cfg.euclidean_control` of `_euclidean_residual`, with `reuse` passed on.
+    (R, partials) of `surfaces.translation_mean_curvature`, or under the
+    Euclidean control of `_euclidean_residual`, with `reuse` passed on.
     `grids` are arrays of R's shape (b, nx, nz) to work in, R in the first,
     as many as the formula takes (two under the control, five for type-II H,
     and for type-I H a sixth that holds f+g), fresh ones if None."""
     fp, fpp, gp, gpp = f[:, 1, :, None], f[:, 2, :, None], g[:, 1, None, :], g[:, 2, None, :]
-    if cfg.euclidean_control:
+    if problem.cfg.euclidean_control:
         return _euclidean_residual(fp, fpp, gp, gpp, None if grids is None else grids[:2], reuse)
-    if problem.kind is Kind.TYPE_II:
-        height = _bases(problem, cfg)[1]
+    if not problem.h:
+        kind, height = Kind.TYPE_II, problem.vs
     elif reuse:
-        height = grids[5]
+        kind, height = Kind.TYPE_I, grids[5]
     else:
-        height = _f_plus_g(f, g, None if grids is None else grids[5])
-    return surfaces.translation_mean_curvature(
-        problem.kind, height, fp, fpp, gp, gpp, None if grids is None else grids[:5], reuse
-    )
+        kind, height = Kind.TYPE_I, np.add(f[:, 0, :, None], g[:, 0, None, :], out=None if grids is None else grids[5])
+    return surfaces.translation_mean_curvature(kind, height, fp, fpp, gp, gpp, None if grids is None else grids[:5], reuse)
 
 
 def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
@@ -299,20 +328,15 @@ def residual_grid(ansatz: SplineAnsatz, cfg: SearchConfig):
     for type-I H also f and g (`_type1_h`); a non-finite R raises
     NonFiniteResidualError.
     """
-    ev = _evaluate(ansatz, cfg, 0.0, 0.0, ansatz.packed()[None])
+    ev = _evaluate(_problem(ansatz, cfg), 0.0, 0.0, ansatz.packed()[None])
     return ev.R[0], {name: partial[0] for name, partial in ev.partials()}
-
-
-def _f_plus_g(f, g, out=None):
-    """f+g on the grid from the spline rows f (b, 3, nx), g (b, 3, nz)."""
-    return np.add(f[:, 0, :, None], g[:, 0, None, :], out=out)
 
 
 def _slab(cfg: SearchConfig, barrier_weight: float, zv, slack):
     """The type-I barrier slack sqrt(w) * (clip(f+g, zFloor, zCeil) - (f+g))
-    of f+g on the grid, zv (b, nx, nz), computed in slack.  `_minimize_block`
-    turns the barrier on (w > 0) only for type-I H (`_type1_h`), whose
-    `_residual` holds f+g in its last grid.
+    of f+g on the grid, zv (b, nx, nz), computed in slack.  Only type-I H
+    (`_type1_h`) has the barrier, and its `_residual` holds f+g in its last
+    grid.
     """
     # Slab constraint zFloor <= f+g <= zCeil: the floor keeps the graph in
     # the half-space, the ceiling compactifies the search (otherwise the
@@ -334,34 +358,32 @@ def residual_and_jacobian(
 ):
     """Flattened residual vector and its Jacobian w.r.t. packed coefficients.
 
-    Optional extra residual blocks: the type-I slab barrier (`_slab`) and
-    the continuation smoothing penalty
-    sqrt(w) * f'' (resp. g'') on the grid lines.  This dense form defines
-    the least-squares problem and is built from one `_evaluate` record; the
-    optimizer never forms J, and `_assemble` gives the same J.T @ J and
-    J.T @ r from the record alone.
+    Optional extra residual blocks: the type-I slab barrier (`_slab`; a
+    barrier on any other problem raises ValueError) and the continuation
+    smoothing penalty sqrt(w) * f'' (resp. g'') on the grid lines.  This
+    dense form defines the least-squares problem and is built from one
+    `_evaluate` record; the optimizer never forms J, and `_assemble` gives
+    the same J.T @ J and J.T @ r from the record alone.
     """
-    _, _, bf, bg, _, _ = _bases(ansatz, cfg)
-    (Bf, _, Bf2), (Bg, _, Bg2) = bf, bg
-    ev = _evaluate(ansatz, cfg, barrier_weight, smoothing_weight, ansatz.packed()[None])
+    p = _problem(ansatz, cfg)
+    (Bf, _, Bf2), (Bg, _, Bg2), n = p.bf, p.bg, p.nx * p.nz
+    ev = _evaluate(p, barrier_weight, smoothing_weight, ansatz.packed()[None])
     dR = {name: partial[0] for name, partial in ev.partials()}
-    nx, nz = ev.R.shape[1:]
-    mf, mg = Bf.shape[1], Bg.shape[1]
-    Jf = sum(np.einsum("ij,ik->ijk", dR[n], B) for n, B in zip(_F_PARTIALS, bf) if n in dR)
-    Jg = sum(np.einsum("ij,jk->ijk", dR[n], C) for n, C in zip(_G_PARTIALS, bg) if n in dR)
-    J_blocks = [np.hstack([Jf.reshape(nx * nz, mf), Jg.reshape(nx * nz, mg)])]
+    Jf = sum(np.einsum("ij,ik->ijk", dR[name], B) for name, B in zip(_F_PARTIALS, p.bf) if name in dR)
+    Jg = sum(np.einsum("ij,jk->ijk", dR[name], C) for name, C in zip(_G_PARTIALS, p.bg) if name in dR)
+    J_blocks = [np.hstack([Jf.reshape(n, p.mf), Jg.reshape(n, p.mg)])]
 
     if ev.slack is not None:
         sign = _slab_sign(ev.slack[0], barrier_weight)
-        Jbf = np.einsum("ij,ik->ijk", sign, Bf).reshape(nx * nz, mf)
-        Jbg = np.einsum("ij,jk->ijk", sign, Bg).reshape(nx * nz, mg)
+        Jbf = np.einsum("ij,ik->ijk", sign, Bf).reshape(n, p.mf)
+        Jbg = np.einsum("ij,jk->ijk", sign, Bg).reshape(n, p.mg)
         J_blocks.append(np.hstack([Jbf, Jbg]))
 
     if smoothing_weight > 0.0:
         sw = math.sqrt(smoothing_weight)
-        Js = np.zeros((nx + nz, mf + mg))
-        Js[:nx, :mf] = sw * Bf2
-        Js[nx:, mf:] = sw * Bg2
+        Js = np.zeros((p.nx + p.nz, p.mf + p.mg))
+        Js[: p.nx, : p.mf] = sw * Bf2
+        Js[p.nx :, p.mf :] = sw * Bg2
         J_blocks.append(Js)
 
     return ev.r[0], np.vstack(J_blocks)
@@ -374,28 +396,17 @@ class _Workspace(NamedTuple):
     stack: np.ndarray  # then `_assemble`'s Gram products
     flat: np.ndarray  # a record's r, then `_assemble`'s other grids and its Grams
     DE: np.ndarray  # D_k*E_l of one row, (K nx, K nz)
+    kept: list  # X's grids of He, S, W^3 and f+g, from `_evaluate` to `_assemble`; a partial replaces each
 
 
-def _workspace_sizes(problem: SplineAnsatz, cfg: SearchConfig, b: int, slab: bool) -> tuple[int, int, int]:
-    """The sizes of the stack, flat and DE buffers of a `_workspace` for b
-    seeds of `problem`, with the slab barrier's block in r if `slab`."""
-    _, _, _, _, fx, gx = _bases(problem, cfg)
-    k, (nx, _, mf1), (nz, _, mg1) = fx.shape[1] - 1, fx.shape, gx.shape
-    n = nx * nz
-    stack = max((2 * k + 1) * n, (k + 1) * max(nx * mf1, nz * mg1))
-    # per row, flat holds r (R, the slab slack, the smoothing rows), then the
-    # slab's sign^2 and the partials' W grid, then sign^2 and the Grams
-    flat = max((2 if slab else 1) * n + nx + nz, n + (nx + nz) * (k + 1) ** 2)
-    return b * stack, b * flat, k * k * n
-
-
-def _workspace(problem: SplineAnsatz, cfg: SearchConfig, b: int, slab: bool) -> _Workspace:
+def _workspace(problem: _Problem, b: int) -> _Workspace:
     """The buffers of `_evaluate` and `_assemble` for up to b rows, allocated
     once per block: fresh arrays each call would be mapped and faulted in
     anew, and hold more at once."""
-    stack, flat, DE = (np.empty(size) for size in _workspace_sizes(problem, cfg, b, slab))
-    k, (nx, nz) = _bases(problem, cfg)[4].shape[1] - 1, cfg.grid
-    return _Workspace(_view(stack, 2 * k + 1, b, nx, nz), stack, flat, DE.reshape(k * nx, k * nz))
+    k, nx, nz = problem.k, problem.nx, problem.nz
+    stack, flat, DE = np.empty(b * problem.stack), np.empty(b * problem.flat), np.empty(k * k * nx * nz)
+    X = _view(stack, 2 * k + 1, b, nx, nz)
+    return _Workspace(X, stack, flat, DE.reshape(k * nx, k * nz), [X[0], X[-2], X[-1], X[-3]])
 
 
 def _view(buffer: np.ndarray, *shape: int, offset: int = 0) -> np.ndarray:
@@ -409,9 +420,9 @@ class _Evaluation:
     vectors, one per row: the costs r @ r (b,), the residual vectors r
     (b, L) of R, the slab slack and the smoothing rows, R (b, nx, nz) and
     slack (b, nx, nz) or None as views of r, and the spline rows f (b, 3, nx),
-    g (b, 3, nz).  The stage's problem, configuration and barrier weight come
-    with it, and the workspace whose buffers hold r and the intermediates of
-    R that `_assemble` builds the normal equations from."""
+    g (b, 3, nz).  The stage's problem and weights come with it, and the
+    workspace whose buffers hold r and the intermediates of R that
+    `_assemble` builds the normal equations from."""
 
     cost: np.ndarray
     r: np.ndarray
@@ -419,46 +430,43 @@ class _Evaluation:
     slack: np.ndarray | None
     f: np.ndarray
     g: np.ndarray
-    problem: SplineAnsatz
-    cfg: SearchConfig
+    problem: _Problem
     barrier_weight: float
+    smoothing_weight: float
     work: _Workspace
 
     def partials(self) -> Iterator[tuple[str, np.ndarray]]:
         """R's partials at every row (`_residual`), fresh arrays."""
-        return _residual(self.problem, self.cfg, self.f, self.g)[1]()
+        return _residual(self.problem, self.f, self.g)[1]()
 
 
 def _evaluate(
-    problem: SplineAnsatz,
-    cfg: SearchConfig,
-    barrier_weight: float,
-    smoothing_weight: float,
-    x: np.ndarray,
-    work: _Workspace | None = None,
+    problem: _Problem, barrier_weight: float, smoothing_weight: float, x: np.ndarray, work: _Workspace | None = None
 ) -> _Evaluation:
     """Evaluate the problem of `residual_and_jacobian` at each row of x, a
-    (b, n) stack of packed coefficient vectors; `problem` supplies only the
-    kind, the domains and the sizes.  Each row's arithmetic is that of a
-    stack of one: the spline rows are one GEMV and the cost one dot product
-    per row, the rest is elementwise.  The record lives in the buffers of
-    `work` (`_workspace`, else a fresh one) until the next `_evaluate` or
-    `_assemble` there: r in its flat buffer, and in its stack's grids the
-    intermediates of R, each in the grid of a partial that replaces it."""
-    f, g = _spline_rows(problem, cfg, x)
-    (b, _), (nx, nz), slab = x.shape, cfg.grid, barrier_weight > 0.0
+    (b, n) stack of packed coefficient vectors.  Each row's arithmetic is
+    that of a stack of one: the spline rows are one GEMV and the cost one
+    dot product per row, the rest is elementwise.  The record lives in the
+    buffers of `work` (`_workspace`, else a fresh one) until the next
+    `_evaluate` or `_assemble` there: r in its flat buffer, and He, S, W^3
+    and f+g in its kept grids.  Only type-I H has the slab barrier: a
+    barrier_weight > 0 on any other problem raises ValueError."""
+    slab, smooth = barrier_weight > 0.0, smoothing_weight > 0.0
+    if slab and not problem.h:
+        raise ValueError("the slab barrier applies only to type-I H")
+    f, g = _spline_rows(problem, x)
+    b, nx, nz = len(x), problem.nx, problem.nz
     if work is None:
-        work = _workspace(problem, cfg, b, slab)
-    n, smooth = nx * nz * (2 if slab else 1), smoothing_weight > 0.0
+        work = _workspace(problem, b)
+    n = nx * nz * (2 if slab else 1)
     r = _view(work.flat, b, n + (nx + nz if smooth else 0))
-    R, X = r[:, : nx * nz].reshape(b, nx, nz), work.X[:, :b]
-    grids = [R, X[0], X[-2], X[-1], X[1], X[-3]]  # R, He, S, W^3, W, f+g (`_assemble`)
-    _residual(problem, cfg, f, g, grids)
+    R = r[:, : nx * nz].reshape(b, nx, nz)
+    He, S, W3, zv = (grid[:b] for grid in work.kept)
+    _residual(problem, f, g, [R, He, S, W3, work.X[1, :b], zv])
     slack = None
-    if slab:  # f+g is type-I H's last grid
+    if slab:
         slack = r[:, nx * nz : n].reshape(b, nx, nz)
-        h = _type1_h(problem.kind, cfg.euclidean_control, problem.g_domain)
-        _slab(cfg, barrier_weight, grids[5] if h else _f_plus_g(f, g, grids[4]), slack)
+        _slab(problem.cfg, barrier_weight, zv, slack)
     if smooth:
         sw = math.sqrt(smoothing_weight)
         np.multiply(sw, f[:, 2], out=r[:, n : n + nx])
@@ -467,19 +475,20 @@ def _evaluate(
     infinite = ~np.isfinite(cost)  # a sum of squares: finite only if every entry of its r is
     if infinite.any() and not np.all(np.isfinite(r[infinite])):
         raise NonFiniteResidualError("non-finite residual during optimization")
-    return _Evaluation(cost, r, R, slack, f, g, problem, cfg, barrier_weight, work)
+    return _Evaluation(cost, r, R, slack, f, g, problem, barrier_weight, smoothing_weight, work)
 
 
-def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float, rows=None, out=None):
+def _assemble(ev: _Evaluation, rows=None, out=None):
     """A = J.T @ J (b, n, n) and g = J.T @ r (b, n) at the points of the
-    given rows of the evaluation `ev` (all if None), from the cached
-    `_bases`, in fresh arrays or, with out = (A, g, at), in row at[j] of A
-    and g for row j.  R's partials come from the intermediates of R in the
+    given rows of the evaluation `ev` (all if None), from the problem's
+    cached bases, in fresh arrays or, with out = (A, g, at), in row at[j] of
+    A and g for row j.  R's partials come from the intermediates of R in the
     record's workspace, whose buffers this overwrites.
 
     R(i, j) depends only on f at x_i and g at v_j, and only on the K orders
-    of `_bases`.  Write D_k = dR/df^(k) and E_l = dR/dg^(l) for those
-    orders, and B_k, C_l for the bases of f^(k), g^(l) on the grid.  Then
+    of the problem's extended bases.  Write D_k = dR/df^(k) and
+    E_l = dR/dg^(l) for those orders, and B_k, C_l for the bases of f^(k),
+    g^(l) on the grid.  Then
 
         A_ff = sum_kl B_k^T diag(sum_j D_k*D_l) B_l,  g_f = sum_k B_k^T (sum_j D_k*R)
         A_fg = sum_kl B_k^T (D_k*E_l) C_l
@@ -498,18 +507,17 @@ def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float, rows=None,
     the per-point products are written into the workspace, whose size
     LM_BLOCK_BYTES bounds.
     """
-    _, _, bf, bg, fx, gx = bases
-    k = fx.shape[1] - 1  # R depends on the last k orders
-    _, nx, mf = bf.shape
-    _, nz, mg = bg.shape
-    work, rows = ev.work, range(len(ev.f)) if rows is None else rows
+    p, work, rows = ev.problem, ev.work, range(len(ev.f)) if rows is None else rows
+    k, nx, nz, mf, mg = p.k, p.nx, p.nz, p.mf, p.mg  # R depends on the last k orders
     f, g, b, n = ev.f[rows], ev.g[rows], len(rows), nx * nz
     X, DE = work.X[:, :b], work.DE
-    # R's intermediates He, f+g, S and W^3 of the rows first, as `_evaluate`
-    # left them, then R and the slack out of r, as flat's grids overwrite it
+    # R's intermediates of the rows first, as `_evaluate` left them, then R
+    # and the slack out of r, as flat's grids overwrite it
     for dst, src in enumerate(rows):
         if dst != src:
-            work.X[[0, -3, -2, -1], dst] = work.X[[0, -3, -2, -1], src]
+            for grid in work.kept:
+                grid[dst] = grid[src]
+    He, S, W3, zv = (grid[:b] for grid in work.kept)
     np.take(ev.R, rows, axis=0, out=X[k], mode="clip")
     spare = _view(work.flat, len(work.flat) // (b * n), b, nx, nz)
     sign2 = None
@@ -521,7 +529,7 @@ def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float, rows=None,
         sign2 = np.multiply(sign, sign, out=sign)
         sums += sign2.sum(axis=2), sign2.sum(axis=1)
     names = (*_F_PARTIALS[3 - k :], "R", *_G_PARTIALS[3 - k :])  # X's grids
-    _, partials = _residual(ev.problem, ev.cfg, f, g, [X[k], X[0], X[-2], X[-1], spare[-1], X[-3]], reuse=True)
+    _, partials = _residual(p, f, g, [X[k], He, S, W3, spare[-1], zv], reuse=True)
     for name, partial in partials(lambda name: X[names.index(name)]):
         X[names.index(name)] = partial  # a no-op for a partial computed in its grid
     DR, RE = X[: k + 1], X[k:]  # [D; R] and [R; E]; their Grams in flat after sign2
@@ -532,22 +540,23 @@ def _assemble(ev: _Evaluation, bases: tuple, smoothing_weight: float, rows=None,
         Gg[:, :, 1, 0] += sums[1]
         Gf[:, :, 0, 0] += sums[2]
         Gg[:, :, 1, 1] += sums[3]
-    if smoothing_weight > 0.0:  # order 2: row k-1 of [D; R], row k of [R; E]
-        Gf[:, :, k - 1, k - 1] += smoothing_weight
-        Gf[:, :, k - 1, k] += smoothing_weight * f[:, 2]
-        Gg[:, :, k, k] += smoothing_weight
-        Gg[:, :, k, 0] += smoothing_weight * g[:, 2]
+    w = ev.smoothing_weight
+    if w > 0.0:  # order 2: row k-1 of [D; R], row k of [R; E]
+        Gf[:, :, k - 1, k - 1] += w
+        Gf[:, :, k - 1, k] += w * f[:, 2]
+        Gg[:, :, k, k] += w
+        Gg[:, :, k, 0] += w * g[:, 2]
     A, Jr, at = (np.empty((b, mf + mg, mf + mg)), np.empty((b, mf + mg)), list(range(b))) if out is None else out
-    bk, ck = bf[3 - k :].reshape(k * nx, mf).T, bg[3 - k :].reshape(k * nz, mg)
+    bk, ck = p.bf[3 - k :].reshape(k * nx, mf).T, p.bg[3 - k :].reshape(k * nz, mg)
     for row in range(b):  # DE, k^2 grids, one row at a time
         np.multiply(X[:k, row, :, None, :], X[k + 1 :, row].transpose(1, 0, 2)[None], out=DE.reshape(k, nx, k, nz))
         if sign2 is not None:
             DE[:nx, :nz] += sign2[row]
         A[at[row], :mf, mf:] = bk @ DE @ ck
     # sum_i fx_i^T Gf_i fx_i, the per-point products in the stack, which X no longer needs
-    Ff = fx.reshape(-1, mf + 1).T @ np.matmul(Gf, fx, out=_view(work.stack, b, nx, k + 1, mf + 1)).reshape(b, -1, mf + 1)
+    Ff = p.fx.reshape(-1, mf + 1).T @ np.matmul(Gf, p.fx, out=_view(work.stack, b, nx, k + 1, mf + 1)).reshape(b, -1, mf + 1)
     A[at, :mf, :mf], Jr[at, :mf] = Ff[:, :mf, :mf], Ff[:, :mf, mf]
-    Fg = gx.reshape(-1, mg + 1).T @ np.matmul(Gg, gx, out=_view(work.stack, b, nz, k + 1, mg + 1)).reshape(b, -1, mg + 1)
+    Fg = p.gx.reshape(-1, mg + 1).T @ np.matmul(Gg, p.gx, out=_view(work.stack, b, nz, k + 1, mg + 1)).reshape(b, -1, mg + 1)
     A[at, mf:, mf:], Jr[at, mf:] = Fg[:, :mg, :mg], Fg[:, :mg, mg]
     A[at, mf:, :mf] = A[at, :mf, mf:].transpose(0, 2, 1)
     return A, Jr
@@ -606,7 +615,7 @@ def _steps(A, g, d, mu: list, live: list, reasons: list):
     return seeds, np.reshape([delta for _, delta, _ in solved], (len(seeds), A.shape[-1])), [pred for *_, pred in solved]
 
 
-def _lm_stage(problem: SplineAnsatz, cfg: SearchConfig, barrier_weight, smoothing_weight, budget, x, work=None):
+def _lm_stage(problem: _Problem, barrier_weight, smoothing_weight, budget, x, work: _Workspace):
     """One continuation stage for a block of seeds in lockstep: damped least
     squares on the normal equations, from the packed coefficients x (b, n),
     one row per seed.
@@ -621,8 +630,8 @@ def _lm_stage(problem: SplineAnsatz, cfg: SearchConfig, barrier_weight, smoothin
     stop the seeds the checks below stop; and evaluate all trials with one
     `_evaluate`, then accept or reject each.  Every stacked call does per
     row what a stack of one does, so a seed's result does not depend on the
-    block it runs in.  The layers work in one `_workspace` (`work`, else
-    one for b rows), so a record lasts one round.  The dense Jacobian is
+    block it runs in.  The layers work in one `_workspace`, `work`, for at
+    least b rows, so a record lasts one round.  The dense Jacobian is
     never formed, no trial is evaluated twice, and nfev counts every
     evaluation, trial steps included.
 
@@ -648,12 +657,9 @@ def _lm_stage(problem: SplineAnsatz, cfg: SearchConfig, barrier_weight, smoothin
     """
 
     def evaluate(points):
-        return _evaluate(problem, cfg, barrier_weight, smoothing_weight, points, work)
+        return _evaluate(problem, barrier_weight, smoothing_weight, points, work)
 
     b, n = x.shape
-    bases = _bases(problem, cfg)
-    if work is None:
-        work = _workspace(problem, cfg, b, barrier_weight > 0.0)
     x = x.copy()
     ev = evaluate(x)
     cost = ev.cost.tolist()
@@ -671,7 +677,7 @@ def _lm_stage(problem: SplineAnsatz, cfg: SearchConfig, barrier_weight, smoothin
         fresh = [(i, row) for i, row in fresh if reasons[i] is None]
         if fresh:
             seeds, rows = map(list, zip(*fresh))
-            _assemble(ev, bases, smoothing_weight, None if len(rows) == len(ev.R) else rows, (A, g, seeds))
+            _assemble(ev, None if len(rows) == len(ev.R) else rows, (A, g, seeds))
             d[seeds] = np.maximum(A.diagonal(axis1=1, axis2=2)[seeds], 1e-12)
         ev = None  # the last round's record, dropped before the next evaluation
         if not live:
@@ -723,33 +729,27 @@ def _check_feasible(ansatz: SplineAnsatz, cfg: SearchConfig) -> None:
         )
 
 
-def _problem(ansatz: SplineAnsatz) -> tuple:
-    """What the seeds of one block share: the kind, the domains and the sizes."""
-    return ansatz.kind, ansatz.f_domain, ansatz.g_domain, len(ansatz.f_coeffs), len(ansatz.g_coeffs)
-
-
 def _minimize_block(seeds: list[SplineAnsatz], cfg: SearchConfig) -> list[SearchResult]:
     """Optimize a block of seeds that share one `_problem`, in lockstep, one
     `_lm_stage` per continuation stage; each result is the one the seed
     would get alone.  The slab barrier, and with it the feasibility check of
     every seed, is on only for type-I H (`_type1_h`).  sup|R| and mean R^2
     come from R at the final point (`_residual`), in the workspace."""
-    problem = seeds[0]
-    if any(_problem(seed) != _problem(problem) for seed in seeds):
+    problem = _problem(seeds[0], cfg)
+    if any(_problem(seed, cfg) is not problem for seed in seeds):
         raise ValueError("the seeds of a block must share the kind, the domains and the sizes")
-    barrier = BARRIER_WEIGHT if _type1_h(problem.kind, cfg.euclidean_control, problem.g_domain) else 0.0
-    if barrier > 0.0:
+    barrier = BARRIER_WEIGHT if problem.h else 0.0
+    if problem.h:
         for seed in seeds:
             _check_feasible(seed, cfg)
     x = np.array([seed.packed() for seed in seeds])
-    work = _workspace(problem, cfg, len(seeds), barrier > 0.0)
+    work = _workspace(problem, len(seeds))
     stages = []
     for smooth_w in SMOOTHING_WEIGHTS:
-        x, nfev, reasons, traces = _lm_stage(problem, cfg, barrier, smooth_w, cfg.max_iterations, x, work)
+        x, nfev, reasons, traces = _lm_stage(problem, barrier, smooth_w, cfg.max_iterations, x, work)
         stages.append((nfev, reasons, traces))
-        if barrier > 0.0:
-            barrier *= BARRIER_RAMP
-    R, _ = _residual(problem, cfg, *_spline_rows(problem, cfg, x), list(work.X))
+        barrier *= BARRIER_RAMP
+    R, _ = _residual(problem, *_spline_rows(problem, x), list(work.X))
     results = []
     for i, seed in enumerate(seeds):
         ansatz = seed.with_coeffs(x[i])
@@ -783,24 +783,17 @@ def generate_seeds(
     return [random_ansatz(rng, kind, f_domain, g_domain, lift=lift) for _ in range(n)]
 
 
-def _run_block(args) -> list[SearchResult]:
-    block, cfg = args
-    return _minimize_block(block, cfg)
-
-
 def _blocks(seeds: list[SplineAnsatz], cfg: SearchConfig, workers: int) -> list[list[SplineAnsatz]]:
     """Contiguous blocks of seeds that share one `_problem`, of near-equal
     sizes: per run of such seeds, the fewest blocks whose `_workspace` holds
-    at most LM_BLOCK_BYTES (one seed at least) that is a multiple of
-    `workers`, so the pool's processes get equal shares, and at most one
-    block per seed."""
+    at most LM_BLOCK_BYTES (one seed at least; b rows take b (stack + flat)
+    + k^2 nx nz floats) that is a multiple of `workers`, so the pool's
+    processes get equal shares, and at most one block per seed."""
     blocks = []
-    for _, run in itertools.groupby(seeds, _problem):
+    for p, run in itertools.groupby(seeds, lambda seed: _problem(seed, cfg)):
         run = list(run)
-        slab = _type1_h(run[0].kind, cfg.euclidean_control, run[0].g_domain)
-        size = 1
-        while size < len(run) and 8 * sum(_workspace_sizes(run[0], cfg, size + 1, slab)) <= LM_BLOCK_BYTES:
-            size += 1
+        fits = (LM_BLOCK_BYTES // 8 - p.k * p.k * p.nx * p.nz) // (p.stack + p.flat)
+        size = min(max(fits, 1), len(run))
         count = min(len(run), workers * -(-len(run) // (size * workers)))
         bounds = [len(run) * j // count for j in range(count + 1)]
         blocks += [run[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
@@ -828,8 +821,8 @@ def run_seeds(
     whole blocks.
     """
     workers = min(workers, len(seeds), usable_cpus())
-    blocks = _blocks(seeds, cfg, max(workers, 1))
+    blocks, run = _blocks(seeds, cfg, max(workers, 1)), functools.partial(_minimize_block, cfg=cfg)
     if workers <= 1:
-        return [result for block in blocks for result in _minimize_block(block, cfg)]
+        return [result for block in blocks for result in run(block)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [result for results in pool.map(_run_block, [(block, cfg) for block in blocks]) for result in results]
+        return [result for results in pool.map(run, blocks) for result in results]

@@ -503,10 +503,16 @@ def test_curvature_json_format(tmp_path):
 
 
 def test_curvature_malformed_file_exits_1(tmp_path, capsys):
-    surf = tmp_path / "bad.txt"
-    surf.write_text("kind = klein-bottle\n")
-    assert main(["curvature", "--surface", str(surf), "--out", str(tmp_path)]) == 1
-    assert "unknown kind" in capsys.readouterr().err
+    surf, out = tmp_path / "bad.txt", tmp_path / "out"
+    for text, message in (
+        ("kind = klein-bottle\n", "line 1, column 7: unknown kind 'klein-bottle'"),
+        ("kind type1\n", "line 1, column 1: expected 'key = value'"),
+        ("kind = type1\ndomain = -1 one -1 1\nf = linear 1 0\ng = linear 1 0\n", "line 2, column 9: expected a number, got 'one'"),
+    ):
+        surf.write_text(text)
+        assert main(["curvature", "--surface", str(surf), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: {surf}: {message}\n")
+    assert not out.exists()
 
 
 def test_curvature_missing_file_exits_1(tmp_path):
@@ -546,8 +552,11 @@ def test_scherk_report(tmp_path):
     assert payload["max_abs_H"] > 0.1
 
 
-def test_scherk_zero_a_exits_1(tmp_path):
-    assert main(["scherk", "--a", "0", "--out", str(tmp_path)]) == 1
+def test_scherk_zero_a_exits_1(tmp_path, capsys):
+    for a in ("0", "-0.0", "0e300"):
+        assert main(["scherk", f"--a={a}", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr() == ("", "error: --a must be nonzero\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_scherk_grid_of_one_boundary_point_reports_zero_H(tmp_path):
@@ -564,29 +573,41 @@ def test_scherk_tiny_a_runs_on_its_regular_patch(tmp_path, a):
     assert math.isfinite(payload["max_abs_He"]) and 0.0 < payload["max_abs_H"] < 1.0
 
 
+MARGIN = "error: --margin must lie in (0, pi/(2|a|)) = (0, {!r}), got {}"
+TOO_SMALL = "error: --a = {} is too small: the patch width pi/|a| overflows"
+# (argv, the fragment of the message that names the case, the whole line of stderr that reports it)
+SCHERK_REJECTS = [
+    # a reversed interval, then an empty one
+    (["--a", "1", "--margin", "2"], "--margin must lie in (0, pi/(2|a|))", MARGIN.format(math.pi / 2, "2.0")),
+    (["--a", "1", "--margin", repr(math.pi / 2)], "--margin must lie in (0, pi/(2|a|))", MARGIN.format(math.pi / 2, math.pi / 2)),
+    (["--a", "-2", "--margin", repr(math.pi / 4)], "--margin must lie in (0, pi/(2|a|))", MARGIN.format(math.pi / 4, math.pi / 4)),
+    (["--a", "1", "--margin", "0"], "--margin must lie in (0, pi/(2|a|))", MARGIN.format(math.pi / 2, "0.0")),
+    (["--a", "1", "--margin", "-0.1"], "--margin must lie in (0, pi/(2|a|))", MARGIN.format(math.pi / 2, "-0.1")),
+    (["--a", "1", "--margin", "nan"], "argument --margin: must be finite", "error: argument --margin: must be finite, got nan"),
+    (["--a", "1", "--margin", "inf"], "argument --margin: must be finite", "error: argument --margin: must be finite, got inf"),
+    (["--a", "nan"], "argument --a: must be finite", "error: argument --a: must be finite, got nan"),
+    (["--a=-inf"], "argument --a: must be finite", "error: argument --a: must be finite, got -inf"),
+    # pi/(2|a|) overflows at 1e-320; at 1e-308 it is finite but the patch width pi/|a| is not
+    (["--a", "1e-320"], "--a = 1e-320 is too small", TOO_SMALL.format("1e-320")),
+    (["--a=-1e-320"], "--a = -1e-320 is too small", TOO_SMALL.format("-1e-320")),
+    (["--a", "1e-308"], "--a = 1e-308 is too small", TOO_SMALL.format("1e-308")),
+    (["--a", "4", "--margin", "0.5"], "--margin must lie in (0, pi/(2|a|))", MARGIN.format(math.pi / 8, "0.5")),
+    (["--margin", "1", "--a", "1e-320"], "--a = 1e-320 is too small", TOO_SMALL.format("1e-320")),  # a before the margin
+]
+
+
 @pytest.mark.parametrize(
-    "argv,fragment",
-    [
-        (["--a", "1", "--margin", "2"], "--margin must lie in (0, pi/(2|a|))"),  # a reversed interval
-        (["--a", "1", "--margin", repr(math.pi / 2)], "--margin must lie in (0, pi/(2|a|))"),  # an empty one
-        (["--a", "-2", "--margin", repr(math.pi / 4)], "--margin must lie in (0, pi/(2|a|))"),
-        (["--a", "1", "--margin", "0"], "--margin must lie in (0, pi/(2|a|))"),
-        (["--a", "1", "--margin", "-0.1"], "--margin must lie in (0, pi/(2|a|))"),
-        (["--a", "1", "--margin", "nan"], "argument --margin: must be finite"),
-        (["--a", "1", "--margin", "inf"], "argument --margin: must be finite"),
-        (["--a", "nan"], "argument --a: must be finite"),
-        (["--a=-inf"], "argument --a: must be finite"),
-        # pi/(2|a|) overflows at 1e-320; at 1e-308 it is finite but the patch width pi/|a| is not
-        (["--a", "1e-320"], "--a = 1e-320 is too small"),
-        (["--a=-1e-320"], "--a = -1e-320 is too small"),
-        (["--a", "1e-308"], "--a = 1e-308 is too small"),
-    ],
+    "argv,fragment,line", SCHERK_REJECTS, ids=[f"argv{i}-{fragment}" for i, (_, fragment, _) in enumerate(SCHERK_REJECTS)]
 )
 @pytest.mark.filterwarnings("error")  # rejected before numpy builds a grid
-def test_scherk_rejects_a_margin_that_empties_the_grid(tmp_path, capsys, argv, fragment):
+def test_scherk_rejects_a_margin_that_empties_the_grid(tmp_path, capsys, argv, fragment, line):
     out = tmp_path / "out"
     assert main(["scherk", *argv, "--grid", "5", "--out", str(out)]) == 1
-    assert fragment in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert fragment in captured.err and captured.out == ""
+    usage, _, last = captured.err[:-1].rpartition("\n")
+    assert (last, captured.err[-1:]) == (line, "\n")
+    assert bool(usage) == line.startswith("error: argument")  # argparse prints its usage first
     assert not out.exists()
 
 

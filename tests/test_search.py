@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -120,7 +120,7 @@ def test_overflowing_cost_of_a_finite_residual_does_not_raise():
     x = seed.packed()
     x[: len(seed.f_coeffs)] = 1e160
     with np.errstate(over="ignore"):
-        ev = search._evaluate(seed, FAST, 10.0, 0.0, x[None])
+        ev = search._evaluate(search._problem(seed, FAST), 10.0, 0.0, x[None])
     assert ev.cost.tolist() == [math.inf]
     assert np.all(np.isfinite(ev.R)) and np.all(np.isfinite(ev.slack))
 
@@ -227,12 +227,13 @@ def test_block_buffers_stay_within_the_bound(name, side):
     campaign = CAMPAIGNS[name]
     cfg = SearchConfig(grid=(side, side), euclidean_control=campaign.euclidean_control)
     seeds = campaign.seeds(20, 3)
-    blocks, slab = search._blocks(seeds, cfg, 1), name == "type1"
-    work = search._workspace(seeds[0], cfg, max(map(len, blocks)), slab)
+    blocks, p = search._blocks(seeds, cfg, 1), search._problem(seeds[0], cfg)
+    assert p.h == (name == "type1")  # the slab's block in r
+    work = search._workspace(p, max(map(len, blocks)))
     assert sum(buffer.nbytes for buffer in (work.stack, work.flat, work.DE)) <= search.LM_BLOCK_BYTES
     if len(blocks) > 1:  # one block fewer would not fit
         fewer = -(-len(seeds) // (len(blocks) - 1))
-        assert 8 * sum(search._workspace_sizes(seeds[0], cfg, fewer, slab)) > search.LM_BLOCK_BYTES
+        assert 8 * (fewer * (p.stack + p.flat) + p.k * p.k * p.nx * p.nz) > search.LM_BLOCK_BYTES
     assert (len(blocks) == 1) == (side <= 33)
 
 
@@ -274,6 +275,11 @@ def test_barrier_jacobian_matches_finite_differences():
         fd = (rp - rm) / (2 * h)
         scale = np.maximum(np.abs(J[:, idx]), 1.0)
         assert np.max(np.abs(J[:, idx] - fd) / scale) < 1e-5
+    for name in ("type2", "control"):  # only type-I H has the slab
+        (seed,) = CAMPAIGNS[name].seeds(1, 29)
+        other = replace(cfg, euclidean_control=CAMPAIGNS[name].euclidean_control)
+        with pytest.raises(ValueError, match="slab barrier applies only to type-I H"):
+            residual_and_jacobian(seed, other, barrier_weight=4.0)
 
 
 def _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing, grid=(7, 9)):
@@ -302,8 +308,8 @@ def test_normal_equations_match_dense_jacobian(kind, g_domain, control, z_slab, 
     for grid in DENSE_GRIDS:
         for smoothing in (0.0, 0.5):
             ansatz, cfg, r, J = _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing, grid)
-            ev = search._evaluate(ansatz, cfg, barrier, smoothing, ansatz.packed()[None])
-            (A,), (g,) = search._assemble(ev, search._bases(ansatz, cfg), smoothing)
+            ev = search._evaluate(search._problem(ansatz, cfg), barrier, smoothing, ansatz.packed()[None])
+            (A,), (g,) = search._assemble(ev)
             A_ref, g_ref = J.T @ J, J.T @ r
             assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
             assert np.max(np.abs(g - g_ref)) <= 1e-12 * np.max(np.abs(g_ref))
@@ -341,8 +347,8 @@ def test_predicted_decrease_matches_dense_model(kind, g_domain, control, z_slab,
     for grid in DENSE_GRIDS:
         for weight in (smoothing, 0.0 if smoothing else 0.3):  # with and without smoothing
             ansatz, cfg, r, J = _dense_problem(kind, g_domain, control, z_slab, barrier, weight, grid)
-            ev = search._evaluate(ansatz, cfg, barrier, weight, ansatz.packed()[None])
-            A, g = search._assemble(ev, search._bases(ansatz, cfg), weight)
+            ev = search._evaluate(search._problem(ansatz, cfg), barrier, weight, ansatz.packed()[None])
+            A, g = search._assemble(ev)
             d = np.maximum(A.diagonal(axis1=1, axis2=2), 1e-12)
             (delta,), (pred,) = search._damped_step(A, g, d, np.array([mu]))
             model = r + J @ delta
@@ -412,28 +418,28 @@ def test_one_evaluation_per_counted_nfev(monkeypatch, kind, g_domain):
 ))
 def test_reused_record_equals_fresh_normal_equations(monkeypatch, kind, g_domain, control, z_slab, barrier, smoothing):
     ansatz, cfg, _, _ = _dense_problem(kind, g_domain, control, z_slab, barrier, smoothing)
-    evaluate, assemble = search._evaluate, search._assemble
+    problem, evaluate, assemble = search._problem(ansatz, cfg), search._evaluate, search._assemble
     points = {}  # id of a record -> (record, its x); holding the record keeps its id unique
     built = []  # per build in the stage: (its slab has both sides, it equals a fresh build)
 
-    def recording_evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x, work=None):
-        ev = evaluate(ansatz, cfg, barrier_weight, smoothing_weight, x, work)
+    def recording_evaluate(problem, barrier_weight, smoothing_weight, x, work=None):
+        ev = evaluate(problem, barrier_weight, smoothing_weight, x, work)
         points[id(ev)] = (ev, x.copy())
         return ev
 
-    def recording_assemble(ev, bases, smoothing_weight, rows=None, out=None):
+    def recording_assemble(ev, rows=None, out=None):
         # compared when it is built: the stage's next evaluation reuses the record's buffers
         x = points[id(ev)][1] if rows is None else points[id(ev)][1][rows]
         sides = ev.slack is None or bool(np.any(ev.slack > 0.0) and np.any(ev.slack < 0.0))
-        fresh = assemble(evaluate(ansatz, cfg, barrier, smoothing, x), bases, smoothing)
-        A, g = assemble(ev, bases, smoothing_weight, rows, out)
+        fresh = assemble(evaluate(problem, barrier, smoothing, x))
+        A, g = assemble(ev, rows, out)
         at = slice(None) if out is None else out[2]
         built.append((sides, all(np.array_equal(mine[at], theirs) for mine, theirs in zip((A, g), fresh))))
         return A, g
 
     monkeypatch.setattr(search, "_evaluate", recording_evaluate)
     monkeypatch.setattr(search, "_assemble", recording_assemble)
-    search._lm_stage(ansatz, cfg, barrier, smoothing, 12, ansatz.packed()[None])
+    search._lm_stage(problem, barrier, smoothing, 12, ansatz.packed()[None], search._workspace(problem, 1))
     assert len(built) >= 3  # the start and at least two accepted trials
     assert built[1:] == [(True, True)] * (len(built) - 1)
 
@@ -494,8 +500,8 @@ def test_residual_grid_is_the_kernel_H(kind, g_domain, lift):
     ansatz = search.random_ansatz(np.random.default_rng(31), kind, (-1, 1), g_domain, lift=lift)
     cfg = SearchConfig()
     R, _ = search.residual_grid(ansatz, cfg)
-    xs, vs, *_ = search._bases(ansatz, cfg)
-    H = hyperbolic_curvature(ansatz.surface().jet(xs[:, None], vs[None, :])).H
+    p = search._problem(ansatz, cfg)
+    H = hyperbolic_curvature(ansatz.surface().jet(p.xs[:, None], p.vs[None, :])).H
     assert R.shape == H.shape == cfg.grid
     assert np.max(np.abs(R - H) / np.abs(H)) <= 1e-10
 
@@ -514,9 +520,9 @@ def _scipy_basis(domain, m, ts):
 @pytest.mark.parametrize("cfg", [SearchConfig(), FAST])
 def test_bases_equal_scipy_design_matrices(kind, g_domain, cfg):
     (seed,) = generate_seeds(1, kind, 3, (-1.0, 1.0), g_domain)
-    xs, vs, bf, bg, _, _ = search._bases(seed, cfg)
-    assert np.array_equal(bf, _scipy_basis(seed.f_domain, len(seed.f_coeffs), xs))
-    assert np.array_equal(bg, _scipy_basis(seed.g_domain, len(seed.g_coeffs), vs))
+    p = search._problem(seed, cfg)
+    assert np.array_equal(p.bf, _scipy_basis(seed.f_domain, len(seed.f_coeffs), p.xs))
+    assert np.array_equal(p.bg, _scipy_basis(seed.g_domain, len(seed.g_coeffs), p.vs))
 
 
 @pytest.mark.parametrize(*campaigns(
@@ -525,23 +531,27 @@ def test_bases_equal_scipy_design_matrices(kind, g_domain, cfg):
 def test_extended_bases_hold_the_orders_R_depends_on(kind, g_domain, control, orders):
     cfg = replace(FAST, euclidean_control=control)
     (seed,) = generate_seeds(1, kind, 3, (-1, 1), g_domain, euclidean_control=control)
-    _, _, bf, bg, fx, gx = search._bases(seed, cfg)
+    p = search._problem(seed, cfg)
+    bf, bg, fx, gx = p.bf, p.bg, p.fx, p.gx
     k, (_, nx, mf), (_, nz, mg) = len(orders), bf.shape, bg.shape
+    assert (p.k, p.nx, p.nz, p.mf, p.mg) == (k, nx, nz, mf, mg)
     assert fx.shape == (nx, k + 1, mf + 1) and gx.shape == (nz, k + 1, mg + 1)
     assert np.array_equal(fx[:, :k, :mf], bf[list(orders)].transpose(1, 0, 2))  # the 1 last
     assert np.array_equal(gx[:, 1:, :mg], bg[list(orders)].transpose(1, 0, 2))  # the 1 first
     assert np.all(fx[:, k, mf] == 1.0) and np.all(gx[:, 0, mg] == 1.0)
     assert np.count_nonzero(fx[:, :, mf]) == nx and np.count_nonzero(fx[:, k, :]) == nx
     assert np.count_nonzero(gx[:, :, mg]) == nz and np.count_nonzero(gx[:, 0, :]) == nz
-    ev = search._evaluate(seed, cfg, 0.0, 0.0, seed.packed()[None])
+    ev = search._evaluate(p, 0.0, 0.0, seed.packed()[None])
     assert {name for name, _ in ev.partials()} == {name + "p" * n for n in orders for name in "fg"}
 
 
 def test_cached_bases_are_read_only():
     for name in ("type2", "type1"):
         (seed,) = CAMPAIGNS[name].seeds(1, 3)
-        bases = search._bases(seed, FAST)
-        assert len(bases) == 6  # xs, vs, bf, bg and the extended fx, gx
+        p = search._problem(seed, FAST)
+        assert search._problem(seed, FAST) is p  # built once
+        bases = [getattr(p, field.name) for field in fields(p) if isinstance(getattr(p, field.name), np.ndarray)]
+        assert len(bases) == 6  # xs, vs, bf, bg and the extended fx, gx: every array of the record
         for array in bases:
             with pytest.raises(ValueError):
                 array[0] = 1.0
