@@ -80,7 +80,9 @@ KERNEL_BLOCK_POINTS = 8192
 def _atomic_open(path: Path):
     """Text file handle on a temp file beside `path`, moved onto `path` when
     the block completes and removed if it raises, so a failed write leaves
-    no partial output."""
+    no partial output.  Makes the directory of `path` first, so a command
+    makes its `--out` when it writes its first file, after all validation."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -227,9 +229,7 @@ def _grid_axes(domain, n: int):
 
 def cmd_verify(args) -> int:
     reports = algebra.run_all_verifications()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "verify_report.json", {"identities": [r.to_json() for r in reports]})
+    _write_json(args.out / "verify_report.json", {"identities": [r.to_json() for r in reports]})
     for r in reports:
         print(f"{r.id}: {r.status}")
     return 0 if all(r.ok for r in reports) else 2
@@ -253,12 +253,10 @@ def cmd_curvature(args) -> int:
             column[start : start + step] = values
     columns = [c.ravel() for c in columns]
     summary = f"max |H| = {np.max(np.abs(columns[-1])):.3e} over {len(columns[0])} points"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.format == "csv":
-        _write_csv(out / "curvature.csv", CURVATURE_COLUMNS, columns)
+        _write_csv(args.out / "curvature.csv", CURVATURE_COLUMNS, columns)
     else:
-        _write_json(out / "curvature.json", {"columns": list(CURVATURE_COLUMNS)}, columns)
+        _write_json(args.out / "curvature.json", {"columns": list(CURVATURE_COLUMNS)}, columns)
     print(summary)
     return 0
 
@@ -279,10 +277,8 @@ def cmd_scherk(args) -> int:
     max_he = float(np.max(np.abs(euclidean_mean_curvature(fundamental_forms(jet)))))
     # H is defined only above the ideal boundary: take it at the points with z > 0
     max_h = float(np.max(np.abs(hyperbolic_curvature(restrict_to_halfspace(jet)).H), initial=0.0))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(
-        out / "scherk_report.json",
+        args.out / "scherk_report.json",
         {
             "a": a,
             "grid": args.grid,
@@ -308,12 +304,10 @@ def cmd_search(args) -> int:
         np.array([r.iterations for r in results], dtype=np.int64),
         np.array([r.converged for r in results], dtype=np.int64),
     ]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / f"search_{args.kind}.csv", SEARCH_COLUMNS, columns)
+    _write_csv(args.out / f"search_{args.kind}.csv", SEARCH_COLUMNS, columns)
     sups = [r.sup_residual for r in results]
     _write_json(
-        out / f"search_{args.kind}_summary.json",
+        args.out / f"search_{args.kind}_summary.json",
         {
             "kind": args.kind,
             "config": asdict(cfg),
@@ -346,10 +340,8 @@ def cmd_report(args) -> int:
         target = 1.0 if name.startswith("horosphere") else 0.0
         H = hyperbolic_curvature(patch.jet(*_grid_axes(patch.domain, 25))).H
         oracles[name] = float(np.max(np.abs(H - target)))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(
-        out / "report.json",
+        args.out / "report.json",
         {
             "identities": [r.to_json() for r in reports],
             "curvature_oracles_max_error": oracles,
@@ -362,16 +354,19 @@ def cmd_report(args) -> int:
     return 0 if ok else 2
 
 
+# every subcommand's output directory, made by `_atomic_open`
+_OUT = {"type": Path, "default": "out"}
+
 # name -> (help, {flag: add_argument keywords}, command): every subcommand,
 # from which both the full parser and a lone subcommand's parser are built
 SUBCOMMANDS = {
-    "verify": ("verify the exact elimination identities", {"--out": {"default": "out"}}, cmd_verify),
+    "verify": ("verify the exact elimination identities", {"--out": _OUT}, cmd_verify),
     "curvature": (
         "curvature grid over a surface file",
         {
             "--surface": {"required": True},
             "--grid": {"type": positive_int, "default": 100},
-            "--out": {"default": "out"},
+            "--out": _OUT,
             "--format": {"choices": ("csv", "json"), "default": "csv"},
         },
         cmd_curvature,
@@ -382,7 +377,7 @@ SUBCOMMANDS = {
             "--a": {"type": finite_float, "required": True},
             "--grid": {"type": positive_int, "default": 50},
             "--margin": {"type": finite_float, "default": 0.1},
-            "--out": {"default": "out"},
+            "--out": _OUT,
         },
         cmd_scherk,
     ),
@@ -393,11 +388,11 @@ SUBCOMMANDS = {
             "--seeds": {"type": positive_int, "default": 20},
             "--seed": {"type": int, "default": 0, "help": "generator seed"},
             "--workers": {"type": positive_int, "default": 1},
-            "--out": {"default": "out"},
+            "--out": _OUT,
         },
         cmd_search,
     ),
-    "report": ("combined verification + oracle summary", {"--out": {"default": "out"}}, cmd_report),
+    "report": ("combined verification + oracle summary", {"--out": _OUT}, cmd_report),
 }
 
 

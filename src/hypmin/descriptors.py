@@ -18,7 +18,9 @@ with <curve> one of:
     scherk-log-cos a scale
     spline t0 t1 c0 c1 ... cN            (clamped uniform cubic B-spline, N >= 3)
 
-Unknown keys are rejected (strict parsing); errors carry line and column.
+Unknown keys are rejected (strict parsing); errors carry line and column:
+a bad number is reported at its own column, any other bad value at the
+column of its first character.
 Every number must be finite, a domain needs u0 < u1 and v0 < v1, a spline
 needs t0 < t1, and values a constructor rejects (a radius, level or
 extent <= 0, a vplane z range without 0 < z0 < z1, scherk-log-cos with
@@ -29,6 +31,7 @@ and column too.
 from __future__ import annotations
 
 import math
+import re
 
 from . import surfaces
 from .surfaces import FunctionCurve, Kind, TranslationSurface
@@ -61,9 +64,16 @@ _REFERENCE_PATCHES = {
 }
 
 
-def _floats(tokens: list[str], line: int, col: int) -> list[float]:
+def _tokens(value: str, col: int) -> list[tuple[str, int]]:
+    """The whitespace-separated tokens of a value that starts at column
+    `col`, each with its own column."""
+    return [(m.group(), col + m.start()) for m in re.finditer(r"\S+", value)]
+
+
+def _floats(tokens: list[tuple[str, int]], line: int) -> list[float]:
+    """The numbers of `_tokens`; a bad one is reported at its own column."""
     out = []
-    for tok in tokens:
+    for tok, col in tokens:
         try:
             out.append(float(tok))
         except ValueError:
@@ -82,11 +92,11 @@ def _construct(make, args, line: int, col: int):
 
 
 def _parse_curve(value: str, line: int, col: int) -> FunctionCurve:
-    tokens = value.split()
+    tokens = _tokens(value, col)
     if not tokens:
         raise SurfaceFileError("empty curve specification", line, col)
-    form, args = tokens[0], tokens[1:]
-    nums = _floats(args, line, col)
+    form = tokens[0][0]
+    nums = _floats(tokens[1:], line)
     if form in _CURVES and len(nums) == _CURVES[form][0]:
         return _construct(_CURVES[form][1], nums, line, col)
     if form == "spline" and len(nums) >= 2:
@@ -107,7 +117,7 @@ def parse_surface_text(text: str):
         if "=" not in line:
             raise SurfaceFileError("expected 'key = value'", lineno)
         key, _, value = line.partition("=")
-        col = len(key) + 2
+        col = len(key) + 2 + len(value) - len(value.lstrip())  # the value's first character
         key = key.strip()
         value = value.strip()
         if key in entries:
@@ -126,7 +136,7 @@ def parse_surface_text(text: str):
             if required not in entries:
                 raise SurfaceFileError(f"missing required key {required!r}", kind_line)
         dval, dline, dcol = entries["domain"]
-        nums = _floats(dval.split(), dline, dcol)
+        nums = _floats(_tokens(dval, dcol), dline)
         if len(nums) != 4:
             raise SurfaceFileError("domain needs u0 u1 v0 v1", dline, dcol)
         if not (nums[0] < nums[1] and nums[2] < nums[3]):
@@ -144,7 +154,7 @@ def parse_surface_text(text: str):
         if key not in entries:
             raise SurfaceFileError(f"{kind_value} needs {key!r}", kind_line)
         val, ln, col = entries[key]
-        nums = _floats(val.split(), ln, col)
+        nums = _floats(_tokens(val, col), ln)
         if len(nums) not in makers:
             raise SurfaceFileError(f"{key} takes {usage}", ln, col)
         return _construct(makers[len(nums)], nums, ln, col)

@@ -83,7 +83,6 @@ def integrate_first_integral(a: float, p0: float, x_range: tuple[float, float]) 
 class BranchReport:
     zs: np.ndarray
     roots: np.ndarray
-    g: np.ndarray
     b_values: np.ndarray
     infeasibility: np.ndarray  # per b: max over z of |q1| + |q2|
     min_infeasibility: float
@@ -121,7 +120,6 @@ def trace_type2_branch(
     b_values = np.asarray(b_values, dtype=float)
     zs = np.linspace(*z_range, n_z)
     roots = real_cubic_root(a, zs)
-    g = np.concatenate([[0.0], np.cumsum((roots[1:] + roots[:-1]) / 2.0 * np.diff(zs))])
 
     B, Z, X = b_values[:, None], zs[None, :], roots[None, :]  # rows b, columns (z, X) on the branch
 
@@ -130,7 +128,7 @@ def trace_type2_branch(
         return sum(float(c) * a ** ea * B ** eb * Z ** ez * X ** eX for (ea, eb, ez, eX), c in terms)
 
     infeas = (np.abs(q("q1")) + np.abs(q("q2"))).max(axis=1)
-    return BranchReport(zs, roots, g, b_values, infeas, float(infeas.min()))
+    return BranchReport(zs, roots, b_values, infeas, float(infeas.min()))
 
 
 def b0_branch_check(a: float, zs: np.ndarray) -> np.ndarray:

@@ -59,7 +59,6 @@ class CurvatureReport:
     H: np.ndarray
     kappaE: tuple[np.ndarray, np.ndarray]
     kappaH: tuple[np.ndarray, np.ndarray]
-    z: np.ndarray
 
 
 def first_where(mask: np.ndarray, *coords) -> tuple:
@@ -175,5 +174,4 @@ def hyperbolic_curvature(jet: ImmersionJet) -> CurvatureReport:
         H=z * he + n3,
         kappaE=(k1e, k2e),
         kappaH=(z * k1e + n3, z * k2e + n3),
-        z=z,
     )

@@ -200,7 +200,7 @@ def random_ansatz(
 @dataclass(frozen=True, eq=False)
 class _Problem:
     """What the seeds of one block share, built once by `_problem`: cfg; h,
-    whether R is type-I H; the grid (xs, vs), the bases bf (3, nx, mf),
+    whether R is type-I H; g's grid vs, the bases bf (3, nx, mf),
     bg (3, nz, mg) and `_assemble`'s extended bases fx (nx, k+1, mf+1),
     gx (nz, k+1, mg+1) of the k orders R depends on (0, 1, 2 if h, else 1,
     2), the 1 last in fx, first in gx, all read-only; the floats per row of
@@ -208,7 +208,6 @@ class _Problem:
 
     cfg: SearchConfig
     h: bool
-    xs: np.ndarray
     vs: np.ndarray
     bf: np.ndarray
     bg: np.ndarray
@@ -247,11 +246,10 @@ def _problem(ansatz: SplineAnsatz, cfg: SearchConfig) -> _Problem:
     if problem is None:
         h = _type1_h(ansatz.kind, cfg.euclidean_control, ansatz.g_domain)
         k, (nx, nz) = 3 if h else 2, cfg.grid
-        xs = np.linspace(*ansatz.f_domain, nx)
         vs = np.linspace(*ansatz.g_domain, nz)
-        bf = surfaces.spline_basis(ansatz.f_domain, mf, xs)
+        bf = surfaces.spline_basis(ansatz.f_domain, mf, np.linspace(*ansatz.f_domain, nx))
         bg = surfaces.spline_basis(ansatz.g_domain, mg, vs)
-        arrays = (xs, vs, bf, bg, _extended(bf[3 - k :], False), _extended(bg[3 - k :], True))
+        arrays = (vs, bf, bg, _extended(bf[3 - k :], False), _extended(bg[3 - k :], True))
         for array in arrays:
             array.flags.writeable = False
         n = nx * nz

@@ -87,14 +87,12 @@ def quadratic(a2: float, a1: float, a0: float, domain=(-math.inf, math.inf)) -> 
     return polynomial([a2, a1, a0], domain)
 
 
-def log_cos(a: float, scale: float, domain=None) -> FunctionCurve:
-    """t -> scale * log|cos(a t)|; the building block of Scherk's surface."""
+def log_cos(a: float, scale: float) -> FunctionCurve:
+    """t -> scale * log|cos(a t)| on |t| < pi/(2|a|); the building block of Scherk's surface."""
     if a == 0.0:
         raise ValueError("log_cos requires a != 0")
-    if domain is None:
-        half = math.pi / (2.0 * abs(a))
-        domain = (-half, half)
-    return FunctionCurve(lambda t: scale * jets.abs_log_cos(Jet3(a * t, a, 0.0, 0.0)), domain)
+    half = math.pi / (2.0 * abs(a))
+    return FunctionCurve(lambda t: scale * jets.abs_log_cos(Jet3(a * t, a, 0.0, 0.0)), (-half, half))
 
 
 def clamped_knots(domain: tuple[float, float], n_interior: int) -> np.ndarray:
@@ -357,15 +355,13 @@ def type1_reduction_residual(s: TranslationSurface, x, y):
 # -- named surfaces ---------------------------------------------------
 
 
-def scherk(a: float, domain=None) -> TranslationSurface:
+def scherk(a: float) -> TranslationSurface:
     """Scherk's Euclidean minimal surface z = (1/a) log|cos(ax)/cos(ay)|."""
     if a == 0.0:
         raise ValueError("scherk requires a != 0")
     f = log_cos(a, 1.0 / a)
     g = log_cos(a, -1.0 / a)
-    if domain is None:
-        domain = (f.domain, g.domain)
-    return TranslationSurface(Kind.TYPE_I, f, g, domain)
+    return TranslationSurface(Kind.TYPE_I, f, g, (f.domain, g.domain))
 
 
 def geodesic_plane(m: float, n: float, p: float, domain) -> TranslationSurface:
@@ -373,15 +369,13 @@ def geodesic_plane(m: float, n: float, p: float, domain) -> TranslationSurface:
     return TranslationSurface(Kind.TYPE_II, linear(m, n), constant(p), domain)
 
 
-def simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, nodes: int = 129) -> float:
-    """Composite Simpson on an odd uniform grid; deterministic quadrature.
+def simpson(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """Composite Simpson on 129 uniform nodes; deterministic quadrature.
     fn maps the array of nodes to the array of integrand values."""
-    if nodes % 2 == 0:
-        nodes += 1
-    xs = np.linspace(lo, hi, nodes)
+    xs = np.linspace(lo, hi, 129)
     ys = np.broadcast_to(fn(xs), xs.shape)
-    h = (hi - lo) / (nodes - 1)
-    w = np.ones(nodes)
+    h = (hi - lo) / 128
+    w = np.ones(129)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return float(h / 3.0 * (w @ ys))
@@ -461,11 +455,11 @@ def vertical_plane(y0: float, extent: float = 2.0, z_range=(0.1, 4.0)) -> Parame
     )
 
 
-def hemisphere(r: float, center=(0.0, 0.0), polar_cap: float = 0.999) -> ParametricPatch:
+def hemisphere(r: float, center=(0.0, 0.0)) -> ParametricPatch:
     """Upper hemisphere of radius r centered on the ideal boundary z = 0.
 
     Parameterized by spherical angles (theta, phi) with phi in
-    (0, polar_cap * pi/2) so every point stays strictly inside z > 0.
+    [1e-3, 0.999 pi/2], so every point stays strictly inside z > 0.
     Totally geodesic: H = 0 everywhere.
     """
     if r <= 0.0:
@@ -488,5 +482,5 @@ def hemisphere(r: float, center=(0.0, 0.0), polar_cap: float = 0.999) -> Paramet
     return ParametricPatch(
         position=pos,
         partials=parts,
-        domain=((0.0, 2.0 * math.pi), (1e-3, polar_cap * math.pi / 2.0)),
+        domain=((0.0, 2.0 * math.pi), (1e-3, 0.999 * math.pi / 2.0)),
     )

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import multiprocessing
@@ -65,7 +66,7 @@ def test_three_coefficient_spline_rejected_at_its_position(tmp_path, capsys):
     surf.write_text("kind = type2\ndomain = -1 1 1 2\nf = spline -1 1 0.1 0.3 -0.2\ng = constant 1\n")
     out = tmp_path / "out"
     assert main(["curvature", "--surface", str(surf), "--grid", "5", "--out", str(out)]) == 1
-    assert "line 3, column 4: a cubic spline needs at least 4 coefficients" in capsys.readouterr().err
+    assert "line 3, column 5: a cubic spline needs at least 4 coefficients" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -89,15 +90,15 @@ BAD_NUMBERS = [
 
 # values a curve or patch constructor rejects; the error names their position
 BAD_CONSTRUCTOR_ARGS = [
-    ("kind = type1\ndomain = -1 1 -1 1\nf = spline 1 -1 1 1 1 1 1\ng = constant 1\n", "line 3, column 4: spline needs t0 < t1"),
-    ("kind = type1\ndomain = -1 1 -1 1\nf = spline 1 1 1 1 1 1 1\ng = constant 1\n", "line 3, column 4: spline needs t0 < t1"),
-    ("kind = type1\ndomain = -1 1 -1 1\nf = constant 1\ng = scherk-log-cos 0 1\n", "line 4, column 4: log_cos requires a != 0"),
-    ("kind = hemisphere\nradius = 0\n", "line 2, column 9: hemisphere radius r = 0.0 <= 0"),
-    ("kind = horosphere\nlevel = -1\n", "line 2, column 8: horosphere level c = -1.0 <= 0"),
-    ("kind = horosphere\nlevel = 1 0\n", "line 2, column 8: horosphere extent = 0.0 <= 0"),
-    ("kind = vplane\ny0 = 1 -2 1 2\n", "line 2, column 5: vertical plane extent = -2.0 <= 0"),
-    ("kind = vplane\ny0 = 1 2 3 1\n", "line 2, column 5: vertical plane needs 0 < z0 < z1, got z0 = 3.0, z1 = 1.0"),
-    ("kind = vplane\ny0 = 1 2 -1 1\n", "line 2, column 5: vertical plane needs 0 < z0 < z1, got z0 = -1.0, z1 = 1.0"),
+    ("kind = type1\ndomain = -1 1 -1 1\nf = spline 1 -1 1 1 1 1 1\ng = constant 1\n", "line 3, column 5: spline needs t0 < t1"),
+    ("kind = type1\ndomain = -1 1 -1 1\nf = spline 1 1 1 1 1 1 1\ng = constant 1\n", "line 3, column 5: spline needs t0 < t1"),
+    ("kind = type1\ndomain = -1 1 -1 1\nf = constant 1\ng = scherk-log-cos 0 1\n", "line 4, column 5: log_cos requires a != 0"),
+    ("kind = hemisphere\nradius = 0\n", "line 2, column 10: hemisphere radius r = 0.0 <= 0"),
+    ("kind = horosphere\nlevel = -1\n", "line 2, column 9: horosphere level c = -1.0 <= 0"),
+    ("kind = horosphere\nlevel = 1 0\n", "line 2, column 9: horosphere extent = 0.0 <= 0"),
+    ("kind = vplane\ny0 = 1 -2 1 2\n", "line 2, column 6: vertical plane extent = -2.0 <= 0"),
+    ("kind = vplane\ny0 = 1 2 3 1\n", "line 2, column 6: vertical plane needs 0 < z0 < z1, got z0 = 3.0, z1 = 1.0"),
+    ("kind = vplane\ny0 = 1 2 -1 1\n", "line 2, column 6: vertical plane needs 0 < z0 < z1, got z0 = -1.0, z1 = 1.0"),
 ]
 
 
@@ -131,7 +132,7 @@ def test_error_carries_line_number():
 def test_non_finite_number_error_carries_line_and_column():
     with pytest.raises(SurfaceFileError) as exc:
         parse_surface_text("kind = horosphere\nlevel = nan\n")
-    assert (exc.value.line, exc.value.column) == (2, 8)
+    assert (exc.value.line, exc.value.column) == (2, 9)
 
 
 @pytest.mark.parametrize("text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS)
@@ -505,9 +506,9 @@ def test_curvature_json_format(tmp_path):
 def test_curvature_malformed_file_exits_1(tmp_path, capsys):
     surf, out = tmp_path / "bad.txt", tmp_path / "out"
     for text, message in (
-        ("kind = klein-bottle\n", "line 1, column 7: unknown kind 'klein-bottle'"),
+        ("kind = klein-bottle\n", "line 1, column 8: unknown kind 'klein-bottle'"),
         ("kind type1\n", "line 1, column 1: expected 'key = value'"),
-        ("kind = type1\ndomain = -1 one -1 1\nf = linear 1 0\ng = linear 1 0\n", "line 2, column 9: expected a number, got 'one'"),
+        ("kind = type1\ndomain = -1 one -1 1\nf = linear 1 0\ng = linear 1 0\n", "line 2, column 13: expected a number, got 'one'"),
     ):
         surf.write_text(text)
         assert main(["curvature", "--surface", str(surf), "--out", str(out)]) == 1
@@ -746,6 +747,41 @@ def test_report_subcommand(tmp_path, capsys):
     assert "all verified" in capsys.readouterr().out
 
 
+def test_report_mismatch_exits_2(tmp_path, monkeypatch, capsys):
+    from hypmin.algebra import ProofReport, MISMATCH
+
+    def fake():
+        return [ProofReport("planted", MISMATCH, "deliberate")]
+
+    monkeypatch.setattr(cli.algebra, "run_all_verifications", fake)
+    assert main(["report", "--out", str(tmp_path)]) == 2
+    assert "identities: MISMATCH FOUND" in capsys.readouterr().out.splitlines()
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert [item["id"] for item in payload["identities"]] == ["planted"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["curvature", "--surface", "SURFACE", "--grid", "5"],
+        ["scherk", "--a", "1", "--grid", "5"],
+        ["search", "--kind", "type2", "--seeds", "1"],
+        ["report"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_out_naming_a_regular_file_exits_1_and_leaves_it(tmp_path, capsys, argv):
+    surf, out = tmp_path / "s.txt", tmp_path / "out"
+    surf.write_text("kind = horosphere\nlevel = 1\n")
+    out.write_bytes(b"not a directory\n")
+    argv = [str(surf) if arg == "SURFACE" else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 17] File exists: '{out}'\n")
+    assert out.read_bytes() == b"not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [out, surf]
+
+
 # -- tooling: the bench tracer looks up package functions by name, so
 # deleting or renaming one breaks `python3 bench/run.py --trace 1`
 
@@ -766,10 +802,24 @@ def _bench_files() -> dict:
     return {p: (p.stat().st_size, p.stat().st_mtime_ns) for p in BENCH.rglob("*") if p.is_file()}
 
 
+# package names that bench/ reads outside the tracer, per file, each as a
+# dotted path from `hypmin` whose last part the file spells out
+BENCH_NAMES = {
+    "checks.py": ("surfaces.type1_residual", "surfaces.type2_residual", "surfaces.Kind.TYPE_I"),
+    "selftest.py": ("search.NonFiniteResidualError",),
+    "workloads.py": ("descriptors.load_surface",),
+}
+
+
 def test_bench_tracer_installs_and_restores():
     owners = (algebra, cli, descriptors, kernel, search, surfaces, surfaces.ParametricPatch, surfaces.FunctionCurve)
     before = [dict(vars(owner)) for owner in owners]
     files = _bench_files()
+    for name, dotted_names in BENCH_NAMES.items():
+        text = (BENCH / name).read_text(encoding="utf-8")
+        for dotted in dotted_names:
+            assert dotted.rsplit(".", 1)[-1] in text, (name, dotted)
+            functools.reduce(getattr, dotted.split("."), hypmin)  # AttributeError if it is gone
     tracing = _load_tracing()
     restore = tracing.install(tracing.Tracer())  # looks up every name it wraps
     try:
