@@ -1,17 +1,3 @@
 """Differential-geometry workbench for translation surfaces in the
 half-space model of hyperbolic 3-space: curvature kernel, exact identity
 verification, and least-squares falsification searches."""
-
-from .jets import Jet3
-from .kernel import CurvatureReport, FundamentalForms, ImmersionJet
-from .surfaces import FunctionCurve, Kind, TranslationSurface
-
-__all__ = [
-    "Jet3",
-    "ImmersionJet",
-    "FundamentalForms",
-    "CurvatureReport",
-    "FunctionCurve",
-    "Kind",
-    "TranslationSurface",
-]

@@ -301,13 +301,14 @@ class RationalFunction:
 # -- named polynomials -------------------------------------------------
 
 
-def _abzX():
-    return (MultiPoly.var(v) for v in DEFAULT_VARS)
+def _variables(universe: tuple) -> list[MultiPoly]:
+    """The variables of a universe, in its order, as polynomials over it."""
+    return [MultiPoly.var(v, universe) for v in universe]
 
 
 def build_named(name: str) -> MultiPoly:
     """The reference polynomials of the type-II elimination chain."""
-    a, b, z, X = _abzX()
+    a, b, z, X = _variables(DEFAULT_VARS)
     if name == "q1":
         return b * z * X ** 2 - 5 * X + 4 * a * z + 3 * b * z
     if name == "q2":
@@ -378,8 +379,7 @@ def verify_q3_combination(
 ) -> ProofReport:
     """X*q1 - z*q2 = q3, the linear combination producing the third quadric."""
     q1, q2, q3 = _named(q1=q1, q2=q2, q3=q3)
-    X = MultiPoly.var("X")
-    z = MultiPoly.var("z")
+    _, _, z, X = _variables(DEFAULT_VARS)
     lhs = X * q1 - z * q2
     return _identity_report("q3-combination", lhs, q3, "X*q1 - z*q2 == q3")
 
@@ -393,8 +393,7 @@ def verify_q1_q2_derivation(
     """q1 and q2 arise from the cubic constraint and its companion:
     eqg3 - 3b*eqg2 = a*q1 and b*eqg2 + a*q1 = q2."""
     q1, q2, eqg2, eqg3 = _named(q1=q1, q2=q2, eqg2=eqg2, eqg3=eqg3)
-    a = MultiPoly.var("a")
-    b = MultiPoly.var("b")
+    a, b, _, _ = _variables(DEFAULT_VARS)
     d1 = eqg3 - 3 * b * eqg2 - a * q1
     d2 = b * eqg2 + a * q1 - q2
     if d1.is_zero() and d2.is_zero():
@@ -414,7 +413,7 @@ def solve_X_and_eliminate(
     X expression, report on the degree-7 comparison).
     """
     q1, q3, final7 = _named(q1=q1, q3=q3, final7=final7)
-    a, b, z, X = _abzX()
+    a, b, z, X = _variables(DEFAULT_VARS)
     comb = 5 * q1 + b * z * q3  # linear in X by construction
     if not comb.partial("X").partial("X").is_zero():
         raise ArithmeticError("elimination did not cancel the X^2 term")
@@ -477,14 +476,10 @@ def _constant_ratio(p: MultiPoly, q: MultiPoly) -> Fraction | None:
 ODE_VARS = ("a", "p", "s", "u")
 
 
-def _apsu():
-    return (MultiPoly.var(v, ODE_VARS) for v in ODE_VARS)
-
-
 def verify_first_integral(exponent: int = 2) -> ProofReport:
     """With f'' = a(1+p^2)^exponent (the first integral has exponent 2) and
     f''' its formal x-derivative, check -4 f' f''^2 + (1+f'^2) f''' == 0."""
-    a, p, s, u = _apsu()
+    a, p, s, u = _variables(ODE_VARS)
     one_p2 = 1 + p ** 2
     fpp = a * one_p2 ** exponent
     # f''' = d/dx f'' = (d/dp f'') * f''
@@ -501,7 +496,7 @@ def verify_first_integral(exponent: int = 2) -> ProofReport:
 def verify_factorization_step(coefficient: int = 4) -> ProofReport:
     """d/dx [f''/(1+f'^2)^2] = (f'''(1+f'^2) - 4 f' f''^2) / (1+f'^2)^3,
     verified as an exact rational-function identity (cross-multiplied)."""
-    a, p, s, u = _apsu()
+    a, p, s, u = _variables(ODE_VARS)
     one_p2 = 1 + p ** 2
     # quotient rule: num = u*(1+p^2)^2 - s * 4 p s (1+p^2), den = (1+p^2)^4
     lhs_num = u * one_p2 ** 2 - 4 * p * s ** 2 * one_p2
@@ -526,7 +521,7 @@ def verify_implicit_g(
     X = 4az/5 substituted into the cubic gives exactly -16/125 a^3 z^3 - az.
     """
     eqg2, b0branch = _named(eqg2=eqg2, b0branch=b0branch)
-    a, b, z, X = _abzX()
+    a, b, z, X = _variables(DEFAULT_VARS)
     d_x = eqg2.partial("X") - (coefficient * X ** 2 - 2 * a * z * X)
     d_z = eqg2.partial("z") - (-(a * X ** 2 + a))
     branch = eqg2.substitute("X", MultiPoly.const(Fraction(4, 5)) * a * z) - b0branch
@@ -557,9 +552,7 @@ def verify_eqg_substitution() -> ProofReport:
       2 X (1+p^2+X^2) / ((1+p^2)(1+X^2))
     by z must give 2a (1+p^2+X^2) / ((1+p^2) X^2) exactly.
     """
-    a = MultiPoly.var("a", RED_VARS)
-    p = MultiPoly.var("p", RED_VARS)
-    X = MultiPoly.var("X", RED_VARS)
+    a, _, p, X = _variables(RED_VARS)
     one_p2 = 1 + p ** 2
     one_X2 = 1 + X ** 2
     wsq = 1 + p ** 2 + X ** 2

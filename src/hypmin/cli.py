@@ -332,12 +332,11 @@ def cmd_search(args) -> int:
 def cmd_report(args) -> int:
     reports = algebra.run_all_verifications()
     oracles = {}
-    for name, patch in (
-        ("hemisphere_r2", surfaces.hemisphere(2.0)),
-        ("horosphere_c1", surfaces.horosphere(1.0)),
-        ("vplane", surfaces.vertical_plane(5.0)),
+    for name, patch, target in (
+        ("hemisphere_r2", surfaces.hemisphere(2.0), 0.0),
+        ("horosphere_c1", surfaces.horosphere(1.0), 1.0),
+        ("vplane", surfaces.vertical_plane(5.0), 0.0),
     ):
-        target = 1.0 if name.startswith("horosphere") else 0.0
         H = hyperbolic_curvature(patch.jet(*_grid_axes(patch.domain, 25))).H
         oracles[name] = float(np.max(np.abs(H - target)))
     _write_json(

@@ -18,20 +18,24 @@ with <curve> one of:
     scherk-log-cos a scale
     spline t0 t1 c0 c1 ... cN            (clamped uniform cubic B-spline, N >= 3)
 
-Unknown keys are rejected (strict parsing); errors carry line and column:
-a bad number is reported at its own column, any other bad value at the
-column of its first character.
+The file is UTF-8, a leading BOM allowed.  Unknown keys are rejected
+(strict parsing).  Errors carry line and column, a byte that is not UTF-8
+included: a bad number is reported at its own column, any other bad value
+at the column of its first character.
 Every number must be finite, a domain needs u0 < u1 and v0 < v1, a spline
 needs t0 < t1, and values a constructor rejects (a radius, level or
 extent <= 0, a vplane z range without 0 < z0 < z1, scherk-log-cos with
 a = 0, a spline with fewer than 4 coefficients) are reported at their line
-and column too.
+and column too.  f must be defined on all of the u range and g on all of
+the v range, or the curve is reported at its line and value column.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
 import re
+from pathlib import Path
 
 from . import surfaces
 from .surfaces import FunctionCurve, Kind, TranslationSurface
@@ -127,30 +131,16 @@ def parse_surface_text(text: str):
     if "kind" not in entries:
         raise SurfaceFileError("missing required key 'kind'", 1)
     kind_value, kind_line, kind_col = entries["kind"]
+    reference = _REFERENCE_PATCHES.get(kind_value)
+    if reference is None and kind_value not in ("type1", "type2"):
+        raise SurfaceFileError(f"unknown kind {kind_value!r}", kind_line, kind_col)
+    allowed = _TRANSLATION_KEYS if reference is None else {"kind", reference[0]}
+    for key, (_, ln, _c) in entries.items():
+        if key not in allowed:
+            raise SurfaceFileError(f"unknown key {key!r}", ln)
 
-    if kind_value in ("type1", "type2"):
-        for key, (_, ln, _c) in entries.items():
-            if key not in _TRANSLATION_KEYS:
-                raise SurfaceFileError(f"unknown key {key!r}", ln)
-        for required in ("domain", "f", "g"):
-            if required not in entries:
-                raise SurfaceFileError(f"missing required key {required!r}", kind_line)
-        dval, dline, dcol = entries["domain"]
-        nums = _floats(_tokens(dval, dcol), dline)
-        if len(nums) != 4:
-            raise SurfaceFileError("domain needs u0 u1 v0 v1", dline, dcol)
-        if not (nums[0] < nums[1] and nums[2] < nums[3]):
-            raise SurfaceFileError("domain needs u0 < u1 and v0 < v1", dline, dcol)
-        f = _parse_curve(*entries["f"])
-        g = _parse_curve(*entries["g"])
-        kind = Kind.TYPE_I if kind_value == "type1" else Kind.TYPE_II
-        return TranslationSurface(kind, f, g, ((nums[0], nums[1]), (nums[2], nums[3])))
-
-    if kind_value in _REFERENCE_PATCHES:
-        key, usage, makers = _REFERENCE_PATCHES[kind_value]
-        for k, (_, ln, _c) in entries.items():
-            if k not in ("kind", key):
-                raise SurfaceFileError(f"unknown key {k!r}", ln)
+    if reference is not None:
+        key, usage, makers = reference
         if key not in entries:
             raise SurfaceFileError(f"{kind_value} needs {key!r}", kind_line)
         val, ln, col = entries[key]
@@ -159,9 +149,34 @@ def parse_surface_text(text: str):
             raise SurfaceFileError(f"{key} takes {usage}", ln, col)
         return _construct(makers[len(nums)], nums, ln, col)
 
-    raise SurfaceFileError(f"unknown kind {kind_value!r}", kind_line, kind_col)
+    for required in ("domain", "f", "g"):
+        if required not in entries:
+            raise SurfaceFileError(f"missing required key {required!r}", kind_line)
+    dval, dline, dcol = entries["domain"]
+    nums = _floats(_tokens(dval, dcol), dline)
+    if len(nums) != 4:
+        raise SurfaceFileError("domain needs u0 u1 v0 v1", dline, dcol)
+    if not (nums[0] < nums[1] and nums[2] < nums[3]):
+        raise SurfaceFileError("domain needs u0 < u1 and v0 < v1", dline, dcol)
+    domain = ((nums[0], nums[1]), (nums[2], nums[3]))
+    curves = {name: _parse_curve(*entries[name]) for name in ("f", "g")}
+    for (name, curve), axis, (lo, hi) in zip(curves.items(), "uv", domain):
+        c0, c1 = curve.domain
+        if lo < c0 or c1 < hi:
+            _, ln, col = entries[name]
+            raise SurfaceFileError(f"{name} is defined on [{c0}, {c1}], which does not cover the {axis} range [{lo}, {hi}]", ln, col)
+    kind = Kind.TYPE_I if kind_value == "type1" else Kind.TYPE_II
+    return TranslationSurface(kind, curves["f"], curves["g"], domain)
 
 
 def load_surface(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_surface_text(fh.read())
+    """The surface of the descriptor file at `path`, read as UTF-8 after an
+    optional BOM; a byte that is not UTF-8 is reported at its line and column."""
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the text before the bad byte decodes; count its lines as parse_surface_text does
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise SurfaceFileError(f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}", len(lines), len(lines[-1])) from None
+    return parse_surface_text(text)

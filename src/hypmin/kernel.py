@@ -40,8 +40,8 @@ class ImmersionJet:
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """E, F, G and L, M, N per point, and det_first = EG - F^2 taken as
-    |Xu x Xv|^2, which does not cancel to 0 when the partials are large."""
+    """E, F, G and L, M, N against the unit normal n, per point; det_first =
+    EG - F^2 is |Xu x Xv|^2, which does not cancel when the partials are large."""
 
     E: np.ndarray
     F: np.ndarray
@@ -50,6 +50,7 @@ class FundamentalForms:
     M: np.ndarray
     N: np.ndarray
     det_first: np.ndarray
+    n: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -122,10 +123,7 @@ def fundamental_forms(jet: ImmersionJet) -> FundamentalForms:
     parameterizations this convention already produces N3 = 1/W (type I)
     and N3 = g'/W (type II); no per-family sign flip is needed.
     """
-    return _forms(jet, unit_normal(jet))
-
-
-def _forms(jet: ImmersionJet, n: np.ndarray) -> FundamentalForms:
+    n = unit_normal(jet)
     cross = _cross(jet)
     return FundamentalForms(
         E=_dot(jet.Xu, jet.Xu),
@@ -135,6 +133,7 @@ def _forms(jet: ImmersionJet, n: np.ndarray) -> FundamentalForms:
         M=_dot(jet.Xuv, n),
         N=_dot(jet.Xvv, n),
         det_first=_dot(cross, cross),
+        n=n,
     )
 
 
@@ -159,13 +158,13 @@ def _principal_curvatures(forms: FundamentalForms, he: np.ndarray) -> tuple[np.n
 
 
 def hyperbolic_curvature(jet: ImmersionJet) -> CurvatureReport:
-    """Curvature report with the conformal lift H = z*He + N3, at every
-    point of the jet; raises HalfSpaceError at the first point with z <= 0."""
+    """Curvature report with the conformal lift H = z*He + N3, N3 from the
+    normal of `fundamental_forms`, at every point of the jet; raises
+    HalfSpaceError at the first point with z <= 0."""
     z = jet.X[..., 2]
     require_halfspace("z", z, jet.X[..., 0], jet.X[..., 1])
-    n = unit_normal(jet)
-    forms = _forms(jet, n)
-    n3 = n[..., 2]
+    forms = fundamental_forms(jet)
+    n3 = forms.n[..., 2]
     he = euclidean_mean_curvature(forms)
     k1e, k2e = _principal_curvatures(forms, he)
     return CurvatureReport(

@@ -732,7 +732,7 @@ def _minimize_block(seeds: list[SplineAnsatz], cfg: SearchConfig) -> list[Search
     `_lm_stage` per continuation stage; each result is the one the seed
     would get alone.  The slab barrier, and with it the feasibility check of
     every seed, is on only for type-I H (`_type1_h`).  sup|R| and mean R^2
-    come from R at the final point (`_residual`), in the workspace."""
+    come from R at the final point (`_evaluate`), in the workspace."""
     problem = _problem(seeds[0], cfg)
     if any(_problem(seed, cfg) is not problem for seed in seeds):
         raise ValueError("the seeds of a block must share the kind, the domains and the sizes")
@@ -747,7 +747,7 @@ def _minimize_block(seeds: list[SplineAnsatz], cfg: SearchConfig) -> list[Search
         x, nfev, reasons, traces = _lm_stage(problem, barrier, smooth_w, cfg.max_iterations, x, work)
         stages.append((nfev, reasons, traces))
         barrier *= BARRIER_RAMP
-    R, _ = _residual(problem, *_spline_rows(problem, x), list(work.X))
+    R = _evaluate(problem, 0.0, 0.0, x, work).R
     results = []
     for i, seed in enumerate(seeds):
         ansatz = seed.with_coeffs(x[i])

@@ -1,8 +1,10 @@
+import ast
 import functools
 import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import types
@@ -101,6 +103,19 @@ BAD_CONSTRUCTOR_ARGS = [
     ("kind = vplane\ny0 = 1 2 -1 1\n", "line 2, column 6: vertical plane needs 0 < z0 < z1, got z0 = -1.0, z1 = 1.0"),
 ]
 
+# curves defined on less than their axis range; the error names the curve's position
+SHORT_CURVES = [
+    (
+        "kind = type1\ndomain = -2 2 -1 1\nf = spline -1 1 0.1 0.3 -0.2 0.4\ng = constant 1\n",
+        "line 3, column 5: f is defined on [-1.0, 1.0], which does not cover the u range [-2.0, 2.0]",
+    ),
+    (
+        "kind = type1\ndomain = -0.5 0.5 -1 1\nf = constant 1\ng = scherk-log-cos 2 1\n",
+        "line 4, column 5: g is defined on [-0.7853981633974483, 0.7853981633974483], "
+        "which does not cover the v range [-1.0, 1.0]",
+    ),
+]
+
 
 @pytest.mark.parametrize(
     "text,fragment",
@@ -116,10 +131,11 @@ BAD_CONSTRUCTOR_ARGS = [
         ("kind = hemisphere\nradius = 1 2\n", "radius takes"),
         *BAD_NUMBERS,
         *BAD_CONSTRUCTOR_ARGS,
+        *SHORT_CURVES,
     ],
 )
 def test_parse_errors(text, fragment):
-    with pytest.raises(SurfaceFileError, match=fragment):
+    with pytest.raises(SurfaceFileError, match=re.escape(fragment)):
         parse_surface_text(text)
 
 
@@ -135,7 +151,7 @@ def test_non_finite_number_error_carries_line_and_column():
     assert (exc.value.line, exc.value.column) == (2, 9)
 
 
-@pytest.mark.parametrize("text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS)
+@pytest.mark.parametrize("text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS + SHORT_CURVES)
 def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text, fragment):
     surf = tmp_path / "s.txt"
     surf.write_text(text)
@@ -154,6 +170,29 @@ def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text
 )
 def test_import_does_not_load(module, unloaded):
     assert _run_python(f"import sys, {module}; print({unloaded!r} in sys.modules)") == "False"
+
+
+# the modules of the package, each importing only modules before it
+LAYERS = ("jets", "kernel", "algebra", "surfaces", "descriptors", "search", "experiments", "cli", "__main__")
+
+
+def test_modules_import_only_earlier_layers():
+    src = Path(hypmin.__file__).resolve().parent
+    assert sorted(p.stem for p in src.glob("*.py")) == sorted(LAYERS + ("__init__",))
+    for path in src.glob("*.py"):
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):  # function-local imports too
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                names = [node.module] if node.module else [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "hypmin":
+                names = node.module.split(".")[1:2] or [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [a.name.split(".")[1] for a in node.names if a.name.startswith("hypmin.")]
+            else:
+                continue
+            imported.update(name.split(".")[0] for name in names)
+        allowed = set(LAYERS[: LAYERS.index(path.stem)]) if path.stem in LAYERS else set()
+        assert imported <= allowed, f"{path.name} imports {sorted(imported - allowed)}"
 
 
 def _run_python(code: str) -> str:
@@ -514,6 +553,25 @@ def test_curvature_malformed_file_exits_1(tmp_path, capsys):
         assert main(["curvature", "--surface", str(surf), "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: {surf}: {message}\n")
     assert not out.exists()
+
+
+def test_curvature_undecodable_file_exits_1_at_the_bad_byte(tmp_path, capsys):
+    surf, out = tmp_path / "bad.surf", tmp_path / "out"
+    surf.write_bytes(b"kind = type1\ndomain = -1 1 -1 1\nf = constant 1\ng = constant \xff\n")
+    assert main(["curvature", "--surface", str(surf), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {surf}: line 4, column 14: not UTF-8: invalid start byte 0xff\n")
+    assert not out.exists()
+
+
+def test_curvature_reads_a_file_with_a_bom_as_without(tmp_path):
+    text = "kind = horosphere\nlevel = 1\n"
+    tables = []
+    for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+        surf = tmp_path / f"{name}.surf"
+        surf.write_bytes(data)
+        assert main(["curvature", "--surface", str(surf), "--grid", "7", "--out", str(tmp_path / name)]) == 0
+        tables.append((tmp_path / name / "curvature.csv").read_bytes())
+    assert tables[0] == tables[1]
 
 
 def test_curvature_missing_file_exits_1(tmp_path):
