@@ -7,6 +7,10 @@ default variable universe is (a, b, z, X): the two separation constants,
 the height coordinate, and the substitution X = g'.  A few verifications
 use auxiliary formal symbols (p = f', s = f'', u = f''') over the same
 machinery.
+
+MultiPoly stores each monomial packed into one int (see its docstring):
+the product of two monomials is one integer addition, and the degree check
+on it one add and one mask.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral, Rational
-from operator import add
+from types import MappingProxyType
 from typing import Mapping
 
 DEFAULT_VARS = ("a", "b", "z", "X")
@@ -39,17 +43,37 @@ def _rational(value, what: str) -> int | Fraction:
     return num if den == 1 else Fraction(num, den)
 
 
+def _unpack(key: int, n: int) -> tuple:
+    """The exponent tuple of a packed monomial over n variables."""
+    return tuple(key.to_bytes(n, "big"))
+
+
+def _shift(vars: tuple, name: str) -> int:
+    """The bit offset of variable `name`'s field in a packed monomial."""
+    return 8 * (len(vars) - 1 - vars.index(name))
+
+
 class MultiPoly:
     """Canonical multivariate polynomial with rational coefficients.
 
-    terms maps exponent tuples (aligned with `vars`) to nonzero
-    coefficients: an int when integral, a Fraction otherwise.  The
-    constructor validates its input, and `zero`, `const` and `var` check
-    what theirs can get wrong; they and the ring operations build their
-    results through `_make`, which trusts it.
+    `_terms` maps packed monomials to nonzero coefficients: an int when
+    integral, a Fraction otherwise.  A packed monomial is one int with an
+    8-bit field per variable, the first variable of `vars` in the highest
+    field, so integer order is the lexicographic order of the exponent
+    tuples and the product of two monomials is the sum of their ints.  No
+    stored exponent exceeds MAX_DEGREE = 16, so a field of a product is at
+    most 32 and 8 bits hold it without a carry into the next field.  With
+    127 - MAX_DEGREE added to every field, a field's top bit is set exactly
+    when it exceeds MAX_DEGREE: the degree check is one add and one mask.
+
+    `terms` is the same map keyed by exponent tuples aligned with `vars`.
+    The constructor validates a dict keyed by exponent tuples and packs it,
+    and `zero`, `const` and `var` check what theirs can get wrong; they and
+    the ring operations build their results through `_make`, which trusts
+    it.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_terms")
 
     def __init__(self, terms: Mapping[tuple, Rational] | None = None, vars=DEFAULT_VARS):
         self.vars = self._universe(vars)
@@ -68,24 +92,33 @@ class MultiPoly:
                     raise ValueError(f"negative exponent in {exps}")
                 if any(e > MAX_DEGREE for e in exps):
                     raise DegreeOverflowError(f"exponent {exps} exceeds degree bound {MAX_DEGREE}")
-                clean[exps] = _rational(clean.get(exps, 0) + c, "coefficient")
-                if clean[exps] == 0:
-                    del clean[exps]
-        self.terms = clean
+                key = int.from_bytes(bytes(exps), "big")  # packed: a byte per exponent
+                clean[key] = _rational(clean.get(key, 0) + c, "coefficient")
+                if clean[key] == 0:
+                    del clean[key]
+        self._terms = clean
 
     @classmethod
     def _make(cls, terms: dict, vars: tuple) -> "MultiPoly":
-        """The result of a ring operation on valid polynomials over `vars`:
-        drops the zeros that cancellation leaves and stores an integral
-        Fraction as its int.  Nothing else is checked."""
+        """The result of a ring operation on valid polynomials over `vars`,
+        from a dict keyed by packed monomials: drops the zeros that
+        cancellation leaves and stores an integral Fraction as its int.
+        Nothing else is checked."""
         out = object.__new__(cls)
         out.vars = vars
-        out.terms = {
+        out._terms = {
             e: (c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
             for e, c in terms.items()
             if c
         }
         return out
+
+    @property
+    def terms(self) -> Mapping[tuple, int | Fraction]:
+        """The terms keyed by exponent tuples, in storage order: a read-only
+        view built on each read."""
+        n = len(self.vars)
+        return MappingProxyType({_unpack(e, n): c for e, c in self._terms.items()})
 
     # -- constructors -------------------------------------------------
 
@@ -103,13 +136,13 @@ class MultiPoly:
     @classmethod
     def const(cls, c, vars=DEFAULT_VARS) -> "MultiPoly":
         vars = cls._universe(vars)
-        return cls._make({(0,) * len(vars): _rational(c, "coefficient")}, vars)
+        return cls._make({0: _rational(c, "coefficient")}, vars)
 
     @classmethod
     def var(cls, name: str, vars=DEFAULT_VARS) -> "MultiPoly":
         vars = tuple(vars)
-        i = vars.index(name)  # ValueError for a name not in vars, an empty vars included
-        return cls._make({(0,) * i + (1,) + (0,) * (len(vars) - i - 1): 1}, vars)
+        # ValueError for a name not in vars, an empty vars included
+        return cls._make({1 << _shift(vars, name): 1}, vars)
 
     # -- ring operations ----------------------------------------------
 
@@ -118,13 +151,13 @@ class MultiPoly:
             if other.vars != self.vars:
                 raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
             return other
-        return MultiPoly._make({(0,) * len(self.vars): _rational(other, "coefficient")}, self.vars)
+        return MultiPoly._make({0: _rational(other, "coefficient")}, self.vars)
 
     def _plus(self, other, sign: int) -> "MultiPoly":
         """self + sign*other in one pass, for sign 1 or -1."""
         o = self._coerce(other)
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
+        terms = dict(self._terms)
+        for e, c in o._terms.items():
             terms[e] = terms.get(e, 0) + sign * c
         return MultiPoly._make(terms, self.vars)
 
@@ -134,7 +167,7 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._make({e: -c for e, c in self.terms.items()}, self.vars)
+        return MultiPoly._make({e: -c for e, c in self._terms.items()}, self.vars)
 
     def __sub__(self, other) -> "MultiPoly":
         return self._plus(other, -1)
@@ -146,26 +179,17 @@ class MultiPoly:
         vars = self.vars
         if not isinstance(other, MultiPoly):
             factor = _rational(other, "coefficient")
-            return MultiPoly._make({e: c * factor for e, c in self.terms.items()}, vars)
+            return MultiPoly._make({e: c * factor for e, c in self._terms.items()}, vars)
         if other.vars != vars:
             raise ValueError(f"variable mismatch: {vars} vs {other.vars}")
-        if len(self.terms) == 1 == len(other.terms):
-            # monomial x monomial, over half of a verify run's products
-            ((e1, c1),) = self.terms.items()
-            ((e2, c2),) = other.terms.items()
-            e = tuple(map(add, e1, e2))
-            if max(e) > MAX_DEGREE:
-                raise DegreeOverflowError(f"product exponent {e} exceeds {MAX_DEGREE}")
-            return MultiPoly._make({e: c1 * c2}, vars)
-        # no product exponent can exceed the sum of the factors' largest
-        # exponents; only when that bound does is every term checked
-        check = max(map(max, self.terms), default=0) + max(map(max, other.terms), default=0) > MAX_DEGREE
+        ones = ((1 << 8 * len(vars)) - 1) // 255  # 1 in every field
+        bias, mask = (127 - MAX_DEGREE) * ones, ones << 7
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                if check and max(e) > MAX_DEGREE:
-                    raise DegreeOverflowError(f"product exponent {e} exceeds {MAX_DEGREE}")
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = e1 + e2
+                if (e + bias) & mask:
+                    raise DegreeOverflowError(f"product exponent {_unpack(e, len(vars))} exceeds {MAX_DEGREE}")
                 terms[e] = terms.get(e, 0) + c1 * c2
         return MultiPoly._make(terms, vars)
 
@@ -190,64 +214,61 @@ class MultiPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, Rational):
             other = MultiPoly.const(other, self.vars)
-        return isinstance(other, MultiPoly) and self.vars == other.vars and self.terms == other.terms
+        return isinstance(other, MultiPoly) and self.vars == other.vars and self._terms == other._terms
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     # -- queries ------------------------------------------------------
 
     def evaluate(self, point: Mapping[str, Rational]) -> Fraction:
         values = {name: _rational(point[name], f"value of {name}") for name in self.vars if name in point}
+        n = len(self.vars)
         total = Fraction(0)
-        for exps, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             term = coeff
-            for name, e in zip(self.vars, exps):
+            for name, e in zip(self.vars, _unpack(key, n)):
                 if e:
                     term *= values[name] ** e
             total += term
         return total
 
     def partial(self, name: str) -> "MultiPoly":
-        i = self.vars.index(name)
+        shift = _shift(self.vars, name)
         terms: dict = {}
-        for exps, coeff in self.terms.items():
-            if exps[i] == 0:
-                continue
-            e = list(exps)
-            e[i] -= 1
-            e = tuple(e)
-            terms[e] = terms.get(e, 0) + coeff * exps[i]
+        for key, coeff in self._terms.items():
+            power = (key >> shift) & 0xFF
+            if power:
+                terms[key - (1 << shift)] = coeff * power
         return MultiPoly._make(terms, self.vars)
 
     def substitute(self, name: str, value: "MultiPoly") -> "MultiPoly":
         """Substitute a polynomial for a variable (exact)."""
         value = self._coerce(value)
-        i = self.vars.index(name)
+        shift = _shift(self.vars, name)
         out = MultiPoly._make({}, self.vars)
-        for exps, coeff in self.terms.items():
-            rest = list(exps)
-            power = rest[i]
-            rest[i] = 0
-            mono = MultiPoly._make({tuple(rest): coeff}, self.vars)
+        for key, coeff in self._terms.items():
+            power = (key >> shift) & 0xFF
+            mono = MultiPoly._make({key - (power << shift): coeff}, self.vars)
             out = out + mono * value ** power
         return out
 
     def leading_coefficient(self) -> int | Fraction:
-        """Coefficient of the lexicographically largest exponent tuple."""
-        if not self.terms:
+        """Coefficient of the lexicographically largest exponent tuple, which
+        is the largest packed monomial."""
+        if not self._terms:
             return 0
-        return self.terms[max(self.terms)]
+        return self._terms[max(self._terms)]
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer, primitive coefficients."""
-        if not self.terms:
+        if not self._terms:
             return Fraction(1)
         from math import gcd
 
         num = 0
         den = 1
-        for c in self.terms.values():
+        for c in self._terms.values():
             num = gcd(num, abs(c.numerator))
             den = den * c.denominator // gcd(den, c.denominator)
         return Fraction(num, den)
@@ -256,13 +277,14 @@ class MultiPoly:
         return self * _rational(factor, "factor")
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
+        n = len(self.vars)
         pieces = []
-        for exps in sorted(self.terms, reverse=True):
-            coeff = self.terms[exps]
+        for key in sorted(self._terms, reverse=True):
+            coeff = self._terms[key]
             mono = "*".join(
-                f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, exps) if e
+                f"{v}^{e}" if e > 1 else v for v, e in zip(self.vars, _unpack(key, n)) if e
             )
             if mono:
                 pieces.append(f"{coeff}*{mono}" if abs(coeff) != 1 else ("-" + mono if coeff < 0 else mono))
@@ -463,9 +485,9 @@ def _constant_ratio(p: MultiPoly, q: MultiPoly) -> Fraction | None:
     """Return c with p == c*q, or None."""
     if p.is_zero() or q.is_zero():
         return None
-    if set(p.terms) != set(q.terms):
+    if p._terms.keys() != q._terms.keys():
         return None
-    ratios = {Fraction(p.terms[e], q.terms[e]) for e in q.terms}
+    ratios = {Fraction(p._terms[e], q._terms[e]) for e in q._terms}
     if len(ratios) == 1:
         return ratios.pop()
     return None

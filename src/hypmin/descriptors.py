@@ -22,7 +22,8 @@ The file is UTF-8, a leading BOM allowed.  Unknown keys are rejected
 (strict parsing).  Errors carry line and column, a byte that is not UTF-8
 included: a bad number is reported at its own column, any other bad value
 at the column of its first character.
-Every number must be finite, a domain needs u0 < u1 and v0 < v1, a spline
+Every number must be finite, a domain needs u0 < u1 and v0 < v1 (and
+v0 > 0 for type2, whose v is the height z, reported at v0), a spline
 needs t0 < t1, and values a constructor rejects (a radius, level or
 extent <= 0, a vplane z range without 0 < z0 < z1, scherk-log-cos with
 a = 0, a spline with fewer than 4 coefficients) are reported at their line
@@ -153,11 +154,14 @@ def parse_surface_text(text: str):
         if required not in entries:
             raise SurfaceFileError(f"missing required key {required!r}", kind_line)
     dval, dline, dcol = entries["domain"]
-    nums = _floats(_tokens(dval, dcol), dline)
+    tokens = _tokens(dval, dcol)
+    nums = _floats(tokens, dline)
     if len(nums) != 4:
         raise SurfaceFileError("domain needs u0 u1 v0 v1", dline, dcol)
     if not (nums[0] < nums[1] and nums[2] < nums[3]):
         raise SurfaceFileError("domain needs u0 < u1 and v0 < v1", dline, dcol)
+    if kind_value == "type2" and nums[2] <= 0:
+        raise SurfaceFileError(f"type II needs v0 > 0, as v is the height z; got v0 = {nums[2]}", dline, tokens[2][1])
     domain = ((nums[0], nums[1]), (nums[2], nums[3]))
     curves = {name: _parse_curve(*entries[name]) for name in ("f", "g")}
     for (name, curve), axis, (lo, hi) in zip(curves.items(), "uv", domain):

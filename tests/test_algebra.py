@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -174,6 +175,16 @@ def test_each_run_builds_each_named_polynomial_once(monkeypatch):
 
 def test_eqg_substitution_exact():
     assert verify_eqg_substitution().status == EXACT
+
+
+def test_printed_polynomials_of_the_reports():
+    # the text the JSON reports carry for a polynomial
+    assert str(build_named("final7")) == (
+        "16*a^4*b^3*z^7 + 16*a^3*b^4*z^7 - 16*a^3*b^2*z^5 + 4*a^2*b^5*z^7"
+        " + 109*a^2*b^3*z^5 + 108*a*b^4*z^5 - 125*a*b^2*z^3 + 27*b^5*z^5"
+    )
+    rep = verify_q3_combination(q1=build_named("q1") + MultiPoly.var("X"))
+    assert rep.to_json()["difference-polynomial"] == "X^2"
 
 
 # -- polynomial arithmetic --------------------------------------------
@@ -496,6 +507,55 @@ def test_product_degree_check_matches_per_term_check(p, q):
         with pytest.raises(DegreeOverflowError) as exc:
             p * q
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "vars,name",
+    [*((algebra.DEFAULT_VARS, name) for name in algebra.DEFAULT_VARS), (("t",), "t")],
+    ids=[*algebra.DEFAULT_VARS, "t-alone"],
+)
+def test_packed_exponent_fields_never_carry(vars, name):
+    # the largest product of two valid monomials overflows in its own field only
+    v = MultiPoly.var(name, vars) ** MAX_DEGREE
+    want = tuple(2 * MAX_DEGREE if other == name else 0 for other in vars)
+    with pytest.raises(DegreeOverflowError, match=f"^{re.escape(f'product exponent {want} exceeds {MAX_DEGREE}')}$"):
+        v * v
+
+
+def _printed_exponents(p):
+    """The exponent tuples of the terms of str(p), in printed order."""
+    out = []
+    for piece in re.split(r" [+-] ", str(p)):
+        powers = dict.fromkeys(p.vars, 0)
+        for factor in piece.lstrip("-").split("*"):
+            name, _, e = factor.partition("^")
+            if name in powers:
+                powers[name] = int(e or 1)
+        out.append(tuple(powers.values()))
+    return out
+
+
+@given(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, MAX_DEGREE)] * 4),
+        st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool),
+        min_size=1,
+        max_size=8,
+    ).map(MultiPoly)
+)
+@example(MultiPoly({(MAX_DEGREE, 0, 0, 0): 1, (0, MAX_DEGREE, MAX_DEGREE, MAX_DEGREE): -2, (0, 0, 0, 0): Fraction(1, 2)}))
+def test_packed_order_is_lexicographic(p):
+    terms = p.terms
+    assert p.leading_coefficient() == terms[max(terms)]
+    assert _printed_exponents(p) == sorted(terms, reverse=True)
+
+
+def test_terms_view_is_read_only_and_keyed_by_tuples():
+    p = build_named("q1")
+    assert list(p.terms) == [(0, 1, 1, 2), (0, 0, 0, 1), (1, 0, 1, 0), (0, 1, 1, 0)]
+    with pytest.raises(TypeError):
+        p.terms[(0, 0, 0, 0)] = 1
+    assert p == build_named("q1")
 
 
 def test_equality_with_any_rational_scalar():

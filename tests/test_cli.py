@@ -116,6 +116,18 @@ SHORT_CURVES = [
     ),
 ]
 
+# type-II domains whose v range, the height z, reaches z <= 0; the error names v0's position
+TYPE2_BELOW_HALFSPACE = [
+    (
+        "kind = type2\ndomain = -1 1 -1 1\nf = linear 1 0\ng = constant 1\n",
+        "line 2, column 15: type II needs v0 > 0, as v is the height z; got v0 = -1.0",
+    ),
+    (
+        "kind = type2\ndomain = -1 1 0 1\nf = linear 1 0\ng = constant 1\n",
+        "line 2, column 15: type II needs v0 > 0, as v is the height z; got v0 = 0.0",
+    ),
+]
+
 
 @pytest.mark.parametrize(
     "text,fragment",
@@ -132,6 +144,7 @@ SHORT_CURVES = [
         *BAD_NUMBERS,
         *BAD_CONSTRUCTOR_ARGS,
         *SHORT_CURVES,
+        *TYPE2_BELOW_HALFSPACE,
     ],
 )
 def test_parse_errors(text, fragment):
@@ -151,7 +164,7 @@ def test_non_finite_number_error_carries_line_and_column():
     assert (exc.value.line, exc.value.column) == (2, 9)
 
 
-@pytest.mark.parametrize("text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS + SHORT_CURVES)
+@pytest.mark.parametrize("text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS + SHORT_CURVES + TYPE2_BELOW_HALFSPACE)
 def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text, fragment):
     surf = tmp_path / "s.txt"
     surf.write_text(text)
