@@ -53,6 +53,18 @@ def _shift(vars: tuple, name: str) -> int:
     return 8 * (len(vars) - 1 - vars.index(name))
 
 
+def _degree_check(n: int) -> tuple[int, int]:
+    """(bias, mask) of the degree check on a packed product over n
+    variables: 127 - MAX_DEGREE in every field, and every field's top bit."""
+    ones = ((1 << 8 * n) - 1) // 255  # 1 in every field
+    return (127 - MAX_DEGREE) * ones, ones << 7
+
+
+# the checks of the universes of up to 16 variables, computed at import;
+# a product over a larger universe computes its own
+_DEGREE_CHECKS = tuple(_degree_check(n) for n in range(17))
+
+
 class MultiPoly:
     """Canonical multivariate polynomial with rational coefficients.
 
@@ -70,7 +82,12 @@ class MultiPoly:
     The constructor validates a dict keyed by exponent tuples and packs it,
     and `zero`, `const` and `var` check what theirs can get wrong; they and
     the ring operations build their results through `_make`, which trusts
-    it.
+    it.  Each ring operation fills one fresh dict and `_make` keeps it as
+    the result's `_terms`, so a result is built once and shares no dict with
+    an operand.  Every product of two polynomials, a term of `substitute`
+    times a power included, runs the one loop of `__mul__`, whose degree
+    check takes the (bias, mask) pair of the universe's length from
+    `_DEGREE_CHECKS`.
     """
 
     __slots__ = ("vars", "_terms")
@@ -101,16 +118,23 @@ class MultiPoly:
     @classmethod
     def _make(cls, terms: dict, vars: tuple) -> "MultiPoly":
         """The result of a ring operation on valid polynomials over `vars`,
-        from a dict keyed by packed monomials: drops the zeros that
-        cancellation leaves and stores an integral Fraction as its int.
-        Nothing else is checked."""
+        from a dict keyed by packed monomials, which it takes over: every
+        caller hands it a dict that nothing else holds or changes.  The dict
+        is stored as it is unless it holds a zero, which cancellation leaves,
+        or a Fraction, which may be integral; then a new dict without the
+        zeros and with each integral Fraction as its int is stored.  Nothing
+        else is checked."""
+        for c in terms.values():
+            if not c or c.__class__ is Fraction:
+                terms = {
+                    e: (c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
+                    for e, c in terms.items()
+                    if c
+                }
+                break
         out = object.__new__(cls)
         out.vars = vars
-        out._terms = {
-            e: (c.numerator if c.__class__ is Fraction and c.denominator == 1 else c)
-            for e, c in terms.items()
-            if c
-        }
+        out._terms = terms
         return out
 
     @property
@@ -154,11 +178,15 @@ class MultiPoly:
         return MultiPoly._make({0: _rational(other, "coefficient")}, self.vars)
 
     def _plus(self, other, sign: int) -> "MultiPoly":
-        """self + sign*other in one pass, for sign 1 or -1."""
-        o = self._coerce(other)
+        """self + sign*other in one pass, for sign 1 or -1; a rational
+        `other` goes straight into the constant monomial."""
         terms = dict(self._terms)
-        for e, c in o._terms.items():
-            terms[e] = terms.get(e, 0) + sign * c
+        if not isinstance(other, MultiPoly):
+            terms[0] = terms.get(0, 0) + sign * _rational(other, "coefficient")
+            return MultiPoly._make(terms, self.vars)
+        get = terms.get
+        for e, c in self._coerce(other)._terms.items():
+            terms[e] = get(e, 0) + sign * c
         return MultiPoly._make(terms, self.vars)
 
     def __add__(self, other) -> "MultiPoly":
@@ -173,7 +201,14 @@ class MultiPoly:
         return self._plus(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce(other) - self
+        # `other - self` for an `other` that is not a MultiPoly: a MultiPoly
+        # on the left goes through __sub__
+        c = _rational(other, "coefficient")
+        terms = {0: c} if c else {}
+        get = terms.get
+        for e, d in self._terms.items():
+            terms[e] = get(e, 0) - d
+        return MultiPoly._make(terms, self.vars)
 
     def __mul__(self, other) -> "MultiPoly":
         vars = self.vars
@@ -182,15 +217,20 @@ class MultiPoly:
             return MultiPoly._make({e: c * factor for e, c in self._terms.items()}, vars)
         if other.vars != vars:
             raise ValueError(f"variable mismatch: {vars} vs {other.vars}")
-        ones = ((1 << 8 * len(vars)) - 1) // 255  # 1 in every field
-        bias, mask = (127 - MAX_DEGREE) * ones, ones << 7
+        n = len(vars)
+        try:
+            bias, mask = _DEGREE_CHECKS[n]
+        except IndexError:
+            bias, mask = _degree_check(n)
         terms: dict = {}
+        get = terms.get
+        pairs = other._terms.items()
         for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+            for e2, c2 in pairs:
                 e = e1 + e2
                 if (e + bias) & mask:
-                    raise DegreeOverflowError(f"product exponent {_unpack(e, len(vars))} exceeds {MAX_DEGREE}")
-                terms[e] = terms.get(e, 0) + c1 * c2
+                    raise DegreeOverflowError(f"product exponent {_unpack(e, n)} exceeds {MAX_DEGREE}")
+                terms[e] = get(e, 0) + c1 * c2
         return MultiPoly._make(terms, vars)
 
     __rmul__ = __mul__
@@ -243,15 +283,21 @@ class MultiPoly:
         return MultiPoly._make(terms, self.vars)
 
     def substitute(self, name: str, value: "MultiPoly") -> "MultiPoly":
-        """Substitute a polynomial for a variable (exact)."""
+        """Substitute a polynomial for a variable (exact).  Each power of
+        `value` is taken once, when a term first needs it, and the products
+        of the terms with their powers are summed into one dict."""
         value = self._coerce(value)
         shift = _shift(self.vars, name)
-        out = MultiPoly._make({}, self.vars)
+        powers: dict = {}
+        terms: dict = {}
         for key, coeff in self._terms.items():
             power = (key >> shift) & 0xFF
-            mono = MultiPoly._make({key - (power << shift): coeff}, self.vars)
-            out = out + mono * value ** power
-        return out
+            if power not in powers:
+                powers[power] = value ** power
+            product = MultiPoly._make({key - (power << shift): coeff}, self.vars) * powers[power]
+            for e, c in product._terms.items():
+                terms[e] = terms.get(e, 0) + c
+        return MultiPoly._make(terms, self.vars)
 
     def leading_coefficient(self) -> int | Fraction:
         """Coefficient of the lexicographically largest exponent tuple, which

@@ -9,6 +9,11 @@ the parser of the subcommand it names.  Help, a usage error and a missing or
 unknown subcommand go to the parser of every subcommand (`build_parser`),
 so every text printed and every exit code are that parser's.  `hypmin -h`
 shows the first two paragraphs above.
+
+This module imports only the standard library, `algebra` and `cpus` when it
+loads.  A command imports numpy and the other modules it uses when it runs,
+so `verify` loads neither, and `--kind`'s choices are read from
+`search.CAMPAIGNS` only when a parser with the `search` subcommand is built.
 """
 
 from __future__ import annotations
@@ -23,17 +28,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from . import algebra, search, surfaces
-from .descriptors import SurfaceFileError, load_surface
-from .kernel import euclidean_mean_curvature, fundamental_forms, hyperbolic_curvature, restrict_to_halfspace
-from .search import CAMPAIGNS, STOP_REASONS, SearchConfig, run_seeds
-
-# after the package, whose `search` module imports it first: importing it
-# ahead of the package changes the heap layout left by start-up, which
-# raised the peak RSS of commands that start no pool by 0.3-0.5 MB
-from concurrent.futures import ProcessPoolExecutor
+from . import algebra, cpus
 
 SCHEMA_VERSION = 1
 
@@ -101,6 +96,8 @@ def _format_column(values: np.ndarray, specials: dict[str, str] | None = None) -
     """repr of each entry of a 1-d int64 or float64 array, with one repr call
     per distinct bit pattern (so -0.0 and 0.0 stay apart).  With `specials`,
     the repr of a NaN or an infinity is replaced by its entry there."""
+    import numpy as np
+
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
     unique = bits.view(values.dtype)
     text = np.array(list(map(repr, unique.tolist())), dtype=object)
@@ -160,10 +157,12 @@ def _write_blocks(fh, render, columns) -> None:
     files are always removed.
     """
     n_rows = len(columns[0])
-    k = max(1, min(search.usable_cpus(), -(-n_rows // CSV_BLOCK_ROWS)))
+    k = max(1, min(cpus.usable_cpus(), -(-n_rows // CSV_BLOCK_ROWS)))
     if k == 1:
         _write_range(fh, render, columns, 0, n_rows)
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = [i * n_rows // k for i in range(k + 1)]
     parts = [Path(f"{fh.name}.part{i}") for i in range(1, k)]
     try:
@@ -223,6 +222,8 @@ def _write_json(path: Path, payload: dict, columns=None) -> None:
 def _grid_axes(domain, n: int):
     """Axes of the uniform n-by-n grid over a (u-range, v-range) domain,
     shaped (n, 1) and (1, n) so they broadcast to the grid."""
+    import numpy as np
+
     (u0, u1), (v0, v1) = domain
     return np.linspace(u0, u1, n)[:, None], np.linspace(v0, v1, n)[None, :]
 
@@ -236,6 +237,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_curvature(args) -> int:
+    import numpy as np
+
+    from .descriptors import SurfaceFileError, load_surface
+    from .kernel import hyperbolic_curvature
+
     try:
         patch = load_surface(args.surface)
     except SurfaceFileError as exc:
@@ -261,7 +267,26 @@ def cmd_curvature(args) -> int:
     return 0
 
 
+# cmd_scherk's two direct kernel calls, looked up in this module, where
+# bench/tracing.py times them (inside the kernel they stay untimed)
+def fundamental_forms(jet):
+    from . import kernel
+
+    return kernel.fundamental_forms(jet)
+
+
+def euclidean_mean_curvature(forms):
+    from . import kernel
+
+    return kernel.euclidean_mean_curvature(forms)
+
+
 def cmd_scherk(args) -> int:
+    import numpy as np
+
+    from . import surfaces
+    from .kernel import hyperbolic_curvature, restrict_to_halfspace
+
     a, margin = args.a, args.margin
     if a == 0.0:
         raise ValueError("--a must be nonzero")
@@ -293,6 +318,10 @@ def cmd_scherk(args) -> int:
 
 
 def cmd_search(args) -> int:
+    import numpy as np
+
+    from .search import CAMPAIGNS, STOP_REASONS, SearchConfig, run_seeds
+
     campaign = CAMPAIGNS[args.kind]
     cfg = SearchConfig(euclidean_control=campaign.euclidean_control)
     results = run_seeds(campaign.seeds(args.seeds, args.seed), cfg, workers=args.workers)
@@ -330,6 +359,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import numpy as np
+
+    from . import surfaces
+    from .kernel import hyperbolic_curvature
+
     reports = algebra.run_all_verifications()
     oracles = {}
     for name, patch, target in (
@@ -353,11 +387,20 @@ def cmd_report(args) -> int:
     return 0 if ok else 2
 
 
+def _campaign_names() -> tuple:
+    """`--kind`'s choices, the names of search.CAMPAIGNS: read only when a
+    parser with the `search` subcommand is built."""
+    from .search import CAMPAIGNS
+
+    return tuple(CAMPAIGNS)
+
+
 # every subcommand's output directory, made by `_atomic_open`
 _OUT = {"type": Path, "default": "out"}
 
 # name -> (help, {flag: add_argument keywords}, command): every subcommand,
-# from which both the full parser and a lone subcommand's parser are built
+# from which both the full parser and a lone subcommand's parser are built;
+# a function given as `choices` is called when the parser is built
 SUBCOMMANDS = {
     "verify": ("verify the exact elimination identities", {"--out": _OUT}, cmd_verify),
     "curvature": (
@@ -383,7 +426,7 @@ SUBCOMMANDS = {
     "search": (
         "least-squares falsification run",
         {
-            "--kind": {"choices": tuple(CAMPAIGNS), "required": True},
+            "--kind": {"choices": _campaign_names, "required": True},
             "--seeds": {"type": positive_int, "default": 20},
             "--seed": {"type": int, "default": 0, "help": "generator seed"},
             "--workers": {"type": positive_int, "default": 1},
@@ -398,6 +441,8 @@ SUBCOMMANDS = {
 def _add_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     _, arguments, command = SUBCOMMANDS[name]
     for flag, options in arguments.items():
+        if callable(options.get("choices")):
+            options = {**options, "choices": options["choices"]()}
         parser.add_argument(flag, **options)
     parser.set_defaults(fn=command)
     return parser

@@ -18,10 +18,12 @@ with <curve> one of:
     scherk-log-cos a scale
     spline t0 t1 c0 c1 ... cN            (clamped uniform cubic B-spline, N >= 3)
 
-The file is UTF-8, a leading BOM allowed.  Unknown keys are rejected
-(strict parsing).  Errors carry line and column, a byte that is not UTF-8
-included: a bad number is reported at its own column, any other bad value
-at the column of its first character.
+The file is UTF-8, a leading BOM allowed.  A line ends only at LF, CR LF
+or CR, so a form feed or U+2028 in a comment stays in the comment, and in
+a file with LF or CR LF line ends a line number is the one `grep -n` gives.
+Unknown keys are rejected (strict parsing).  Errors carry line and column,
+a byte that is not UTF-8 included: a bad number is reported at its own
+column, any other bad value at the column of its first character.
 Every number must be finite, a domain needs u0 < u1 and v0 < v1 (and
 v0 > 0 for type2, whose v is the height z, reported at v0), a spline
 needs t0 < t1, and values a constructor rejects (a radius, level or
@@ -112,10 +114,15 @@ def _parse_curve(value: str, line: int, col: int) -> FunctionCurve:
     raise SurfaceFileError(f"bad curve {value!r}", line, col)
 
 
+# a line ends only at \n, \r\n or \r, as text editors count lines;
+# str.splitlines also breaks at a form feed, U+2028 and the like
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+
 def parse_surface_text(text: str):
     """Parse a descriptor; returns a TranslationSurface or ParametricPatch."""
     entries: dict[str, tuple[str, int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue
@@ -181,6 +188,6 @@ def load_surface(path: str):
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the text before the bad byte decodes; count its lines as parse_surface_text does
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
-        raise SurfaceFileError(f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}", len(lines), len(lines[-1])) from None
+        lines = _LINE_BREAK.split(data[: exc.start].decode("utf-8"))
+        raise SurfaceFileError(f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}", len(lines), len(lines[-1]) + 1) from None
     return parse_surface_text(text)

@@ -51,14 +51,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import surfaces
+from . import cpus, surfaces
 from .kernel import HalfSpaceError
 from .surfaces import Kind, TranslationSurface, n_coeffs
 
@@ -798,14 +797,6 @@ def _blocks(seeds: list[SplineAnsatz], cfg: SearchConfig, workers: int) -> list[
     return blocks
 
 
-def usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else os.cpu_count() (1 if that is unknown)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def run_seeds(
     seeds: list[SplineAnsatz], cfg: SearchConfig, workers: int = 1
 ) -> list[SearchResult]:
@@ -813,12 +804,12 @@ def run_seeds(
 
     The seeds run in contiguous blocks (`_blocks`), each one `_minimize_block`;
     a seed's result does not depend on the block or the process it runs in.
-    At most min(workers, len(seeds), usable_cpus()) processes start, and
+    At most min(workers, len(seeds), cpus.usable_cpus()) processes start, and
     none when that is 1: a fork-started pool launches all of its processes
     up front, so an unbounded `workers` would fork that many.  The pool gets
     whole blocks.
     """
-    workers = min(workers, len(seeds), usable_cpus())
+    workers = min(workers, len(seeds), cpus.usable_cpus())
     blocks, run = _blocks(seeds, cfg, max(workers, 1)), functools.partial(_minimize_block, cfg=cfg)
     if workers <= 1:
         return [result for block in blocks for result in run(block)]

@@ -456,8 +456,46 @@ def _assert_canonical(p):
 )
 def test_ring_results_are_canonical(p, q, n, name, factor):
     _assert_canonical(p)
-    for result in (p + q, p - q, -p, p * q, p ** n, p.partial(name), p.substitute(name, q), p.scaled(factor)):
+    results = (
+        p + q, p - q, -p, p * q, p ** n, p.partial(name), p.substitute(name, q), p.scaled(factor),
+        p + factor, factor + p, p - factor, factor - p, factor * p,
+    )
+    for result in results:
         _assert_canonical(result)
+        # `_make` keeps the dict it is handed, so no result may hold an
+        # operand's; p ** 1 is p itself, which shares nothing
+        assert all(result._terms is not operand._terms for operand in (p, q) if result is not operand)
+
+
+def _substitute_by_products(p, name, value):
+    """p with `value` for `name`: the sum over the terms of p of the term's
+    monomial without `name` times value ** (its power of `name`)."""
+    i = p.vars.index(name)
+    out = MultiPoly.zero(p.vars)
+    for exps, c in p.terms.items():
+        out = out + MultiPoly({exps[:i] + (0,) + exps[i + 1 :]: c}, p.vars) * value ** exps[i]
+    return out
+
+
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, MAX_DEGREE)] * 4), small_fracs, max_size=4).map(MultiPoly),
+    st.dictionaries(st.tuples(*[st.integers(0, 4)] * 4), small_fracs, max_size=3).map(MultiPoly),
+    st.sampled_from(algebra.DEFAULT_VARS),
+)
+@example(MultiPoly({(0, 0, 2, 0): 1, (0, 0, 1, 0): 1}), MultiPoly({(0, 0, 0, 9): 1}), "z")
+@example(MultiPoly({(0, 0, 1, 15): 1}), MultiPoly({(0, 0, 0, 2): 1}), "z")
+def test_substitute_matches_term_by_term_products(p, value, name):
+    # the same polynomial, or the same DegreeOverflowError message
+    try:
+        want = _substitute_by_products(p, name, value)
+    except DegreeOverflowError as exc:
+        with pytest.raises(DegreeOverflowError) as got:
+            p.substitute(name, value)
+        assert str(got.value) == str(exc)
+    else:
+        got = p.substitute(name, value)
+        assert got == want
+        _assert_canonical(got)
 
 
 scalars = st.one_of(
@@ -511,8 +549,12 @@ def test_product_degree_check_matches_per_term_check(p, q):
 
 @pytest.mark.parametrize(
     "vars,name",
-    [*((algebra.DEFAULT_VARS, name) for name in algebra.DEFAULT_VARS), (("t",), "t")],
-    ids=[*algebra.DEFAULT_VARS, "t-alone"],
+    [
+        *((algebra.DEFAULT_VARS, name) for name in algebra.DEFAULT_VARS),
+        (("t",), "t"),
+        *((tuple(f"v{i}" for i in range(20)), name) for name in ("v0", "v19")),
+    ],
+    ids=[*algebra.DEFAULT_VARS, "t-alone", "v0-of-20", "v19-of-20"],
 )
 def test_packed_exponent_fields_never_carry(vars, name):
     # the largest product of two valid monomials overflows in its own field only

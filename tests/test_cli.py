@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import hypmin
-from hypmin import algebra, cli, descriptors, kernel, search, surfaces
+from hypmin import algebra, cli, cpus, descriptors, kernel, search, surfaces
 from hypmin.cli import main
 from hypmin.descriptors import SurfaceFileError, load_surface, parse_surface_text
 from hypmin.kernel import hyperbolic_curvature
@@ -128,6 +128,17 @@ TYPE2_BELOW_HALFSPACE = [
     ),
 ]
 
+# a line ends only at \n, \r\n or \r: a form feed or U+2028 in a comment
+# stays there, and an error names the line that `grep -n` names
+LINE_BREAKS = [
+    ("# note\x0cpage two\nkind = moebius\n", "line 2, column 8: unknown kind 'moebius'"),
+    (
+        "# page one\u2028page two\x85\x1c\x0b\nkind = type1\ndomain = 0 1\nf = constant 1\ng = constant 1\n",
+        "line 3, column 10: domain needs u0 u1 v0 v1",
+    ),
+    ("kind = type1\r\ndomain = 0 1 0 1\rf = bad\ng = constant 1\n", "line 3, column 5: bad curve 'bad'"),
+]
+
 
 @pytest.mark.parametrize(
     "text,fragment",
@@ -145,11 +156,17 @@ TYPE2_BELOW_HALFSPACE = [
         *BAD_CONSTRUCTOR_ARGS,
         *SHORT_CURVES,
         *TYPE2_BELOW_HALFSPACE,
+        *LINE_BREAKS,
     ],
 )
 def test_parse_errors(text, fragment):
     with pytest.raises(SurfaceFileError, match=re.escape(fragment)):
         parse_surface_text(text)
+
+
+def test_form_feed_in_a_comment_parses():
+    s = parse_surface_text("# note\x0cpage two\nkind = type1\ndomain = -1 1 1 2\nf = constant 1\ng = constant 1\n")
+    assert s.kind is Kind.TYPE_I and s.domain == ((-1.0, 1.0), (1.0, 2.0))
 
 
 def test_error_carries_line_number():
@@ -186,7 +203,7 @@ def test_import_does_not_load(module, unloaded):
 
 
 # the modules of the package, each importing only modules before it
-LAYERS = ("jets", "kernel", "algebra", "surfaces", "descriptors", "search", "experiments", "cli", "__main__")
+LAYERS = ("cpus", "jets", "kernel", "algebra", "surfaces", "descriptors", "search", "experiments", "cli", "__main__")
 
 
 def test_modules_import_only_earlier_layers():
@@ -215,6 +232,19 @@ def _run_python(code: str) -> str:
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def test_verify_loads_no_numpy_and_no_numeric_module(tmp_path):
+    # verify runs the exact strand alone: nothing of numpy or of the numeric layers
+    code = (
+        "import sys\n"
+        "from hypmin.cli import main\n"
+        f"assert main(['verify', '--out', {str(tmp_path)!r}]) == 0\n"
+        "numeric = ('numpy', 'hypmin.search', 'hypmin.surfaces', 'hypmin.kernel', 'hypmin.jets', 'hypmin.descriptors')\n"
+        "print(sorted(m for m in sys.modules if m in numeric or m.split('.')[0] == 'numpy'))\n"
+    )
+    assert _run_python(code).splitlines()[-1] == "[]"
+    assert (tmp_path / "verify_report.json").is_file()
 
 
 def test_spline_commands_and_experiments_load_no_scipy(tmp_path):
@@ -417,7 +447,7 @@ def test_curvature_evaluates_the_v_curve_once_per_table(tmp_path, monkeypatch):
 def test_failed_write_leaves_no_output(tmp_path, monkeypatch, capsys):
     # grid 70: 4900 rows in two ranges; the error is raised in the worker
     # that formats the second, on the rows whose u is the largest theta
-    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     surf = tmp_path / "s.txt"
     surf.write_text("kind = hemisphere\nradius = 2\n")
     format_column = cli._format_column
@@ -471,17 +501,17 @@ def _assert_reaped(pids):
             os.waitpid(pid, os.WNOHANG)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_block_writer_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, cpus):
+@pytest.mark.parametrize("n_cpus", [1, 2, 3])
+def test_block_writer_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, n_cpus):
     # four blocks, the last partial, in 1, 2 and 3 contiguous ranges
-    monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: n_cpus)
     forks = _count_forks(monkeypatch)
     n = 3 * cli.CSV_BLOCK_ROWS + 17
     columns = _boundary_columns(n)
     csv_columns = [*columns, np.arange(n) - n // 2]
     cli._write_csv(tmp_path / "t.csv", "abcd", csv_columns)
     cli._write_json(tmp_path / "t.json", {"columns": ["a", "b", "c"]}, columns)
-    assert len(forks) == 2 * (cpus - 1)
+    assert len(forks) == 2 * (n_cpus - 1)
     rows = zip(*(c.tolist() for c in csv_columns))
     assert (tmp_path / "t.csv").read_text() == reference_csv("abcd", rows)
     payload = {"schema_version": cli.SCHEMA_VERSION, "columns": ["a", "b", "c"]}
@@ -492,7 +522,7 @@ def test_block_writer_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, cp
 
 
 def test_fewer_than_two_blocks_never_fork(tmp_path, monkeypatch):
-    monkeypatch.setattr(search, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 3)
     forks = _count_forks(monkeypatch)
     for n in (0, 1, cli.CSV_BLOCK_ROWS):
         columns = [np.linspace(0.0, 1.0, n), np.arange(n)]
@@ -506,15 +536,15 @@ def test_fewer_than_two_blocks_never_fork(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "cpus,failing_row,error",
+    "n_cpus,failing_row,error",
     [
         (2, 5000, ValueError),  # this process fails while its worker runs
         (3, 7000, ValueError),  # the first worker fails while the second runs
         (3, 3 * cli.CSV_BLOCK_ROWS + 16, OSError),  # the last worker fails
     ],
 )
-def test_failed_block_leaves_no_file_and_no_child(tmp_path, monkeypatch, cpus, failing_row, error):
-    monkeypatch.setattr(search, "usable_cpus", lambda: cpus)
+def test_failed_block_leaves_no_file_and_no_child(tmp_path, monkeypatch, n_cpus, failing_row, error):
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: n_cpus)
     format_column = cli._format_column
 
     def fail_on_row(values):
@@ -527,7 +557,7 @@ def test_failed_block_leaves_no_file_and_no_child(tmp_path, monkeypatch, cpus, f
     n = 3 * cli.CSV_BLOCK_ROWS + 17
     with pytest.raises(error, match=f"^bad block at row {failing_row}$"):
         cli._write_csv(tmp_path / "t.csv", "ab", [np.arange(n, dtype=float), np.arange(n)])
-    assert len(forks) == cpus - 1
+    assert len(forks) == n_cpus - 1
     assert list(tmp_path.iterdir()) == []
     assert multiprocessing.active_children() == []
     _assert_reaped(forks)
@@ -573,6 +603,23 @@ def test_curvature_undecodable_file_exits_1_at_the_bad_byte(tmp_path, capsys):
     surf.write_bytes(b"kind = type1\ndomain = -1 1 -1 1\nf = constant 1\ng = constant \xff\n")
     assert main(["curvature", "--surface", str(surf), "--out", str(out)]) == 1
     assert capsys.readouterr() == ("", f"error: {surf}: line 4, column 14: not UTF-8: invalid start byte 0xff\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "data,where",
+    [
+        (b"# a\x0cb\xe2\x80\xa8c\nkind = type1\ndomain = -1 1 -1 1\nf = constant 1\ng = constant \xff\n", "line 5, column 14"),
+        (b"kind = type1\r\ndomain = -1 1 -1 1\rf = constant 1\n\xff", "line 4, column 1"),
+        (b"kind = type1\r\xff", "line 2, column 1"),
+    ],
+    ids=["unicode-breaks-in-a-comment", "mixed-line-ends", "after-a-lone-cr"],
+)
+def test_undecodable_byte_line_counts_only_lf_crlf_and_cr(tmp_path, capsys, data, where):
+    surf, out = tmp_path / "bad.surf", tmp_path / "out"
+    surf.write_bytes(data)
+    assert main(["curvature", "--surface", str(surf), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: {surf}: {where}: not UTF-8: invalid start byte 0xff\n")
     assert not out.exists()
 
 

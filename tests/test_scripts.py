@@ -66,3 +66,21 @@ def test_lm_layers_rejects_a_grid_below_two(capsys):
         _load("lm_layers").main(["--grid", "1"])
     assert exc.value.code == 2
     assert "--grid must be at least 2" in capsys.readouterr().err
+
+
+def test_cold_start_times_fresh_verify_processes(capsys):
+    src = Path(search.__file__).resolve().parents[1]
+    assert _load("cold_start").main(["--runs", "2", str(src), str(src)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "fresh `python -m hypmin verify`, 2 runs per tree, wall seconds"
+    assert lines[1].split() == ["median", "min", "src"]
+    assert len(lines) == 3  # a tree given twice is timed once per round
+    median, least, tree = lines[2].split()
+    assert 0.0 < float(least) <= float(median) and Path(tree) == src
+
+
+def test_cold_start_rejects_a_tree_without_hypmin(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load("cold_start").main(["--runs", "2", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "no hypmin package under" in capsys.readouterr().err

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hypmin import experiments, search
+from hypmin import cpus, experiments, search
 from hypmin.algebra import build_named
 from hypmin.kernel import HalfSpaceError, hyperbolic_curvature
 from hypmin.search import (
@@ -173,7 +173,7 @@ def test_results_do_not_depend_on_the_block(monkeypatch, name):
     assert [_bits(r) for r in split] == alone
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(search, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 2)
     assert [_bits(r) for r in run_seeds(seeds, cfg, workers=2)] == alone
     assert _InlinePool.sizes == [2]
 
@@ -472,12 +472,12 @@ def test_worker_pool_is_bounded(monkeypatch):
     def sups(n, workers):
         return [r.sup_residual for r in run_seeds(seeds[:n], FAST, workers=workers)]
 
-    monkeypatch.setattr(search, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 3)
     assert sups(4, 5000) == want
     assert sups(2, 5000) == want[:2]
     assert sups(1, 5000) == want[:1]
     assert _InlinePool.sizes == [3, 2]  # min(workers, seeds, cpus); one process runs in-process
-    monkeypatch.setattr(search, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 1)
     assert sups(2, 2) == want[:2]
     assert _InlinePool.sizes == [3, 2]
 
@@ -487,7 +487,7 @@ def test_search_command_bounds_the_pool(monkeypatch, tmp_path):
 
     monkeypatch.setattr(_InlinePool, "sizes", [])
     monkeypatch.setattr(search, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(search, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(cpus, "usable_cpus", lambda: 8)
     args = ["search", "--kind", "type2", "--seeds", "2", "--seed", "5"]
     assert main([*args, "--workers", "64", "--out", str(tmp_path / "pool")]) == 0
     assert _InlinePool.sizes == [2]
