@@ -84,10 +84,10 @@ class MultiPoly:
     the ring operations build their results through `_make`, which trusts
     it.  Each ring operation fills one fresh dict and `_make` keeps it as
     the result's `_terms`, so a result is built once and shares no dict with
-    an operand.  Every product of two polynomials, a term of `substitute`
-    times a power included, runs the one loop of `__mul__`, whose degree
-    check takes the (bias, mask) pair of the universe's length from
-    `_DEGREE_CHECKS`.
+    an operand.  Every sum and difference runs `_plus`, `c - p` for a
+    rational c as -p + c; every product of two polynomials, a term of
+    `substitute` times a power included, runs the one loop of `__mul__`,
+    whose degree check takes its (bias, mask) pair from `_DEGREE_CHECKS`.
     """
 
     __slots__ = ("vars", "_terms")
@@ -201,14 +201,8 @@ class MultiPoly:
         return self._plus(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
-        # `other - self` for an `other` that is not a MultiPoly: a MultiPoly
-        # on the left goes through __sub__
-        c = _rational(other, "coefficient")
-        terms = {0: c} if c else {}
-        get = terms.get
-        for e, d in self._terms.items():
-            terms[e] = get(e, 0) - d
-        return MultiPoly._make(terms, self.vars)
+        # `other - self` for an `other` that is not a MultiPoly
+        return -self + other
 
     def __mul__(self, other) -> "MultiPoly":
         vars = self.vars
@@ -403,6 +397,11 @@ def build_named(name: str) -> MultiPoly:
 EXACT = "exact-match"
 UP_TO_FACTOR = "match-up-to-factor"
 MISMATCH = "mismatch"
+_DEGREE7_DETAILS = {
+    EXACT: "cleared numerator equals the reference degree-7 polynomial",
+    UP_TO_FACTOR: "cleared numerator equals the reference up to one overall factor",
+    MISMATCH: "cleared numerator disagrees with the reference polynomial",
+}
 
 
 @dataclass(frozen=True)
@@ -435,11 +434,14 @@ def _named(**given: MultiPoly | None) -> list[MultiPoly]:
     return [build_named(name) if poly is None else poly for name, poly in given.items()]
 
 
-def _identity_report(ident: str, lhs: MultiPoly, rhs: MultiPoly, detail: str) -> ProofReport:
-    diff = lhs - rhs
-    if diff.is_zero():
-        return ProofReport(ident, EXACT, detail)
-    return ProofReport(ident, MISMATCH, detail, difference=diff)
+def _identity_report(ident: str, detail: str, *differences: MultiPoly) -> ProofReport:
+    """EXACT when every difference (a part's left side minus its right) is
+    zero; else MISMATCH with the first nonzero one, whose detail names that
+    part's 1-based index and the identity's statement, `detail`."""
+    for i, diff in enumerate(differences, 1):
+        if not diff.is_zero():
+            return ProofReport(ident, MISMATCH, f"part {i} fails: {detail}", difference=diff)
+    return ProofReport(ident, EXACT, detail)
 
 
 def verify_q3_combination(
@@ -448,8 +450,7 @@ def verify_q3_combination(
     """X*q1 - z*q2 = q3, the linear combination producing the third quadric."""
     q1, q2, q3 = _named(q1=q1, q2=q2, q3=q3)
     _, _, z, X = _variables(DEFAULT_VARS)
-    lhs = X * q1 - z * q2
-    return _identity_report("q3-combination", lhs, q3, "X*q1 - z*q2 == q3")
+    return _identity_report("q3-combination", "X*q1 - z*q2 == q3", X * q1 - z * q2 - q3)
 
 
 def verify_q1_q2_derivation(
@@ -462,11 +463,8 @@ def verify_q1_q2_derivation(
     eqg3 - 3b*eqg2 = a*q1 and b*eqg2 + a*q1 = q2."""
     q1, q2, eqg2, eqg3 = _named(q1=q1, q2=q2, eqg2=eqg2, eqg3=eqg3)
     a, b, _, _ = _variables(DEFAULT_VARS)
-    d1 = eqg3 - 3 * b * eqg2 - a * q1
-    d2 = b * eqg2 + a * q1 - q2
-    if d1.is_zero() and d2.is_zero():
-        return ProofReport("q1-q2-derivation", EXACT, "eqg3 - 3b*eqg2 == a*q1; b*eqg2 + a*q1 == q2")
-    return ProofReport("q1-q2-derivation", MISMATCH, "derivation of q1/q2", difference=d1 if not d1.is_zero() else d2)
+    statement = "eqg3 - 3b*eqg2 == a*q1; b*eqg2 + a*q1 == q2"
+    return _identity_report("q1-q2-derivation", statement, eqg3 - 3 * b * eqg2 - a * q1, b * eqg2 + a * q1 - q2)
 
 
 def solve_X_and_eliminate(
@@ -478,7 +476,9 @@ def solve_X_and_eliminate(
     back into q1 and compare the cleared numerator with the reference degree-7 polynomial.
 
     Returns (X rational function, computed numerator polynomial, report on the
-    X expression, report on the degree-7 comparison).
+    X expression, report on the degree-7 comparison).  The c with computed ==
+    c*final7 sets the latter's status: EXACT for c = 1, UP_TO_FACTOR for
+    another c, MISMATCH with the difference when there is none.
     """
     q1, q3, final7 = _named(q1=q1, q3=q3, final7=final7)
     a, b, z, X = _variables(DEFAULT_VARS)
@@ -506,24 +506,10 @@ def solve_X_and_eliminate(
 
     # q1 with X = N/D, denominators cleared by D^2:
     computed = b * z * x_expr.num ** 2 - 5 * x_expr.num * x_expr.den + (4 * a * z + 3 * b * z) * x_expr.den ** 2
-    if computed == final7:
-        final_report = ProofReport("degree7-elimination", EXACT, "cleared numerator equals the reference degree-7 polynomial", factor=Fraction(1))
-    else:
-        factor = _constant_ratio(computed, final7)
-        if factor is not None:
-            final_report = ProofReport(
-                "degree7-elimination",
-                UP_TO_FACTOR,
-                "cleared numerator equals the reference up to one overall factor",
-                factor=factor,
-            )
-        else:
-            final_report = ProofReport(
-                "degree7-elimination",
-                MISMATCH,
-                "cleared numerator disagrees with the reference polynomial",
-                difference=computed - final7,
-            )
+    factor = Fraction(1) if computed == final7 else _constant_ratio(computed, final7)
+    status = MISMATCH if factor is None else EXACT if factor == 1 else UP_TO_FACTOR
+    difference = computed - final7 if factor is None else None
+    final_report = ProofReport("degree7-elimination", status, _DEGREE7_DETAILS[status], difference, factor)
     return x_expr, computed, x_report, final_report
 
 
@@ -553,12 +539,7 @@ def verify_first_integral(exponent: int = 2) -> ProofReport:
     # f''' = d/dx f'' = (d/dp f'') * f''
     fppp = (2 * exponent) * a * p * one_p2 ** (exponent - 1) * fpp
     lhs = -4 * p * fpp ** 2 + one_p2 * fppp
-    return _identity_report(
-        "first-integral",
-        lhs,
-        MultiPoly.zero(ODE_VARS),
-        "-4 f' f''^2 + (1+f'^2) f''' vanishes for f'' = a(1+f'^2)^2",
-    )
+    return _identity_report("first-integral", "-4 f' f''^2 + (1+f'^2) f''' vanishes for f'' = a(1+f'^2)^2", lhs)
 
 
 def verify_factorization_step(coefficient: int = 4) -> ProofReport:
@@ -573,9 +554,8 @@ def verify_factorization_step(coefficient: int = 4) -> ProofReport:
     rhs_den = one_p2 ** 3
     return _identity_report(
         "factorization-step",
-        lhs_num * rhs_den,
-        rhs_num * lhs_den,
         "derivative of f''/(1+f'^2)^2 factors with the -4 f' f''^2 numerator",
+        lhs_num * rhs_den - rhs_num * lhs_den,
     )
 
 
@@ -590,21 +570,12 @@ def verify_implicit_g(
     """
     eqg2, b0branch = _named(eqg2=eqg2, b0branch=b0branch)
     a, b, z, X = _variables(DEFAULT_VARS)
-    d_x = eqg2.partial("X") - (coefficient * X ** 2 - 2 * a * z * X)
-    d_z = eqg2.partial("z") - (-(a * X ** 2 + a))
-    branch = eqg2.substitute("X", MultiPoly.const(Fraction(4, 5)) * a * z) - b0branch
-    for name, diff in (("dX", d_x), ("dz", d_z), ("b0", branch)):
-        if not diff.is_zero():
-            return ProofReport(
-                "implicit-g",
-                MISMATCH,
-                f"{name} part of the implicit-derivative identity failed",
-                difference=diff,
-            )
-    return ProofReport(
+    return _identity_report(
         "implicit-g",
-        EXACT,
         "g'' = a(1+X^2)/(X(3X-2az)) and the b=0 branch polynomial both verify",
+        eqg2.partial("X") - (coefficient * X ** 2 - 2 * a * z * X),
+        eqg2.partial("z") - (-(a * X ** 2 + a)),
+        eqg2.substitute("X", MultiPoly.const(Fraction(4, 5)) * a * z) - b0branch,
     )
 
 
@@ -628,12 +599,8 @@ def verify_eqg_substitution() -> ProofReport:
     # cross-multiplied:
     lhs = (2 * X * wsq) * (a * one_X2) * (one_p2 * X ** 2)
     rhs = (2 * a * wsq) * (one_p2 * one_X2) * (X ** 3)
-    return _identity_report(
-        "eqg-substitution",
-        lhs,
-        rhs,
-        "dividing the minimality RHS by z = X^3/(a(1+X^2)) yields the reduced form",
-    )
+    statement = "dividing the minimality RHS by z = X^3/(a(1+X^2)) yields the reduced form"
+    return _identity_report("eqg-substitution", statement, lhs - rhs)
 
 
 def run_all_verifications() -> list[ProofReport]:

@@ -51,11 +51,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int, name: str):
+    """An argparse type: an int of at least `low`.  `name` is what argparse
+    calls the type when the text is no int ("invalid <name> value")."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+positive_int = _int_at_least(1, "positive_int")
 
 
 def finite_float(text: str) -> float:
@@ -428,7 +438,7 @@ SUBCOMMANDS = {
         {
             "--kind": {"choices": _campaign_names, "required": True},
             "--seeds": {"type": positive_int, "default": 20},
-            "--seed": {"type": int, "default": 0, "help": "generator seed"},
+            "--seed": {"type": _int_at_least(0, "int"), "default": 0, "help": "generator seed"},
             "--workers": {"type": positive_int, "default": 1},
             "--out": _OUT,
         },

@@ -138,11 +138,8 @@ def fundamental_forms(jet: ImmersionJet) -> FundamentalForms:
 
 
 def euclidean_mean_curvature(forms: FundamentalForms) -> np.ndarray:
-    """He, one value per point of the forms; raises if any has EG - F^2 <= 0."""
-    det = forms.det_first
-    if np.any(det <= 0.0):
-        raise DegenerateImmersionError(f"EG - F^2 = {np.min(det):.3e} <= 0")
-    return (forms.G * forms.L - 2.0 * forms.M * forms.F + forms.E * forms.N) / (2.0 * det)
+    """He, one value per point: `fundamental_forms` has raised unless det_first > 0 (or NaN)."""
+    return (forms.G * forms.L - 2.0 * forms.M * forms.F + forms.E * forms.N) / (2.0 * forms.det_first)
 
 
 def euclidean_principal_curvatures(forms: FundamentalForms) -> tuple[np.ndarray, np.ndarray]:

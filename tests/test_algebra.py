@@ -65,6 +65,23 @@ def test_all_verifications_exact():
         assert d["id"] == rep.id and d["status"] == EXACT
 
 
+def test_reports_of_a_run():
+    # the reports `hypmin verify` writes, every field pinned
+    def exact(ident, detail, factor=None):
+        return {"id": ident, "status": EXACT, "detail": detail, "difference-polynomial": None, "factor": factor}
+
+    assert [rep.to_json() for rep in run_all_verifications()] == [
+        exact("first-integral", "-4 f' f''^2 + (1+f'^2) f''' vanishes for f'' = a(1+f'^2)^2"),
+        exact("factorization-step", "derivative of f''/(1+f'^2)^2 factors with the -4 f' f''^2 numerator"),
+        exact("implicit-g", "g'' = a(1+X^2)/(X(3X-2az)) and the b=0 branch polynomial both verify"),
+        exact("eqg-substitution", "dividing the minimality RHS by z = X^3/(a(1+X^2)) yields the reduced form"),
+        exact("q1-q2-derivation", "eqg3 - 3b*eqg2 == a*q1; b*eqg2 + a*q1 == q2"),
+        exact("q3-combination", "X*q1 - z*q2 == q3"),
+        exact("x-rational-function", "X = num/den matches the reference closed form after normalization"),
+        exact("degree7-elimination", "cleared numerator equals the reference degree-7 polynomial", "1"),
+    ]
+
+
 def test_degree7_elimination_exact_factor_one():
     x_expr, computed, x_report, final_report = solve_X_and_eliminate()
     assert x_report.status == EXACT
@@ -131,6 +148,65 @@ def test_corrupted_factorization_coefficient():
 
 def test_corrupted_implicit_coefficient():
     assert verify_implicit_g(coefficient=4).status == MISMATCH
+
+
+@pytest.mark.parametrize(
+    "corrupt,part",
+    [("eqg3", 1), ("q2", 2), ("q1", 1)],
+    ids=["eqg3-part-1", "q2-part-2", "q1-both-parts"],
+)
+def test_q1_q2_derivation_reports_the_first_failing_part(corrupt, part):
+    # eqg3 enters only part 1 and q2 only part 2; q1 breaks both
+    a, b, _, X = algebra._variables(algebra.DEFAULT_VARS)
+    named = {name: build_named(name) for name in ("q1", "q2", "eqg2", "eqg3")}
+    named[corrupt] += X
+    q1, q2, eqg2, eqg3 = named.values()
+    want = (eqg3 - 3 * b * eqg2 - a * q1, b * eqg2 + a * q1 - q2)[part - 1]
+    rep = verify_q1_q2_derivation(**named)
+    assert rep.status == MISMATCH and not want.is_zero() and rep.difference == want
+    assert rep.detail == f"part {part} fails: eqg3 - 3b*eqg2 == a*q1; b*eqg2 + a*q1 == q2"
+
+
+@pytest.mark.parametrize("part", [1, 2, 3])
+def test_implicit_g_reports_the_first_failing_part(part):
+    # part 1 (d/dX) fails with the coefficient 4; part 2 (d/dz) with eqg2 + z,
+    # which leaves d/dX alone; part 3 (the b=0 branch) with b0branch + X
+    a, _, z, X = algebra._variables(algebra.DEFAULT_VARS)
+    coefficient, eqg2, b0branch = 3, build_named("eqg2"), build_named("b0branch")
+    if part == 1:
+        coefficient = 4
+    elif part == 2:
+        eqg2 += z
+    else:
+        b0branch += X
+    want = (
+        eqg2.partial("X") - (coefficient * X ** 2 - 2 * a * z * X),
+        eqg2.partial("z") + a * X ** 2 + a,
+        eqg2.substitute("X", Fraction(4, 5) * a * z) - b0branch,
+    )[part - 1]
+    rep = verify_implicit_g(coefficient, eqg2, b0branch)
+    assert rep.status == MISMATCH and not want.is_zero() and rep.difference == want
+    assert rep.detail == f"part {part} fails: g'' = a(1+X^2)/(X(3X-2az)) and the b=0 branch polynomial both verify"
+
+
+@pytest.mark.parametrize(
+    "change,status,detail,difference,factor",
+    [
+        (lambda p: p, EXACT, "cleared numerator equals the reference degree-7 polynomial", None, "1"),
+        (lambda p: p.scaled(3), UP_TO_FACTOR, "cleared numerator equals the reference up to one overall factor", None, "1/3"),
+        (lambda p: p + MultiPoly.var("X"), MISMATCH, "cleared numerator disagrees with the reference polynomial", "-X", None),
+    ],
+    ids=[EXACT, UP_TO_FACTOR, MISMATCH],
+)
+def test_degree7_report_of_each_status(change, status, detail, difference, factor):
+    *_, rep = solve_X_and_eliminate(final7=change(build_named("final7")))
+    assert rep.to_json() == {
+        "id": "degree7-elimination",
+        "status": status,
+        "detail": detail,
+        "difference-polynomial": difference,
+        "factor": factor,
+    }
 
 
 def test_corrupted_elimination_input():
@@ -516,6 +592,15 @@ def test_scalar_product_equals_constant_product(p, c):
     for got in (p * c, c * p, p.scaled(c), MultiPoly.const(c) * p):
         assert got == want
         assert {e: type(v) for e, v in got.terms.items()} == {e: type(v) for e, v in want.terms.items()}
+
+
+@given(canonical_polys, scalars)
+@example(MultiPoly({(0, 0, 0, 0): 3, (0, 0, 0, 1): 1}), 3)
+@example(MultiPoly({(1, 0, 2, 0): 6}), 0)
+def test_scalar_sums_and_differences_equal_the_constant_polynomials(p, c):
+    # a rational on either side of + or - acts as the constant polynomial c
+    const = MultiPoly.const(c)
+    assert [p + c, c + p, p - c, c - p] == [p + const, const + p, p - const, const - p]
 
 
 def _first_overflow(p, q):

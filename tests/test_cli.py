@@ -802,6 +802,7 @@ def test_usage_error_exits_1():
         ["curvature"],
         ["search", "--kind", "torus"],
         ["search", "--kind", "type1", "--seeds", "0"],
+        ["search", "--kind", "type1", "--seed", "-1"],
         ["scherk", "--a", "nan"],
     ],
 )
@@ -820,7 +821,7 @@ def test_help_and_usage_errors_are_the_full_parsers(argv, monkeypatch, capsys):
         ["verify", "--ou=x"],
         ["curvature", "--surface=-h", "--grid", "7", "--format", "json"],
         ["scherk", "--a", "-2", "--margin", "0.2"],
-        ["search", "--kind", "type1", "--seed", "-5", "--work", "2", "--seeds", "3", "--seeds", "4"],
+        ["search", "--kind", "type1", "--seed", "5", "--work", "2", "--seeds", "3", "--seeds", "4"],
         ["report", "--out", "a", "--out", "b"],
     ],
 )
@@ -856,6 +857,15 @@ def test_search_rejects_counts_below_one(tmp_path, capsys, flag, value):
     assert main(["search", "--kind", "type2", flag, value, "--out", str(out)]) == 1
     assert "must be at least 1" in capsys.readouterr().err
     assert not list(tmp_path.glob("**/search_*.csv"))
+
+
+def test_search_rejects_a_negative_seed(tmp_path, capsys):
+    # in the parser, as for the counts, not later in the generator
+    out = tmp_path / "out"
+    assert main(["search", "--kind", "type2", "--seeds", "2", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: hypmin search") and err.endswith("error: argument --seed: must be at least 0, got -1\n")
+    assert not out.exists()
 
 
 def test_report_subcommand(tmp_path, capsys):

@@ -202,16 +202,16 @@ def _stacked(points):
 
 def test_conformal_lift_consistency():
     rng = np.random.default_rng(11)
-    for _ in range(1000):
-        jet = _random_jet(rng)
-        rep = hyperbolic_curvature(jet)
-        z = jet.X[2]
-        assert abs(rep.H - (z * rep.He + rep.N3)) <= 1e-12
-        for kh, ke in zip(rep.kappaH, rep.kappaE):
-            assert abs(kh - (z * ke + rep.N3)) <= 1e-12 * max(1.0, abs(kh))
-        assert abs(rep.N3) <= 1.0 + 1e-15
-        # principal curvatures average to the mean curvature
-        assert (rep.kappaE[0] + rep.kappaE[1]) / 2 == pytest.approx(rep.He, rel=1e-9, abs=1e-12)
+    jet = _stacked([_random_jet(rng) for _ in range(1000)])
+    rep = hyperbolic_curvature(jet)
+    z = jet.X[:, 2]
+    assert np.all(np.abs(rep.H - (z * rep.He + rep.N3)) <= 1e-12)
+    for kh, ke in zip(rep.kappaH, rep.kappaE):
+        assert np.all(np.abs(kh - (z * ke + rep.N3)) <= 1e-12 * np.maximum(1.0, np.abs(kh)))
+    assert np.all(np.abs(rep.N3) <= 1.0 + 1e-15)
+    # principal curvatures average to the mean curvature, at pytest.approx(rel=1e-9, abs=1e-12)
+    mean = (rep.kappaE[0] + rep.kappaE[1]) / 2
+    assert np.all(np.abs(mean - rep.He) <= np.maximum(1e-12, 1e-9 * np.abs(rep.He)))
 
 
 def test_report_kappa_e_is_bit_identical_to_euclidean_principal_curvatures():

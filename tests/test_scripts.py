@@ -84,3 +84,26 @@ def test_cold_start_rejects_a_tree_without_hypmin(tmp_path, capsys):
         _load("cold_start").main(["--runs", "2", str(tmp_path)])
     assert exc.value.code == 2
     assert "no hypmin package under" in capsys.readouterr().err
+
+
+def test_src_size_prints_one_row_per_module_and_their_total(capsys):
+    src = Path(search.__file__).resolve().parents[1]
+    script = _load("src_size")
+    assert script.main([str(src)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert Path(lines[0]) == src
+    assert lines[1].split() == ["lines", "defaults", "module"]
+    *rows, total = [line.split() for line in lines[2:]]
+    assert [name for *_, name in rows] == sorted(path.name for path in (src / "hypmin").glob("*.py"))
+    for n, _, name in rows:
+        assert int(n) == len((src / "hypmin" / name).read_text(encoding="utf-8").splitlines())
+    assert total == [str(sum(int(row[0]) for row in rows)), str(sum(int(row[1]) for row in rows)), "total"]
+    # positional, keyword-only and lambda defaults count; a bare keyword-only parameter does not
+    assert script.defaults("def f(a, b=1, *, c, d=2):\n    return lambda x=0: x\n") == 3
+
+
+def test_src_size_rejects_a_tree_without_hypmin(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load("src_size").main([str(tmp_path)])
+    assert exc.value.code == 2
+    assert "no hypmin package under" in capsys.readouterr().err
