@@ -3,10 +3,12 @@
 
 For each source tree given (a directory holding the `hypmin` package; by
 default this repository's `src`), this prints one row per `hypmin/*.py`:
-its lines and its parameters with a default value (of every `def`, method
-and `lambda`, counted with `ast`), then a total row.  Parameters with a
-default are the settable values a caller may leave out.  To compare two
-commits, check both out and give both `src` directories.
+its lines, its parameters with a default value (of every `def`, method
+and `lambda`) and its fields with a default value (the annotated class
+attributes given a value, as dataclass and NamedTuple fields are), both
+counted with `ast`, then a total row.  Both counts are settable values a
+caller may leave out.  To compare two commits, check both out and give
+both `src` directories.
 
     python scripts/src_size.py [SRC ...]
 """
@@ -27,6 +29,16 @@ def defaults(source: str) -> int:
     return count
 
 
+def fields(source: str) -> int:
+    """The number of annotated class attributes with a value in a module's source."""
+    return sum(
+        isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        for stmt in node.body
+    )
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("src", nargs="*", type=Path, default=[SRC], help="source trees (default: this repository's src)")
@@ -36,14 +48,14 @@ def main(argv=None) -> int:
         if not modules:
             ap.error(f"no hypmin package under {src}")
         print(src)
-        print(f"{'lines':>7s} {'defaults':>8s}  module")
-        lines = params = 0
+        print(f"{'lines':>7s} {'defaults':>8s} {'fields':>6s}  module")
+        totals = [0, 0, 0]
         for path in modules:
             text = path.read_text(encoding="utf-8")
-            n, d = len(text.splitlines()), defaults(text)
-            print(f"{n:7d} {d:8d}  {path.name}")
-            lines, params = lines + n, params + d
-        print(f"{lines:7d} {params:8d}  total")
+            row = (len(text.splitlines()), defaults(text), fields(text))
+            print(f"{row[0]:7d} {row[1]:8d} {row[2]:6d}  {path.name}")
+            totals = [t + n for t, n in zip(totals, row)]
+        print(f"{totals[0]:7d} {totals[1]:8d} {totals[2]:6d}  total")
     return 0
 
 

@@ -408,7 +408,7 @@ _DEGREE7_DETAILS = {
 class ProofReport:
     id: str
     status: str
-    detail: str = ""
+    detail: str
     difference: MultiPoly | None = None
     factor: Fraction | None = None
 

@@ -300,15 +300,14 @@ def cmd_scherk(args) -> int:
     a, margin = args.a, args.margin
     if a == 0.0:
         raise ValueError("--a must be nonzero")
-    half = math.pi / (2.0 * abs(a))
+    s = surfaces.scherk(a)
+    half = s.f.domain[1]
     if not math.isfinite(2.0 * half):
         raise ValueError(f"--a = {a!r} is too small: the patch width pi/|a| overflows")
     if not 0.0 < margin < half:
         raise ValueError(f"--margin must lie in (0, pi/(2|a|)) = (0, {half!r}), got {margin!r}")
-    s = surfaces.scherk(a)
     lo, hi = -half + margin, half - margin
-    us, vs = _grid_axes(((lo, hi), (lo, hi)), args.grid)
-    jet = surfaces.patch_jet(s, us, vs, check_halfspace=False)
+    jet = s.jet(*_grid_axes(((lo, hi), (lo, hi)), args.grid))
     max_he = float(np.max(np.abs(euclidean_mean_curvature(fundamental_forms(jet)))))
     # H is defined only above the ideal boundary: take it at the points with z > 0
     max_h = float(np.max(np.abs(hyperbolic_curvature(restrict_to_halfspace(jet)).H), initial=0.0))

@@ -25,12 +25,12 @@ Unknown keys are rejected (strict parsing).  Errors carry line and column,
 a byte that is not UTF-8 included: a bad number is reported at its own
 column, any other bad value at the column of its first character.
 Every number must be finite, a domain needs u0 < u1 and v0 < v1 (and
-v0 > 0 for type2, whose v is the height z, reported at v0), a spline
-needs t0 < t1, and values a constructor rejects (a radius, level or
-extent <= 0, a vplane z range without 0 < z0 < z1, scherk-log-cos with
-a = 0, a spline with fewer than 4 coefficients) are reported at their line
-and column too.  f must be defined on all of the u range and g on all of
-the v range, or the curve is reported at its line and value column.
+v0 > 0 for type2, whose v is the height z, reported at v0), and values a
+constructor rejects (a radius, level or extent <= 0, a vplane z range
+without 0 < z0 < z1, scherk-log-cos with a = 0, a spline with fewer than 4
+coefficients or without t0 < t1) are reported at their line and column
+too.  f must be defined on all of the u range and g on all of the v range,
+or the curve is reported at its line and value column.
 """
 
 from __future__ import annotations
@@ -107,10 +107,7 @@ def _parse_curve(value: str, line: int, col: int) -> FunctionCurve:
     if form in _CURVES and len(nums) == _CURVES[form][0]:
         return _construct(_CURVES[form][1], nums, line, col)
     if form == "spline" and len(nums) >= 2:
-        t0, t1, *coeffs = nums
-        if not t0 < t1:
-            raise SurfaceFileError("spline needs t0 < t1", line, col)
-        return _construct(surfaces.from_bspline, ((t0, t1), coeffs), line, col)
+        return _construct(surfaces.from_bspline, ((nums[0], nums[1]), nums[2:]), line, col)
     raise SurfaceFileError(f"bad curve {value!r}", line, col)
 
 

@@ -25,9 +25,9 @@ class Jet3:
     carry a whole grid of points; a float is the 0-d case."""
 
     v0: float | np.ndarray
-    v1: float | np.ndarray = 0.0
-    v2: float | np.ndarray = 0.0
-    v3: float | np.ndarray = 0.0
+    v1: float | np.ndarray
+    v2: float | np.ndarray
+    v3: float | np.ndarray
 
     # -- constructors -------------------------------------------------
 

@@ -63,15 +63,17 @@ class CurvatureReport:
 
 
 def first_where(mask: np.ndarray, *coords) -> tuple:
-    """The coordinates of the first point, in row-major order, where `mask` holds."""
+    """The coordinates of the first point, in row-major order, where `mask`
+    holds; the mask and the coordinates broadcast together."""
+    mask, *coords = np.broadcast_arrays(mask, *coords)
     i = int(np.argmax(mask))
-    return tuple(np.broadcast_to(c, np.shape(mask)).flat[i] for c in coords)
+    return tuple(c.flat[i] for c in coords)
 
 
 def require_halfspace(what: str, height, u, v) -> None:
     """Raise HalfSpaceError naming the first point (u, v) where the height,
     called `what` in the message, is not positive.  All three broadcast."""
-    below = np.broadcast_to(height <= 0.0, np.broadcast(u, v, height).shape)
+    below = height <= 0.0
     if np.any(below):
         x, y, h = first_where(below, u, v, height)
         raise HalfSpaceError(f"{what} = {h} <= 0 at ({x}, {y})")
@@ -105,13 +107,18 @@ def _cross(jet: ImmersionJet) -> np.ndarray:
 
 
 def unit_normal(jet: ImmersionJet) -> np.ndarray:
-    """(Xu x Xv)/|Xu x Xv|, shape (..., 3); raises if any point is degenerate."""
+    """(Xu x Xv)/|Xu x Xv|, shape (..., 3); raises DegenerateImmersionError
+    if |Xu x Xv| <= DEGENERACY_THRESHOLD at some point, or else if it is not
+    finite (the partials overflow), naming the first such point X."""
     cross = _cross(jet)
     norm = np.sqrt(_dot(cross, cross))
     if np.any(norm <= DEGENERACY_THRESHOLD):
         raise DegenerateImmersionError(
             f"|Xu x Xv| = {np.min(norm):.3e} <= {DEGENERACY_THRESHOLD}"
         )
+    if not np.all(np.isfinite(norm)):
+        n, x, y, z = first_where(~np.isfinite(norm), norm, *np.moveaxis(jet.X, -1, 0))
+        raise DegenerateImmersionError(f"|Xu x Xv| = {n} is not finite at ({x}, {y}, {z})")
     return cross / norm[..., None]
 
 
@@ -142,12 +149,8 @@ def euclidean_mean_curvature(forms: FundamentalForms) -> np.ndarray:
     return (forms.G * forms.L - 2.0 * forms.M * forms.F + forms.E * forms.N) / (2.0 * forms.det_first)
 
 
-def euclidean_principal_curvatures(forms: FundamentalForms) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the shape operator at every point, via the quadratic on He and K."""
-    return _principal_curvatures(forms, euclidean_mean_curvature(forms))
-
-
 def _principal_curvatures(forms: FundamentalForms, he: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the shape operator at every point, via the quadratic on He and K."""
     k_gauss = (forms.L * forms.N - forms.M * forms.M) / forms.det_first
     disc = he * he - k_gauss
     root = np.sqrt(np.where(disc < 0.0, 0.0, disc))  # umbilic up to roundoff
@@ -157,9 +160,12 @@ def _principal_curvatures(forms: FundamentalForms, he: np.ndarray) -> tuple[np.n
 def hyperbolic_curvature(jet: ImmersionJet) -> CurvatureReport:
     """Curvature report with the conformal lift H = z*He + N3, N3 from the
     normal of `fundamental_forms`, at every point of the jet; raises
-    HalfSpaceError at the first point with z <= 0."""
-    z = jet.X[..., 2]
-    require_halfspace("z", z, jet.X[..., 0], jet.X[..., 1])
+    HalfSpaceError at the first point with z <= 0, or else with z not finite."""
+    x, y, z = np.moveaxis(jet.X, -1, 0)
+    require_halfspace("z", z, x, y)
+    if not np.all(np.isfinite(z)):
+        x, y, z = first_where(~np.isfinite(z), x, y, z)
+        raise HalfSpaceError(f"z = {z} is not finite at ({x}, {y})")
     forms = fundamental_forms(jet)
     n3 = forms.n[..., 2]
     he = euclidean_mean_curvature(forms)

@@ -164,7 +164,7 @@ class SearchResult:
     plane_distance: float | None
     stage_nfev: tuple[int, ...]
     stop_reasons: tuple[str, ...]
-    stage_costs: tuple[tuple[float, ...], ...] = ()
+    stage_costs: tuple[tuple[float, ...], ...]
 
     @property
     def iterations(self) -> int:
@@ -182,7 +182,7 @@ def random_ansatz(
     kind: Kind,
     f_domain: tuple[float, float],
     g_domain: tuple[float, float],
-    lift: float = 0.0,
+    lift: float,
 ) -> SplineAnsatz:
     """Coefficients ~ U(-0.5, 0.5); `lift` shifts f upward (partition of
     unity makes this an exact constant shift), used to keep type-I seeds
@@ -272,11 +272,11 @@ def _spline_rows(problem: _Problem, x: np.ndarray):
     return _spline_values(problem.bf, x[:, : problem.mf]), _spline_values(problem.bg, x[:, problem.mf :])
 
 
-def _euclidean_residual(fp, fpp, gp, gpp, grids=None, reuse=False):
+def _euclidean_residual(fp, fpp, gp, gpp, grids, reuse):
     """The Euclidean type-I minimality expression S = (1+g'^2) f'' + (1+f'^2) g'',
     returned as `surfaces.translation_mean_curvature` returns type-II H:
     (S, partials), with no f and g partials.  S is computed in the first of
-    two `grids` (the second is scratch), fresh ones if none are given, and
+    two `grids` (the second is scratch), fresh ones if `grids` is None, and
     with `reuse` not at all.  The f'' and g'' partials do not vary along one
     grid axis and are not broadcast to the grid."""
     shape = np.broadcast_shapes(*map(np.shape, (fp, fpp, gp, gpp)))
@@ -757,7 +757,7 @@ def _minimize_block(seeds: list[SplineAnsatz], cfg: SearchConfig) -> list[Search
     return results
 
 
-def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig = SearchConfig()) -> SearchResult:
+def minimize_residual(seed: SplineAnsatz, cfg: SearchConfig) -> SearchResult:
     """Optimize the ansatz; deterministic given (seed, cfg).  A block of one
     (`_minimize_block`)."""
     (result,) = _minimize_block([seed], cfg)

@@ -40,10 +40,6 @@ class Kind(enum.Enum):
     TYPE_II = "type2"
 
 
-# what a HalfSpaceError calls the height of each kind: f+g for type I, z for type II
-_HEIGHT = {Kind.TYPE_I: "type I graph height f+g", Kind.TYPE_II: "type II parameter z"}
-
-
 def _vectors(*components) -> np.ndarray:
     """Broadcast three components together and stack them into a (..., 3) field."""
     out = np.empty(np.broadcast(*components).shape + (3,))
@@ -68,23 +64,23 @@ class FunctionCurve:
         return self.eval(t)
 
 
-def constant(c: float, domain=(-math.inf, math.inf)) -> FunctionCurve:
-    return FunctionCurve(lambda t: Jet3.constant(c), domain)
+def constant(c: float) -> FunctionCurve:
+    return FunctionCurve(lambda t: Jet3.constant(c), (-math.inf, math.inf))
 
 
-def linear(m: float, n: float, domain=(-math.inf, math.inf)) -> FunctionCurve:
-    return FunctionCurve(lambda t: Jet3(m * t + n, m, 0.0, 0.0), domain)
+def linear(m: float, n: float) -> FunctionCurve:
+    return FunctionCurve(lambda t: Jet3(m * t + n, m, 0.0, 0.0), (-math.inf, math.inf))
 
 
-def polynomial(coeffs, domain=(-math.inf, math.inf)) -> FunctionCurve:
+def polynomial(coeffs) -> FunctionCurve:
     """coeffs in descending powers, numpy.polyval convention."""
     c = np.asarray(coeffs, dtype=float)
     derivs = [np.polyder(c, k) for k in (1, 2, 3)]
-    return FunctionCurve(lambda t: Jet3(np.polyval(c, t), *(np.polyval(d, t) for d in derivs)), domain)
+    return FunctionCurve(lambda t: Jet3(np.polyval(c, t), *(np.polyval(d, t) for d in derivs)), (-math.inf, math.inf))
 
 
-def quadratic(a2: float, a1: float, a0: float, domain=(-math.inf, math.inf)) -> FunctionCurve:
-    return polynomial([a2, a1, a0], domain)
+def quadratic(a2: float, a1: float, a0: float) -> FunctionCurve:
+    return polynomial([a2, a1, a0])
 
 
 def log_cos(a: float, scale: float) -> FunctionCurve:
@@ -189,21 +185,19 @@ def _check_domain(domain, u, v, what: str = "surface") -> None:
         raise DomainError(f"({bad[0]}, {bad[1]}) outside {what} domain {domain}")
 
 
-def patch_jet(s: TranslationSurface, u, v, check_halfspace: bool = True, gj: Jet3 | None = None) -> ImmersionJet:
+def patch_jet(s: TranslationSurface, u, v, gj: Jet3 | None = None) -> ImmersionJet:
     """Assemble the immersion jet of the patch at (u, v) from the jets of f and g.
 
     u and v are floats or arrays that broadcast together; the jet's fields have
     shape broadcast(u, v) + (3,), and on a grid u[:, None], v[None, :] f and g
     are evaluated once per grid line; gj, if given, is the jet of g at v.
-    Positivity of the type-I height f+g is validated here, eagerly, at every
-    point, because spline-backed curves may dip below zero away from any
-    construction-time check grid.
+    The jet is Euclidean, built wherever (u, v) lies in the domain, as
+    `ParametricPatch.jet` is: `kernel.hyperbolic_curvature` is the one check
+    of z > 0 (z is f+g for type I and v for type II).
     """
     _check_domain(s.domain, u, v)
     fj, gj = s.f(u), s.g(v) if gj is None else gj
     h = fj.v0 + gj.v0
-    if check_halfspace:
-        require_halfspace(_HEIGHT[s.kind], h if s.kind is Kind.TYPE_I else v, u, v)
 
     def field(a, b, c):  # components in the (x, y, z) order of type I
         # type II is the graph y = h(x, z): the same fields with y and z swapped
@@ -299,7 +293,7 @@ def _minimality_residual(s: TranslationSurface, kind: Kind, u, v):
     _check_domain(s.domain, u, v)
     fj, gj = s.f(u), s.g(v)
     height = fj.v0 + gj.v0 if kind is Kind.TYPE_I else v
-    require_halfspace(_HEIGHT[kind], height, u, v)
+    require_halfspace("type I graph height f+g" if kind is Kind.TYPE_I else "type II parameter z", height, u, v)
     H, _ = translation_mean_curvature(kind, height, fj.v1, fj.v2, gj.v1, gj.v2)
     P, Q = 1.0 + fj.v1 ** 2, 1.0 + gj.v1 ** 2
     W2 = P + gj.v1 ** 2

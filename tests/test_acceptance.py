@@ -47,7 +47,7 @@ def test_criterion_2_scherk_sanity(capsys):
         s = surfaces.scherk(a)
         half = math.pi / (2.0 * abs(a))
         grid = np.linspace(-half + 0.1, half - 0.1, 50)
-        jet = patch_jet(s, grid[:, None], grid[None, :], check_halfspace=False)
+        jet = patch_jet(s, grid[:, None], grid[None, :])
         max_he = np.max(np.abs(euclidean_mean_curvature(fundamental_forms(jet))))
         # H is defined only above the ideal boundary: take it at the points with z > 0
         max_h = np.max(np.abs(hyperbolic_curvature(restrict_to_halfspace(jet)).H), initial=0.0)
@@ -56,18 +56,18 @@ def test_criterion_2_scherk_sanity(capsys):
     _announce(capsys, 2, "Scherk sanity")
 
 
-def _random_curve(rng, dom, lift=0.0):
+def _random_curve(rng, lift=0.0):
     coeffs = rng.uniform(-0.6, 0.6, 4)
     coeffs[-1] += lift
-    return surfaces.polynomial(coeffs, dom)
+    return surfaces.polynomial(coeffs)
 
 
 def test_criterion_3_residual_kernel_equivalence(capsys):
     rng = np.random.default_rng(2024)
     checked = 0
     while checked < 1000:
-        f = _random_curve(rng, (-1, 1), lift=1.5)
-        g = _random_curve(rng, (-1, 1), lift=1.5)
+        f = _random_curve(rng, lift=1.5)
+        g = _random_curve(rng, lift=1.5)
         s = TranslationSurface(Kind.TYPE_I, f, g, ((-1, 1), (-1, 1)))
         x, y = rng.uniform(-1, 1, 2)
         fj, gj = f(x), g(y)
@@ -80,8 +80,8 @@ def test_criterion_3_residual_kernel_equivalence(capsys):
         assert abs(got - want) < 1e-10 * max(1.0, abs(want))
         checked += 1
     for _ in range(1000):
-        f = _random_curve(rng, (-1, 1))
-        g = _random_curve(rng, (0.5, 3))
+        f = _random_curve(rng)
+        g = _random_curve(rng)
         s = TranslationSurface(Kind.TYPE_II, f, g, ((-1, 1), (0.5, 3)))
         x = rng.uniform(-1, 1)
         z = rng.uniform(0.5, 3)

@@ -92,8 +92,14 @@ BAD_NUMBERS = [
 
 # values a curve or patch constructor rejects; the error names their position
 BAD_CONSTRUCTOR_ARGS = [
-    ("kind = type1\ndomain = -1 1 -1 1\nf = spline 1 -1 1 1 1 1 1\ng = constant 1\n", "line 3, column 5: spline needs t0 < t1"),
-    ("kind = type1\ndomain = -1 1 -1 1\nf = spline 1 1 1 1 1 1 1\ng = constant 1\n", "line 3, column 5: spline needs t0 < t1"),
+    (
+        "kind = type1\ndomain = -1 1 -1 1\nf = spline 1 -1 1 1 1 1 1\ng = constant 1\n",
+        "line 3, column 5: a cubic spline needs at least 4 coefficients and t0 < t1, got 5 on (1.0, -1.0)",
+    ),
+    (
+        "kind = type1\ndomain = -1 1 -1 1\nf = spline 1 1 1 1 1 1 1\ng = constant 1\n",
+        "line 3, column 5: a cubic spline needs at least 4 coefficients and t0 < t1, got 5 on (1.0, 1.0)",
+    ),
     ("kind = type1\ndomain = -1 1 -1 1\nf = constant 1\ng = scherk-log-cos 0 1\n", "line 4, column 5: log_cos requires a != 0"),
     ("kind = hemisphere\nradius = 0\n", "line 2, column 10: hemisphere radius r = 0.0 <= 0"),
     ("kind = horosphere\nlevel = -1\n", "line 2, column 9: horosphere level c = -1.0 <= 0"),
@@ -113,6 +119,19 @@ SHORT_CURVES = [
         "kind = type1\ndomain = -0.5 0.5 -1 1\nf = constant 1\ng = scherk-log-cos 2 1\n",
         "line 4, column 5: g is defined on [-0.7853981633974483, 0.7853981633974483], "
         "which does not cover the v range [-1.0, 1.0]",
+    ),
+]
+
+# valid files whose geometry overflows: |Xu x Xv| or the height z is inf; the kernel names the first point
+NON_FINITE_GEOMETRY = [
+    (
+        "kind = type2\ndomain = -1 1 1 2\nf = linear 1e200 0\ng = constant 0\n",
+        "error: |Xu x Xv| = inf is not finite at (-1.0, -1e+200, 1.0)",
+    ),
+    ("kind = hemisphere\nradius = 1e308\n", "error: |Xu x Xv| = inf is not finite at ("),
+    (
+        "kind = type1\ndomain = -1 1 -1 1\nf = constant 1e308\ng = constant 1e308\n",
+        "error: z = inf is not finite at (-1.0, -1.0)",
     ),
 ]
 
@@ -181,7 +200,9 @@ def test_non_finite_number_error_carries_line_and_column():
     assert (exc.value.line, exc.value.column) == (2, 9)
 
 
-@pytest.mark.parametrize("text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS + SHORT_CURVES + TYPE2_BELOW_HALFSPACE)
+@pytest.mark.parametrize(
+    "text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS + SHORT_CURVES + TYPE2_BELOW_HALFSPACE + NON_FINITE_GEOMETRY
+)
 def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text, fragment):
     surf = tmp_path / "s.txt"
     surf.write_text(text)
@@ -644,7 +665,7 @@ def test_curvature_halfspace_failure_writes_nothing(tmp_path, capsys):
     surf.write_text("kind = type1\ndomain = -1 1 -1 1\nf = quadratic 1 0 0\ng = quadratic 1 0 0\n")
     out = tmp_path / "out"
     assert main(["curvature", "--surface", str(surf), "--grid", "5", "--out", str(out)]) == 1
-    assert "f+g = 0.0 <= 0" in capsys.readouterr().err
+    assert "error: z = 0.0 <= 0 at (0.0, 0.0)" in capsys.readouterr().err
     assert not (out / "curvature.csv").exists()
 
 

@@ -10,7 +10,6 @@ from hypmin.kernel import (
     HalfSpaceError,
     ImmersionJet,
     euclidean_mean_curvature,
-    euclidean_principal_curvatures,
     fundamental_forms,
     hyperbolic_curvature,
     require_halfspace,
@@ -140,6 +139,35 @@ def test_halfspace_violation_rejected():
         hyperbolic_curvature(plane_jet(z=-0.5))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_height_rejected_at_its_first_point(bad):
+    # the first point whose z is inf or NaN is named, unless some z <= 0, which is reported first
+    X = np.stack(np.broadcast_arrays(np.array([0.0, 1.0])[:, None], np.array([5.0, 6.0])[None, :], 1.0), axis=-1)
+    X[1, 0, 2] = X[1, 1, 2] = bad
+    plane = plane_jet()
+    jet = ImmersionJet(X, plane.Xu, plane.Xv, plane.Xuu, plane.Xuv, plane.Xvv)
+    with pytest.raises(HalfSpaceError, match=rf"^z = {bad} is not finite at \(1\.0, 5\.0\)$"):
+        hyperbolic_curvature(jet)
+    X[0, 1, 2] = 0.0
+    with pytest.raises(HalfSpaceError, match=r"^z = 0\.0 <= 0 at \(0\.0, 6\.0\)$"):
+        hyperbolic_curvature(jet)
+
+
+def test_non_finite_normal_rejected_at_its_first_point():
+    # |Xu x Xv| overflows at two grid points; the row-major first one is named
+    X = np.stack(np.broadcast_arrays(np.array([0.0, 1.0])[:, None], np.array([5.0, 6.0])[None, :], 1.0), axis=-1)
+    Xu = np.broadcast_to([1.0, 0.0, 0.0], X.shape).copy()
+    Xu[1, 0, 2] = Xu[0, 1, 2] = 1e200
+    plane = plane_jet()
+    jet = ImmersionJet(X, Xu, plane.Xv, plane.Xuu, plane.Xuv, plane.Xvv)
+    with pytest.raises(DegenerateImmersionError, match=r"^\|Xu x Xv\| = inf is not finite at \(0\.0, 6\.0, 1\.0\)$"):
+        unit_normal(jet)
+    # partials that do not vary over the grid: the grid's first point is named
+    jet = ImmersionJet(X, np.array([1e200, 0.0, 0.0]), np.array([0.0, 1e200, 0.0]), plane.Xuu, plane.Xuv, plane.Xvv)
+    with pytest.raises(DegenerateImmersionError, match=r"^\|Xu x Xv\| = inf is not finite at \(0\.0, 5\.0, 1\.0\)$"):
+        hyperbolic_curvature(jet)
+
+
 def test_halfspace_check_names_the_row_major_first_bad_point():
     # two heights <= 0; the later one in row-major order is the lower, so naming the minimum would be wrong
     us, vs = np.array([0.0, 1.0, 2.0])[:, None], np.array([10.0, 20.0, 30.0])[None, :]
@@ -214,16 +242,6 @@ def test_conformal_lift_consistency():
     assert np.all(np.abs(mean - rep.He) <= np.maximum(1e-12, 1e-9 * np.abs(rep.He)))
 
 
-def test_report_kappa_e_is_bit_identical_to_euclidean_principal_curvatures():
-    # a grid of random points with the umbilic plane and pole among them
-    rng = np.random.default_rng(5)
-    jet = _stacked([_random_jet(rng) for _ in range(200)] + [plane_jet(), hemisphere_pole_jet()])
-    got = hyperbolic_curvature(jet).kappaE
-    want = euclidean_principal_curvatures(fundamental_forms(jet))
-    for g, w in zip(got, want):
-        assert g.tobytes() == w.tobytes()
-
-
 def test_dilation_invariance():
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -263,7 +281,7 @@ def test_orientation_matches_family_normals():
 
 
 def test_umbilic_double_eigenvalue():
-    k1, k2 = euclidean_principal_curvatures(fundamental_forms(hemisphere_pole_jet(2.0)))
+    k1, k2 = hyperbolic_curvature(hemisphere_pole_jet(2.0)).kappaE
     assert k1 == pytest.approx(-0.5)
     assert k2 == pytest.approx(-0.5)
 

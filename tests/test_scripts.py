@@ -92,14 +92,26 @@ def test_src_size_prints_one_row_per_module_and_their_total(capsys):
     assert script.main([str(src)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert Path(lines[0]) == src
-    assert lines[1].split() == ["lines", "defaults", "module"]
+    assert lines[1].split() == ["lines", "defaults", "fields", "module"]
     *rows, total = [line.split() for line in lines[2:]]
     assert [name for *_, name in rows] == sorted(path.name for path in (src / "hypmin").glob("*.py"))
-    for n, _, name in rows:
+    for n, _, _, name in rows:
         assert int(n) == len((src / "hypmin" / name).read_text(encoding="utf-8").splitlines())
-    assert total == [str(sum(int(row[0]) for row in rows)), str(sum(int(row[1]) for row in rows)), "total"]
+    assert total == [*[str(sum(int(row[i]) for row in rows)) for i in range(3)], "total"]
     # positional, keyword-only and lambda defaults count; a bare keyword-only parameter does not
     assert script.defaults("def f(a, b=1, *, c, d=2):\n    return lambda x=0: x\n") == 3
+
+
+def test_src_size_counts_the_fields_with_a_value():
+    # annotated attributes with a value of every class, nested ones too; not a bare
+    # annotation, an unannotated attribute, a method's local or a module-level name
+    source = (
+        "x: int = 0\n"
+        "class A:\n    a: int = 1\n    b: int\n    c = 2\n"
+        "    def f(self):\n        d: int = 3\n"
+        "    class B:\n        e: int = 4\n"
+    )
+    assert _load("src_size").fields(source) == 2
 
 
 def test_src_size_rejects_a_tree_without_hypmin(tmp_path, capsys):

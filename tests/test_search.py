@@ -90,7 +90,7 @@ def test_type2_control_and_z_range_below_zero_are_rejected(monkeypatch, g_domain
     monkeypatch.setattr(search, "_spline_values", None)  # evaluating would raise TypeError
     with pytest.raises(error, match=match):
         generate_seeds(1, Kind.TYPE_II, 3, (-1, 1), g_domain, euclidean_control=control)
-    seed = search.random_ansatz(np.random.default_rng(3), Kind.TYPE_II, (-1, 1), g_domain)
+    seed = search.random_ansatz(np.random.default_rng(3), Kind.TYPE_II, (-1, 1), g_domain, lift=0.0)
     for run in (minimize_residual, search.residual_grid, residual_and_jacobian):
         with pytest.raises(error, match=match):
             run(seed, replace(FAST, euclidean_control=control))

@@ -79,12 +79,31 @@ def test_residual_wrong_kind_rejected():
 def test_halfspace_guards():
     s = _type1(surfaces.constant(-1.0), surfaces.constant(0.5))
     with pytest.raises(HalfSpaceError):
-        patch_jet(s, 0.0, 0.0)
+        hyperbolic_curvature(patch_jet(s, 0.0, 0.0))
     with pytest.raises(HalfSpaceError):
         type1_residual(s, 0.0, 0.0)
     s2 = _type2(surfaces.linear(1, 0), surfaces.constant(0.0), ((-1, 1), (-1, 3)))
     with pytest.raises(HalfSpaceError):
         type2_residual(s2, 0.0, -0.5)
+
+
+@pytest.mark.parametrize(
+    "kind,f,g,dom,match",
+    [
+        (Kind.TYPE_I, surfaces.linear(1, 0), surfaces.constant(0.5), ((-1, 1), (-1, 1)), r"z = -0\.5 <= 0 at \(-1\.0, -1\.0\)"),
+        (Kind.TYPE_II, surfaces.linear(1, 0), surfaces.constant(1.0), ((-1, 1), (0, 2)), r"z = 0\.0 <= 0 at \(-1\.0, 0\.0\)"),
+    ],
+    ids=["type1", "type2"],
+)
+def test_patch_jet_is_euclidean_and_the_kernel_checks_z(kind, f, g, dom, match):
+    # the jet is built below z = 0 too; the kernel names the first point with z <= 0
+    s = TranslationSurface(kind, f, g, dom)
+    us, vs = np.linspace(*dom[0], 5)[:, None], np.linspace(*dom[1], 5)[None, :]
+    jet = patch_jet(s, us, vs)
+    assert jet.X.shape == (5, 5, 3)
+    assert np.min(jet.X[..., 2]) <= 0.0
+    with pytest.raises(HalfSpaceError, match=match):
+        hyperbolic_curvature(jet)
 
 
 def test_domain_guard():
@@ -96,10 +115,10 @@ def test_domain_guard():
 # -- residual / curvature-kernel equivalence --------------------------
 
 
-def _random_poly_curve(rng, dom, lift=0.0):
+def _random_poly_curve(rng, lift=0.0):
     coeffs = rng.uniform(-0.6, 0.6, 4)
     coeffs[-1] += lift
-    return surfaces.polynomial(coeffs, dom)
+    return surfaces.polynomial(coeffs)
 
 
 def _assert_approx(got, want):
@@ -113,8 +132,8 @@ def test_type1_residual_matches_kernel():
     rng = np.random.default_rng(21)
     checked = 0
     while checked < 1000:
-        f = _random_poly_curve(rng, (-1, 1), lift=1.5)
-        g = _random_poly_curve(rng, (-1, 1), lift=1.5)
+        f = _random_poly_curve(rng, lift=1.5)
+        g = _random_poly_curve(rng, lift=1.5)
         s = _type1(f, g)
         x, y = np.broadcast_arrays(rng.uniform(-1, 1, (10, 1)), rng.uniform(-1, 1, (1, 10)))
         above = f(x).v0 + g(y).v0 > 0.05
@@ -132,8 +151,8 @@ def test_type2_residual_matches_kernel():
     # 10 random surfaces, each on a 10 x 10 grid of random points
     rng = np.random.default_rng(22)
     for _ in range(10):
-        f = _random_poly_curve(rng, (-1, 1))
-        g = _random_poly_curve(rng, (0.5, 3))
+        f = _random_poly_curve(rng)
+        g = _random_poly_curve(rng)
         s = _type2(f, g)
         x = rng.uniform(-1, 1, (10, 1))
         z = rng.uniform(0.5, 3, (1, 10))
@@ -248,7 +267,7 @@ def test_scherk_euclidean_minimal_hyperbolic_not():
         margin = 0.1
         xs = np.linspace(x0 + margin, x1 - margin, 50)
         ys = np.linspace(y0 + margin, y1 - margin, 50)
-        jet = patch_jet(s, xs[:, None], ys[None, :], check_halfspace=False)
+        jet = patch_jet(s, xs[:, None], ys[None, :])
         assert np.max(np.abs(euclidean_mean_curvature(fundamental_forms(jet)))) < 1e-10
         assert np.max(np.abs(hyperbolic_curvature(restrict_to_halfspace(jet)).H)) > 0.1
 
@@ -356,7 +375,7 @@ def test_grid_with_one_node_below_halfspace_rejected():
     off_centre = np.delete(vs, 2)
     assert patch_jet(s, us[:, None], off_centre[None, :]).X.shape == (5, 4, 3)
     with pytest.raises(HalfSpaceError, match=r"at \(0\.0, 0\.0\)"):
-        patch_jet(s, us[:, None], vs[None, :])
+        hyperbolic_curvature(patch_jet(s, us[:, None], vs[None, :]))
     with pytest.raises(HalfSpaceError, match=r"f\+g = 0\.0 <= 0 at \(0\.0, 0\.0\)"):
         type1_residual(s, us[:, None], vs[None, :])
     # type II: z = 0 on a whole grid column; the first of its nodes is named
