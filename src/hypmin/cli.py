@@ -26,6 +26,8 @@ import shutil
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from . import algebra, cpus
@@ -75,7 +77,7 @@ def finite_float(text: str) -> float:
     return value
 
 
-# rows per formatted block: bounds the strings alive at once, and so peak RSS
+# rows per formatted block: bounds the bytes alive at once, and so peak RSS
 CSV_BLOCK_ROWS = 4096
 # grid points per kernel call of `cmd_curvature`: its temporaries span a block, not the grid
 KERNEL_BLOCK_POINTS = 8192
@@ -102,33 +104,73 @@ def _atomic_open(path: Path):
 JSON_SPECIALS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _format_column(values: np.ndarray, specials: dict[str, str] | None = None) -> list[str]:
-    """repr of each entry of a 1-d int64 or float64 array, with one repr call
-    per distinct bit pattern (so -0.0 and 0.0 stay apart).  With `specials`,
-    the repr of a NaN or an infinity is replaced by its entry there."""
+def _format_column(values: np.ndarray):
+    """(distinct, inverse): the distinct bit patterns of a 1-d int64 or
+    float64 array, as values of its dtype (so -0.0 and 0.0 stay apart), and
+    the index of each entry's.  `_rows` spells each distinct value once."""
     import numpy as np
 
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    unique = bits.view(values.dtype)
-    text = np.array(list(map(repr, unique.tolist())), dtype=object)
-    if specials is not None:
-        special = ~np.isfinite(unique)
-        text[special] = [specials[t] for t in text[special]]
-    return text[inverse].tolist()
+    return bits.view(values.dtype), inverse
+
+
+def _rows(columns, specials, head: bytes, separator: bytes, tail: bytes):
+    """(rows, bytes) uint8 array: per row `head`, the cells of `columns`
+    (equal-length 1-d int64/float64 arrays) joined by `separator`, then
+    `tail`.  A cell is the repr of its Python value, or its entry in
+    `specials` (see `floatrepr.slots`), padded with NULs to the widest of its
+    column."""
+    import numpy as np
+
+    from . import floatrepr
+
+    distinct, inverses = zip(*map(_format_column, columns))
+    # the distinct values of the columns of a dtype go through floatrepr in
+    # pieces of at most CSV_BLOCK_ROWS values, which bound its temporaries
+    parts = []
+    for _, run in groupby(distinct, key=attrgetter("dtype")):
+        values = np.concatenate(list(run))
+        parts += [floatrepr.slots(v, specials) for v in np.array_split(values, -(-len(values) // CSV_BLOCK_ROWS))]
+    text, lengths = (np.concatenate(part) for part in zip(*parts))
+    bounds = np.cumsum([0, *map(len, distinct)]).tolist()  # column i's slots: bounds[i]:bounds[i + 1]
+    spans = list(zip(bounds, bounds[1:]))
+    widths = [int(lengths[lo:hi].max()) for lo, hi in spans]
+    glue = [head] + [separator] * (len(columns) - 1)
+    rows = np.empty((len(inverses[0]), sum(map(len, glue)) + sum(widths) + len(tail)), np.uint8)
+    at = 0
+    for before, (lo, hi), width, inverse in zip(glue, spans, widths, inverses):
+        rows[:, at : at + len(before)] = np.frombuffer(before, np.uint8)
+        at += len(before)
+        # each cell as one item of `width` bytes
+        cells = np.ascontiguousarray(text[lo:hi, :width]).view(f"V{width}")[:, 0]
+        rows[:, at : at + width].view(f"V{width}")[:, 0] = cells.take(inverse)
+        at += width
+    rows[:, at:] = np.frombuffer(tail, np.uint8)
+    return rows
+
+
+def _text(rows) -> str:
+    """The bytes of `rows` without their NUL padding, as text."""
+    # each array goes as soon as the next is made: a block's copies are the writer's peak
+    kept = rows[rows != 0]
+    del rows
+    data = kept.tobytes()
+    del kept
+    return data.decode("ascii")
 
 
 def _render_csv(start: int, block) -> str:
     """CSV lines of the rows in `block`, a list of equal-length column slices."""
-    cells = (_format_column(c) for c in block)
-    return "\n".join(map(",".join, zip(*cells))) + "\n"
+    return _text(_rows(block, None, b"", b",", b"\n"))
 
 
 def _render_json(start: int, block) -> str:
     """The rows in `block` as json.dumps(..., indent=2) spells them inside
     "rows", with the separator that precedes them unless `start` is 0."""
-    cells = (_format_column(c, JSON_SPECIALS) for c in block)
-    rows = "\n    ],\n    [\n      ".join(map(",\n      ".join, zip(*cells)))
-    return ("\n" if start == 0 else ",\n") + "    [\n      " + rows + "\n    ]"
+    rows = _rows(block, JSON_SPECIALS, b",\n    [\n      ", b",\n      ", b"\n    ]")
+    if start == 0:
+        rows[0, 0] = 0  # the first row of the table follows no comma
+    return _text(rows)
 
 
 def _write_range(out, render, columns, lo: int, hi: int) -> None:
@@ -162,7 +204,7 @@ def _write_blocks(fh, render, columns) -> None:
     of near-equal length.  This process formats the first range into `fh`,
     while a pool of k - 1 workers writes the others to part files beside
     `fh`, which are appended in order.  Every process holds one block's
-    strings at a time, and the bytes do not depend on k.  With k = 1 no
+    bytes at a time, and the bytes do not depend on k.  With k = 1 no
     process starts.  A worker's exception is raised here, and the part
     files are always removed.
     """
@@ -231,10 +273,13 @@ def _write_json(path: Path, payload: dict, columns=None) -> None:
 
 def _grid_axes(domain, n: int):
     """Axes of the uniform n-by-n grid over a (u-range, v-range) domain,
-    shaped (n, 1) and (1, n) so they broadcast to the grid."""
+    shaped (n, 1) and (1, n) so they broadcast to the grid.  A domain whose
+    width overflows is rejected: its grid would hold NaNs."""
     import numpy as np
 
     (u0, u1), (v0, v1) = domain
+    if not (math.isfinite(u1 - u0) and math.isfinite(v1 - v0)):
+        raise ValueError(f"domain {domain} is too wide: its width is not finite")
     return np.linspace(u0, u1, n)[:, None], np.linspace(v0, v1, n)[None, :]
 
 

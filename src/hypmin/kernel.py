@@ -110,8 +110,9 @@ def unit_normal(jet: ImmersionJet) -> np.ndarray:
     """(Xu x Xv)/|Xu x Xv|, shape (..., 3); raises DegenerateImmersionError
     if |Xu x Xv| <= DEGENERACY_THRESHOLD at some point, or else if it is not
     finite (the partials overflow), naming the first such point X."""
-    cross = _cross(jet)
-    norm = np.sqrt(_dot(cross, cross))
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm that is not finite is rejected below
+        cross = _cross(jet)
+        norm = np.sqrt(_dot(cross, cross))
     if np.any(norm <= DEGENERACY_THRESHOLD):
         raise DegenerateImmersionError(
             f"|Xu x Xv| = {np.min(norm):.3e} <= {DEGENERACY_THRESHOLD}"

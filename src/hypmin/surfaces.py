@@ -197,7 +197,8 @@ def patch_jet(s: TranslationSurface, u, v, gj: Jet3 | None = None) -> ImmersionJ
     """
     _check_domain(s.domain, u, v)
     fj, gj = s.f(u), s.g(v) if gj is None else gj
-    h = fj.v0 + gj.v0
+    with np.errstate(over="ignore"):  # `hyperbolic_curvature` rejects a height that is not finite
+        h = fj.v0 + gj.v0
 
     def field(a, b, c):  # components in the (x, y, z) order of type I
         # type II is the graph y = h(x, z): the same fields with y and z swapped

@@ -200,6 +200,7 @@ def test_non_finite_number_error_carries_line_and_column():
     assert (exc.value.line, exc.value.column) == (2, 9)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # only the error line is printed
 @pytest.mark.parametrize(
     "text,fragment", BAD_NUMBERS + BAD_CONSTRUCTOR_ARGS + SHORT_CURVES + TYPE2_BELOW_HALFSPACE + NON_FINITE_GEOMETRY
 )
@@ -209,6 +210,23 @@ def test_curvature_rejects_bad_numbers_and_writes_nothing(tmp_path, capsys, text
     out = tmp_path / "out"
     assert main(["curvature", "--surface", str(surf), "--grid", "5", "--out", str(out)]) == 1
     assert fragment in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # np.linspace would overflow in its step
+@pytest.mark.parametrize(
+    "text,domain",
+    [
+        ("kind = horosphere\nlevel = 1 1e308\n", "((-1e+308, 1e+308), (-1e+308, 1e+308))"),
+        ("kind = vplane\ny0 = 1 1e308 0.1 4\n", "((-1e+308, 1e+308), (0.1, 4.0))"),
+        ("kind = type1\ndomain = -1e308 1e308 -1 1\nf = constant 1\ng = constant 1\n", "((-1e+308, 1e+308), (-1.0, 1.0))"),
+    ],
+)
+def test_curvature_rejects_a_domain_whose_width_overflows(tmp_path, capsys, text, domain):
+    surf, out = tmp_path / "s.txt", tmp_path / "out"
+    surf.write_text(text)
+    assert main(["curvature", "--surface", str(surf), "--grid", "3", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: domain {domain} is too wide: its width is not finite\n")
     assert not out.exists()
 
 
@@ -224,7 +242,7 @@ def test_import_does_not_load(module, unloaded):
 
 
 # the modules of the package, each importing only modules before it
-LAYERS = ("cpus", "jets", "kernel", "algebra", "surfaces", "descriptors", "search", "experiments", "cli", "__main__")
+LAYERS = ("cpus", "floatrepr", "jets", "kernel", "algebra", "surfaces", "descriptors", "search", "experiments", "cli", "__main__")
 
 
 def test_modules_import_only_earlier_layers():

@@ -153,6 +153,7 @@ def test_non_finite_height_rejected_at_its_first_point(bad):
         hyperbolic_curvature(jet)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the overflow shows only as the error
 def test_non_finite_normal_rejected_at_its_first_point():
     # |Xu x Xv| overflows at two grid points; the row-major first one is named
     X = np.stack(np.broadcast_arrays(np.array([0.0, 1.0])[:, None], np.array([5.0, 6.0])[None, :], 1.0), axis=-1)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from hypmin import search
+from hypmin import cli, floatrepr, search
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -119,3 +119,26 @@ def test_src_size_rejects_a_tree_without_hypmin(tmp_path, capsys):
         _load("src_size").main([str(tmp_path)])
     assert exc.value.code == 2
     assert "no hypmin package under" in capsys.readouterr().err
+
+
+def test_table_layers_prints_every_descriptor_and_layer(capsys):
+    assert _load("table_layers").main(["--grid", "5", "--repeat", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "benchmark seed 6421; median per block of at most 4096 rows, ms"
+    layers = ["unique", "digits", "layout", "rows", "total", "repr_join"]
+    assert lines[1].split() == ["kind", "grid", "fmt", "blocks", "distinct", *layers]
+    rows = [line.split() for line in lines[2:]]
+    assert [row[0] for row in rows] == ["spline2", "spline1", "scherk_patch", "hemisphere", "horosphere", "vplane", "geodesic_plane"]
+    for name, grid, fmt, blocks, distinct, *ms in rows:
+        assert (grid, blocks) == ("5", "1") and fmt == ("json" if name == "horosphere" else "csv")
+        assert 8 <= int(distinct) <= 8 * 25  # one to 25 distinct values per column
+        assert all(float(t) > 0.0 for t in ms)
+    wrapped = (cli._format_column, floatrepr.slots, floatrepr.digits)
+    assert [f.__name__ for f in wrapped] == ["_format_column", "slots", "digits"]  # wrappers removed
+
+
+def test_table_layers_rejects_a_grid_below_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        _load("table_layers").main(["--grid", "0"])
+    assert exc.value.code == 2
+    assert "--grid must be at least 1" in capsys.readouterr().err
