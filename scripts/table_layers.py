@@ -17,10 +17,11 @@ and ms per block of each layer:
   values and a join of the cells, on the same block.
 
 The layers are timed by wrapping the module functions while a block is
-formatted.  Every block's text is checked against the reference's.  Compare
-medians only with medians taken on the same machine.
+formatted, over PASSES passes of each table's blocks.  Every block's text is
+checked against the reference's.  Compare medians only with medians taken
+on the same machine.
 
-    PYTHONPATH=src python scripts/table_layers.py [--seed N] [--grid N] [--repeat N]
+    PYTHONPATH=src python scripts/table_layers.py [--seed N] [--grid N]
 """
 
 import argparse
@@ -40,6 +41,8 @@ import workloads  # noqa: E402
 
 # the layers' functions, in the module each is looked up in
 WRAPPED = ((cli, "_format_column"), (floatrepr, "slots"), (floatrepr, "digits"))
+# passes over each table's blocks; every block of every pass is one sample
+PASSES = 5
 
 
 def bench_grids(sizes) -> dict:
@@ -84,13 +87,13 @@ def _timed(seconds: dict, name: str, fn):
     return wrapper
 
 
-def measure(columns, fmt: str, repeat: int) -> dict:
+def measure(columns, fmt: str) -> dict:
     """Median distinct values and ms of each layer per block of `columns`."""
     render = cli._render_csv if fmt == "csv" else cli._render_json
     samples = {name: [] for name in ("distinct", "unique", "digits", "layout", "rows", "total", "repr_join")}
     seconds = dict.fromkeys((name for _, name in WRAPPED), 0.0)
     originals = [(module, name, getattr(module, name)) for module, name in WRAPPED]
-    for _ in range(repeat):
+    for _ in range(PASSES):
         for start in range(0, len(columns[0]), cli.CSV_BLOCK_ROWS):
             block = [c[start : start + cli.CSV_BLOCK_ROWS] for c in columns]
             t0 = time.perf_counter()
@@ -122,12 +125,9 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--seed", type=int, default=6421, help="benchmark seed of the descriptor files")
     ap.add_argument("--grid", type=int, help="one grid side for every file (default: the benchmark's)")
-    ap.add_argument("--repeat", type=int, default=5, help="passes over each table's blocks")
     args = ap.parse_args(argv)
     if args.grid is not None and args.grid < 1:
         ap.error(f"--grid must be at least 1, got {args.grid}")
-    if args.repeat < 1:
-        ap.error(f"--repeat must be at least 1, got {args.repeat}")
     print(f"benchmark seed {args.seed}; median per block of at most {cli.CSV_BLOCK_ROWS} rows, ms")
     layers = ("unique", "digits", "layout", "rows", "total", "repr_join")
     print(f"{'kind':15s} {'grid':>4s} {'fmt':>4s} {'blocks':>6s} {'distinct':>8s} " + " ".join(f"{n:>9s}" for n in layers))
@@ -136,7 +136,7 @@ def main(argv=None) -> int:
         grid = args.grid or grids[name]
         fmt = fields.get("fmt", "csv")
         columns = table_columns(text, grid)
-        ms = measure(columns, fmt, args.repeat)
+        ms = measure(columns, fmt)
         blocks = -(-len(columns[0]) // cli.CSV_BLOCK_ROWS)
         print(f"{name:15s} {grid:4d} {fmt:>4s} {blocks:6d} {ms['distinct']:8.0f} " + " ".join(f"{ms[n]:9.3f}" for n in layers))
     return 0

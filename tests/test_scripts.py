@@ -122,7 +122,7 @@ def test_src_size_rejects_a_tree_without_hypmin(tmp_path, capsys):
 
 
 def test_table_layers_prints_every_descriptor_and_layer(capsys):
-    assert _load("table_layers").main(["--grid", "5", "--repeat", "1"]) == 0
+    assert _load("table_layers").main(["--grid", "5"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "benchmark seed 6421; median per block of at most 4096 rows, ms"
     layers = ["unique", "digits", "layout", "rows", "total", "repr_join"]
